@@ -10,8 +10,6 @@ from volpose.graph import (
     Graph,
     Node,
     MemMeter,
-    backward_plain,
-    backward_checkpointed,
     select_checkpoints,
 )
 from volpose.model import (

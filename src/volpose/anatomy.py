@@ -17,26 +17,25 @@ class LandmarkDef:
     name: str
     side: str           # "left" | "right" | "midline"
     swap_with: int      # flip partner (itself for midline)
-    in_registration_subset: bool
 
 
 LANDMARKS: tuple[LandmarkDef, ...] = (
-    LandmarkDef(1, "head_top", "midline", 1, True),
-    LandmarkDef(2, "neck", "midline", 2, True),
-    LandmarkDef(3, "spine_mid", "midline", 3, True),
-    LandmarkDef(4, "sacrum", "midline", 4, True),
-    LandmarkDef(5, "l_shoulder", "left", 8, True),
-    LandmarkDef(6, "l_elbow", "left", 9, False),
-    LandmarkDef(7, "l_wrist", "left", 10, True),
-    LandmarkDef(8, "r_shoulder", "right", 5, True),
-    LandmarkDef(9, "r_elbow", "right", 6, True),
-    LandmarkDef(10, "r_wrist", "right", 7, False),
-    LandmarkDef(11, "l_hip", "left", 14, True),
-    LandmarkDef(12, "l_knee", "left", 15, False),
-    LandmarkDef(13, "l_ankle", "left", 16, False),
-    LandmarkDef(14, "r_hip", "right", 11, True),
-    LandmarkDef(15, "r_knee", "right", 12, False),
-    LandmarkDef(16, "r_ankle", "right", 13, False),
+    LandmarkDef(1, "head_top", "midline", 1),
+    LandmarkDef(2, "neck", "midline", 2),
+    LandmarkDef(3, "spine_mid", "midline", 3),
+    LandmarkDef(4, "sacrum", "midline", 4),
+    LandmarkDef(5, "l_shoulder", "left", 8),
+    LandmarkDef(6, "l_elbow", "left", 9),
+    LandmarkDef(7, "l_wrist", "left", 10),
+    LandmarkDef(8, "r_shoulder", "right", 5),
+    LandmarkDef(9, "r_elbow", "right", 6),
+    LandmarkDef(10, "r_wrist", "right", 7),
+    LandmarkDef(11, "l_hip", "left", 14),
+    LandmarkDef(12, "l_knee", "left", 15),
+    LandmarkDef(13, "l_ankle", "left", 16),
+    LandmarkDef(14, "r_hip", "right", 11),
+    LandmarkDef(15, "r_knee", "right", 12),
+    LandmarkDef(16, "r_ankle", "right", 13),
 )
 
 NUM_LANDMARKS = 16
@@ -71,12 +70,6 @@ FLIP_PERMUTATION: tuple[int, ...] = tuple(ld.swap_with - 1 for ld in LANDMARKS)
 SYMMETRIC_LIMB_INDICES: tuple[int, ...] = tuple(
     ld.index - 1 for ld in LANDMARKS if ld.side != "midline"
 )
-
-
-def registration_mask() -> list[bool]:
-    """Boolean per landmark (0-based order): member of the registration subset."""
-    subset = set(REGISTRATION_SUBSET)
-    return [ld.index in subset for ld in LANDMARKS]
 
 
 def landmark_names() -> list[str]:

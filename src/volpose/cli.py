@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from volpose import fileio
-from volpose.anatomy import LANDMARKS
+from volpose.anatomy import LANDMARKS, REGISTRATION_SUBSET
 from volpose.config import RunConfig, digest_files
 from volpose.graph import GraphError
 from volpose.heatmap import DecodedPose
@@ -441,7 +441,7 @@ def cmd_landmarks(args) -> int:
             "name": ld.name,
             "side": ld.side,
             "swap_with": ld.swap_with,
-            "registration_subset": ld.in_registration_subset,
+            "registration_subset": ld.index in REGISTRATION_SUBSET,
         }
         for ld in LANDMARKS
     ]

@@ -1,13 +1,19 @@
 """Explicit computation graph with plain and checkpointed reverse-mode autodiff.
 
-A :class:`Graph` is a topologically ordered list of nodes. Running
-``forward`` stores node values; ``backward_plain`` walks the graph in reverse
-and returns gradients for every learnable parameter. With ``discard=True``
-the forward pass frees every value that is neither a checkpoint nor otherwise
-needed later, and ``backward_checkpointed`` recomputes the freed values
-segment by segment while backpropagating. Because every primitive has a fixed
-reduction order, the checkpointed gradients are bitwise identical to the
-plain ones.
+A :class:`Graph` is a topologically ordered list of nodes. Each op is
+declared once, in ``OP_TABLE``: its forward, backward and shape rules.
+Running ``forward`` stores node values; ``backward_plain`` walks the graph in
+reverse and returns gradients for every learnable parameter. With
+``discard=True`` the forward pass frees every value that is neither a
+checkpoint nor otherwise needed later, and ``backward_checkpointed``
+recomputes the freed values segment by segment while backpropagating.
+Because every primitive has a fixed reduction order, the checkpointed
+gradients are bitwise identical to the plain ones.
+
+Which value is live at which step is decided in one place: the
+:class:`Schedule` that ``forward`` builds from (graph, target, discard).
+The executor walks it here and ``memplan`` sums byte sizes along the same
+walk, so planned and metered peaks agree by construction.
 
 Values that stay live during a discarding forward pass:
   * members of ``checkpoint_set``,
@@ -22,6 +28,7 @@ gradients): those buffers are the quantity checkpointing manipulates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -88,92 +95,192 @@ class Node:
     state: dict[str, np.ndarray] = field(default_factory=dict)
     attrs: dict = field(default_factory=dict)
     value: np.ndarray | None = None
-    is_checkpoint: bool = False
 
 
-OPS = (
-    "input",
-    "conv3d",
-    "deconv3d",
-    "max_pool3d",
-    "batch_norm",
-    "relu",
-    "channel_concat",
-    "add",
-    "l2_loss",
-)
+@dataclass(frozen=True)
+class Op:
+    """One primitive op.
+
+    ``forward(node, xs)`` is the value from the input values ``xs``;
+    ``backward(node, xs, g)`` is (input gradients, parameter gradients) for
+    the output gradient ``g``; ``shape(node, shapes)`` is the value shape from
+    the input shapes. Kernels are looked up on ``ops`` at call time, so a
+    rebound ``volpose.ops`` attribute sees every call.
+    """
+
+    forward: Callable | None
+    backward: Callable | None
+    shape: Callable | None
 
 
-def primitive_forward(node: Node, input_values: list[np.ndarray]) -> np.ndarray:
-    """Evaluate one node from its input values. Pure and deterministic."""
-    op = node.op
-    if op == "conv3d":
-        return ops.conv3d_forward(input_values[0], node.params["weight"], node.params["bias"])
-    if op == "deconv3d":
-        return ops.deconv3d_forward(input_values[0], node.params["weight"], node.params["bias"])
-    if op == "max_pool3d":
-        return ops.max_pool3d_forward(input_values[0])
-    if op == "batch_norm":
-        if node.attrs.get("use_running", False):
-            return ops.batch_norm_forward(
-                input_values[0],
-                node.params["gamma"],
-                node.params["beta"],
-                node.attrs.get("eps", 1e-5),
-                node.state["running_mean"],
-                node.state["running_var"],
-            )
-        return ops.batch_norm_forward(
-            input_values[0], node.params["gamma"], node.params["beta"], node.attrs.get("eps", 1e-5)
+def _with_params(result: tuple, *names: str) -> tuple[list, dict]:
+    gx, *gparams = result
+    return [gx], dict(zip(names, gparams))
+
+
+def _same_shape(node: Node, shapes: list[tuple]) -> tuple:
+    return shapes[0]
+
+
+# The one declaration of every op. Input nodes take their value from a feed
+# (executor) or a named shape (planner), so they have no rules here.
+OP_TABLE: dict[str, Op] = {
+    "input": Op(None, None, None),
+    "conv3d": Op(
+        lambda n, x: ops.conv3d_forward(x[0], n.params["weight"], n.params["bias"]),
+        lambda n, x, g: _with_params(
+            ops.conv3d_backward(x[0], n.params["weight"], g), "weight", "bias"
+        ),
+        lambda n, s: (n.params["weight"].shape[0],) + s[0][1:],
+    ),
+    "deconv3d": Op(
+        lambda n, x: ops.deconv3d_forward(x[0], n.params["weight"], n.params["bias"]),
+        lambda n, x, g: _with_params(
+            ops.deconv3d_backward(x[0], n.params["weight"], g), "weight", "bias"
+        ),
+        lambda n, s: (n.params["weight"].shape[1],) + tuple(2 * e for e in s[0][1:]),
+    ),
+    "max_pool3d": Op(
+        lambda n, x: ops.max_pool3d_forward(x[0]),
+        lambda n, x, g: ([ops.max_pool3d_backward(x[0], g)], {}),
+        lambda n, s: s[0][:1] + tuple(e // 2 for e in s[0][1:]),
+    ),
+    "batch_norm": Op(
+        lambda n, x: ops.batch_norm_forward(
+            x[0], n.params["gamma"], n.params["beta"], n.attrs.get("eps", 1e-5)
+        ),
+        lambda n, x, g: _with_params(
+            ops.batch_norm_backward(x[0], n.params["gamma"], g, n.attrs.get("eps", 1e-5)),
+            "gamma",
+            "beta",
+        ),
+        _same_shape,
+    ),
+    "relu": Op(
+        lambda n, x: ops.relu_forward(x[0]),
+        lambda n, x, g: ([ops.relu_backward(x[0], g)], {}),
+        _same_shape,
+    ),
+    "channel_concat": Op(
+        lambda n, x: ops.concat_forward(x),
+        lambda n, x, g: (ops.concat_backward([v.shape[0] for v in x], g), {}),
+        lambda n, s: (sum(e[0] for e in s),) + s[0][1:],
+    ),
+    "add": Op(
+        lambda n, x: ops.add_forward(x[0], x[1]),
+        lambda n, x, g: ([g, g], {}),
+        _same_shape,
+    ),
+    "l2_loss": Op(
+        lambda n, x: ops.l2_loss_forward(x[0], x[1]),
+        lambda n, x, g: (list(ops.l2_loss_backward(x[0], x[1], g)), {}),
+        lambda n, s: (),
+    ),
+}
+
+
+@dataclass
+class Schedule:
+    """The liveness walk of one training step, computed without any value.
+
+    * ``need``: the target and its ancestors, in forward order;
+    * ``retained``: values a discarding forward keeps (every needed value
+      when not discarding);
+    * ``forward_frees[k]``: values freed right after forward step ``k``;
+    * ``segments``: maximal runs of consecutive non-retained needed nodes;
+    * ``backward``: one ``(node, recompute, frees)`` per backward step, in
+      reverse order: the discarded values to recompute before the step, and
+      the values no later step reads.
+    * ``error``: why a checkpointed backward cannot run (an edge into a
+      segment from a discarded node outside it), or None.
+    """
+
+    target: int
+    discard: bool
+    need: list[int]
+    retained: set[int]
+    forward_frees: list[list[int]]
+    segments: list[list[int]]
+    backward: list[tuple[int, list[int], list[int]]]
+    error: str | None
+
+    @classmethod
+    def build(cls, graph: "Graph", target: int, discard: bool) -> "Schedule":
+        nodes = graph.nodes
+        seen = {target}
+        stack = [target]
+        while stack:
+            for i in nodes[stack.pop()].inputs:
+                if i not in seen:
+                    seen.add(i)
+                    stack.append(i)
+        need = sorted(seen)
+        retained = set(need)
+        if discard:
+            retained = set(graph.checkpoint_set) | set(graph.inputs.values()) | {target}
+            if graph.loss_id is not None:
+                retained.add(graph.loss_id)
+            for nid in need:
+                if nodes[nid].op == "channel_concat":
+                    retained.update(nodes[nid].inputs)
+        uses = dict.fromkeys(need, 0)
+        for nid in need:
+            for i in nodes[nid].inputs:
+                uses[i] += 1
+
+        # forward: a non-retained value dies with its last consumer
+        left = dict(uses)
+        forward_frees = []
+        for nid in need:
+            freed = []
+            for i in nodes[nid].inputs:
+                left[i] -= 1
+                if left[i] == 0 and i not in retained:
+                    freed.append(i)
+            forward_frees.append(freed)
+
+        segments: list[list[int]] = []
+        seg_of: dict[int, int] = {}
+        for k, nid in enumerate(need):
+            if nid not in retained:
+                if k == 0 or need[k - 1] in retained:
+                    segments.append([])
+                segments[-1].append(nid)
+                seg_of[nid] = len(segments) - 1
+        error = next(
+            (
+                f"segment {si} (nodes {seg[0]}..{seg[-1]}): node {nid} needs node {i}, "
+                "which was discarded and is outside the segment"
+                for si, seg in enumerate(segments)
+                for nid in seg
+                for i in nodes[nid].inputs
+                if i not in retained and seg_of[i] != si
+            ),
+            None,
         )
-    if op == "relu":
-        return ops.relu_forward(input_values[0])
-    if op == "channel_concat":
-        return ops.concat_forward(input_values)
-    if op == "add":
-        return ops.add_forward(input_values[0], input_values[1])
-    if op == "l2_loss":
-        return ops.l2_loss_forward(input_values[0], input_values[1])
-    raise GraphError(f"unknown op '{op}' at node {node.nid}")
 
+        # backward: recompute the segment of any missing input first; a value
+        # dies once every consumer has been backpropagated
+        alive = retained.intersection(need)
+        left = dict(uses)
+        backward = []
+        for nid in reversed(need):
+            inputs = nodes[nid].inputs
+            recompute = []
+            for i in inputs:
+                if i not in alive and i in seg_of:
+                    recompute += [m for m in segments[seg_of[i]] if m not in alive]
+                    alive.update(recompute)
+            for i in inputs:
+                left[i] -= 1
+            freed = [i for i in dict.fromkeys(inputs + [nid]) if left[i] == 0 and i in alive]
+            alive.difference_update(freed)
+            backward.append((nid, recompute, freed))
+        return cls(target, discard, need, retained, forward_frees, segments, backward, error)
 
-def _primitive_backward(
-    node: Node, input_values: list[np.ndarray], grad_out: np.ndarray
-) -> tuple[list[np.ndarray | None], dict[str, np.ndarray]]:
-    op = node.op
-    if op == "conv3d":
-        gx, gw, gb = ops.conv3d_backward(input_values[0], node.params["weight"], grad_out)
-        return [gx], {"weight": gw, "bias": gb}
-    if op == "deconv3d":
-        gx, gw, gb = ops.deconv3d_backward(input_values[0], node.params["weight"], grad_out)
-        return [gx], {"weight": gw, "bias": gb}
-    if op == "max_pool3d":
-        return [ops.max_pool3d_backward(input_values[0], grad_out)], {}
-    if op == "batch_norm":
-        if node.attrs.get("use_running", False):
-            gx, gg, gb = ops.batch_norm_backward(
-                input_values[0],
-                node.params["gamma"],
-                grad_out,
-                node.attrs.get("eps", 1e-5),
-                node.state["running_mean"],
-                node.state["running_var"],
-            )
-        else:
-            gx, gg, gb = ops.batch_norm_backward(
-                input_values[0], node.params["gamma"], grad_out, node.attrs.get("eps", 1e-5)
-            )
-        return [gx], {"gamma": gg, "beta": gb}
-    if op == "relu":
-        return [ops.relu_backward(input_values[0], grad_out)], {}
-    if op == "channel_concat":
-        return ops.concat_backward([v.shape[0] for v in input_values], grad_out), {}
-    if op == "add":
-        return [grad_out, grad_out], {}
-    if op == "l2_loss":
-        gp, gt = ops.l2_loss_backward(input_values[0], input_values[1], grad_out)
-        return [gp, gt], {}
-    raise GraphError(f"cannot backprop through op '{op}' at node {node.nid}")
+    def check(self) -> None:
+        if self.error is not None:
+            raise CheckpointInvariantError(self.error)
 
 
 class Graph:
@@ -184,7 +291,7 @@ class Graph:
         self.loss_id: int | None = None
         self.checkpoint_set: set[int] = set()
         self.meter = MemMeter()
-        self._last_forward: dict | None = None
+        self.schedule: Schedule | None = None  # of the last forward
 
     # -- construction -------------------------------------------------------
 
@@ -194,7 +301,7 @@ class Graph:
         return nid
 
     def add(self, op: str, inputs: list[int], params=None, state=None, attrs=None) -> int:
-        if op not in OPS:
+        if op not in OP_TABLE:
             raise GraphError(f"unknown op '{op}'")
         nid = len(self.nodes)
         for i in inputs:
@@ -216,13 +323,6 @@ class Graph:
         if v is None:
             raise MissingValue(f"node {nid} has no stored value")
         return v
-
-    def consumers(self) -> list[list[int]]:
-        cons: list[list[int]] = [[] for _ in self.nodes]
-        for n in self.nodes:
-            for i in n.inputs:
-                cons[i].append(n.nid)
-        return cons
 
     # -- parameters ---------------------------------------------------------
 
@@ -266,8 +366,6 @@ class Graph:
                     {k: v.copy() for k, v in n.params.items()},
                     {k: v.copy() for k, v in n.state.items()},
                     dict(n.attrs),
-                    None,
-                    n.is_checkpoint,
                 )
             )
         g.inputs = dict(self.inputs)
@@ -282,27 +380,6 @@ class Graph:
             if not (0 <= i < len(self.nodes)):
                 raise GraphError(f"checkpoint id {i} not in graph")
         self.checkpoint_set = set(ids)
-        for n in self.nodes:
-            n.is_checkpoint = n.nid in self.checkpoint_set
-
-    def _retained_set(self, need: list[int], target: int) -> set[int]:
-        retained = set(self.checkpoint_set) | set(self.inputs.values()) | {target}
-        if self.loss_id is not None:
-            retained.add(self.loss_id)
-        for nid in need:
-            if self.nodes[nid].op == "channel_concat":
-                retained.update(self.nodes[nid].inputs)
-        return retained
-
-    def _ancestors(self, target: int) -> list[int]:
-        seen = {target}
-        stack = [target]
-        while stack:
-            for i in self.nodes[stack.pop()].inputs:
-                if i not in seen:
-                    seen.add(i)
-                    stack.append(i)
-        return sorted(seen)
 
     # -- value management -----------------------------------------------------
 
@@ -318,6 +395,16 @@ class Graph:
         if node.value is not None:
             self.meter.free(node.value.nbytes)
             node.value = None
+
+    def _input_values(self, node: Node) -> list[np.ndarray]:
+        vals = [self.nodes[i].value for i in node.inputs]
+        for i, v in zip(node.inputs, vals):
+            if v is None:
+                raise MissingValue(f"node {node.nid}: input {i} has no value")
+        return vals
+
+    def _run(self, node: Node) -> np.ndarray:
+        return OP_TABLE[node.op].forward(node, self._input_values(node))
 
     def clear_values(self) -> None:
         for n in self.nodes:
@@ -356,18 +443,11 @@ class Graph:
         if discard and not self.checkpoint_set:
             raise GraphError("discarding forward requires a non-empty checkpoint_set")
 
-        need = self._ancestors(target)
-        retained = self._retained_set(need, target)
-        need_set = set(need)
-        uses = {nid: 0 for nid in need}
-        for nid in need:
-            for i in self.nodes[nid].inputs:
-                uses[i] += 1
-
+        schedule = Schedule.build(self, target, discard)
         self.clear_values()
         self.meter.reset()
 
-        for nid in need:
+        for nid, frees in zip(schedule.need, schedule.forward_frees):
             node = self.nodes[nid]
             if node.op == "input":
                 name = node.attrs["name"]
@@ -375,36 +455,19 @@ class Graph:
                     raise GraphError(f"missing feed for input '{name}' (node {nid})")
                 val = np.ascontiguousarray(feeds[name], dtype=self.dtype)
             else:
-                vals = []
-                for i in node.inputs:
-                    if self.nodes[i].value is None:
-                        raise MissingValue(f"node {nid}: input {i} has no value")
-                    vals.append(self.nodes[i].value)
                 try:
-                    val = primitive_forward(node, vals)
+                    val = self._run(node)
                 except ShapeMismatch as e:
                     raise ShapeMismatch(f"node {nid} ({node.op}): {e}") from e
             self._set_value(nid, val)
             if not np.all(np.isfinite(val)):
                 raise NonFiniteValue(nid, node.op, f" tag={node.attrs.get('tag', '')}")
-            if (
-                update_stats
-                and node.op == "batch_norm"
-                and not node.attrs.get("use_running", False)
-            ):
+            if update_stats and node.op == "batch_norm":
                 self._update_running_stats(node)
-            if discard:
-                for i in node.inputs:
-                    uses[i] -= 1
-                    if uses[i] == 0 and i not in retained:
-                        self._free_value(i)
+            for i in frees:
+                self._free_value(i)
 
-        self._last_forward = {
-            "discard": discard,
-            "need": need,
-            "retained": retained if discard else need_set,
-            "target": target,
-        }
+        self.schedule = schedule
         out = self.nodes[target].value
         return float(out) if out.ndim == 0 else out
 
@@ -421,21 +484,17 @@ class Graph:
         g = grads.pop(node.nid, None)
         if g is None or node.op == "input":
             return
-        vals = []
-        for i in node.inputs:
-            if self.nodes[i].value is None:
-                raise MissingValue(f"backward of node {node.nid}: input {i} has no value")
-            vals.append(self.nodes[i].value)
-        gins, gparams = _primitive_backward(node, vals, g)
+        gins, gparams = OP_TABLE[node.op].backward(node, self._input_values(node), g)
         for i, gi in zip(node.inputs, gins):
-            if gi is None:
-                continue
-            if i in grads:
-                grads[i] = grads[i] + gi
-            else:
-                grads[i] = gi
+            grads[i] = grads[i] + gi if i in grads else gi
         for name, gp in gparams.items():
             gradmap[f"{node.nid}.{name}"] = gp
+
+    def _loss_schedule(self, caller: str) -> Schedule:
+        schedule = self.schedule
+        if schedule is None or schedule.target != self.loss_id:
+            raise MissingValue(f"{caller}: run forward to the loss node first")
+        return schedule
 
     def backward_plain(self) -> dict[str, np.ndarray]:
         """Gradients of the loss w.r.t. every reachable learnable parameter.
@@ -443,103 +502,38 @@ class Graph:
         Requires a prior ``forward(discard=False)``; all node values must be
         present. Does not free any values (the naive memory baseline).
         """
-        lf = self._last_forward
-        if lf is None or lf["target"] != self.loss_id:
-            raise MissingValue("backward_plain: run forward to the loss node first")
-        if lf["discard"]:
+        schedule = self._loss_schedule("backward_plain")
+        if schedule.discard:
             raise MissingValue("backward_plain: last forward discarded values; rerun with discard=False")
-        need = lf["need"]
-        loss_node = self.nodes[self.loss_id]
-        if loss_node.value is None:
+        if self.nodes[self.loss_id].value is None:
             raise MissingValue("backward_plain: loss value missing")
         grads: dict[int, np.ndarray] = {self.loss_id: np.asarray(1.0, dtype=self.dtype)}
         gradmap: dict[str, np.ndarray] = {}
-        for nid in reversed(need):
+        for nid, _, _ in schedule.backward:
             self._backward_step(self.nodes[nid], grads, gradmap)
         return gradmap
 
     def backward_checkpointed(self) -> dict[str, np.ndarray]:
         """Backward pass after a discarding forward.
 
-        Discarded values are recovered by re-running their segment (a maximal
-        run of consecutive non-retained nodes) from still-live values, then
-        backpropagating. Gradients are bitwise identical to
-        ``backward_plain`` on the same graph and inputs. Values are freed as
-        soon as no remaining backward step needs them, so the meter reflects
-        true liveness.
+        Walks the forward's :class:`Schedule`: discarded values are recovered
+        by re-running their segment from still-live values just before the
+        first step that reads them, and every value is freed as soon as no
+        remaining step needs it, so the meter reflects true liveness.
+        Gradients are bitwise identical to ``backward_plain`` on the same
+        graph and inputs.
         """
-        lf = self._last_forward
-        if lf is None or lf["target"] != self.loss_id:
-            raise MissingValue("backward_checkpointed: run forward to the loss node first")
-        need: list[int] = lf["need"]
-        retained: set[int] = lf["retained"]
-
-        # segments = maximal runs of non-retained nodes, in forward order
-        seg_of: dict[int, int] = {}
-        segments: list[list[int]] = []
-        for idx, nid in enumerate(need):
-            if nid in retained:
-                continue
-            if segments and idx > 0 and need[idx - 1] == segments[-1][-1]:
-                segments[-1].append(nid)
-            else:
-                segments.append([nid])
-            seg_of[nid] = len(segments) - 1
-
-        # validate: every edge entering a segment comes from a retained node
-        # or from inside the same segment
-        for si, seg in enumerate(segments):
-            seg_set = set(seg)
-            for nid in seg:
-                for i in self.nodes[nid].inputs:
-                    if i not in retained and i not in seg_set:
-                        raise CheckpointInvariantError(
-                            f"segment {si} (nodes {seg[0]}..{seg[-1]}): node {nid} needs "
-                            f"node {i}, which was discarded and is outside the segment"
-                        )
-
-        uses = {nid: 0 for nid in need}
-        for nid in need:
-            for i in self.nodes[nid].inputs:
-                uses[i] += 1
-
-        def recompute(seg: list[int]) -> None:
-            for m in seg:
-                node = self.nodes[m]
-                vals = []
-                for i in node.inputs:
-                    if self.nodes[i].value is None:
-                        raise CheckpointInvariantError(
-                            f"recompute of node {m}: upstream value {i} was discarded"
-                        )
-                    vals.append(self.nodes[i].value)
-                self._set_value(m, primitive_forward(node, vals))
-
+        schedule = self._loss_schedule("backward_checkpointed")
+        schedule.check()
         grads: dict[int, np.ndarray] = {self.loss_id: np.asarray(1.0, dtype=self.dtype)}
         gradmap: dict[str, np.ndarray] = {}
-        for nid in reversed(need):
-            node = self.nodes[nid]
-            if node.op != "input" and nid in grads:
-                missing_segs = []
-                for i in node.inputs:
-                    if self.nodes[i].value is None:
-                        si = seg_of.get(i)
-                        if si is None:
-                            raise MissingValue(
-                                f"backward of node {nid}: retained input {i} lost its value"
-                            )
-                        if si not in missing_segs:
-                            missing_segs.append(si)
-                for si in missing_segs:
-                    recompute(segments[si])
-            self._backward_step(node, grads, gradmap)
-            for i in node.inputs:
-                uses[i] -= 1
-                if uses[i] == 0:
-                    self._free_value(i)
-            if uses.get(nid, 0) == 0:
-                self._free_value(nid)
-        self._last_forward = None
+        for nid, recompute, frees in schedule.backward:
+            for m in recompute:
+                self._set_value(m, self._run(self.nodes[m]))
+            self._backward_step(self.nodes[nid], grads, gradmap)
+            for i in frees:
+                self._free_value(i)
+        self.schedule = None
         return gradmap
 
 
@@ -592,10 +586,3 @@ def select_checkpoints(
         return marks | implicit
     raise GraphError(f"unknown checkpoint policy '{policy}'")
 
-
-def backward_plain(graph: Graph) -> dict[str, np.ndarray]:
-    return graph.backward_plain()
-
-
-def backward_checkpointed(graph: Graph) -> dict[str, np.ndarray]:
-    return graph.backward_checkpointed()

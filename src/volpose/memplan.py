@@ -1,12 +1,12 @@
 """Symbolic memory planning: per-node value sizes and peak liveness without
 allocating anything.
 
-Propagates shapes through the graph and replays the same liveness rules the
-executor uses (retained sets, last-consumer frees during a discarding
-forward, segment recomputation and use-count frees during the checkpointed
-backward). This makes memory questions about configurations far beyond desk
-RAM answerable instantly; the planner is validated against the live meter at
-small scale in the test suite.
+Shapes come from each op's shape rule in ``graph.OP_TABLE``. Liveness comes
+from the :class:`~volpose.graph.Schedule` the executor walks: the planner
+only sums byte sizes along it, so its peaks equal the live meter's by
+construction. This makes memory questions about configurations far beyond
+desk RAM answerable instantly; the test suite checks planner == meter at
+small scale.
 """
 
 from __future__ import annotations
@@ -15,35 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from volpose.graph import CheckpointInvariantError, Graph
+from volpose.graph import OP_TABLE, Graph, Schedule
 
 
 def node_shapes(graph: Graph, input_shapes: dict[str, tuple]) -> list[tuple]:
     """Value shape of every node for the given named input shapes."""
-    shapes: list[tuple | None] = [None] * len(graph.nodes)
+    shapes: list[tuple] = []
     for node in graph.nodes:
         if node.op == "input":
-            shapes[node.nid] = tuple(input_shapes[node.attrs["name"]])
-            continue
-        ins = [shapes[i] for i in node.inputs]
-        if node.op == "conv3d":
-            cout = node.params["weight"].shape[0]
-            shapes[node.nid] = (cout,) + ins[0][1:]
-        elif node.op == "deconv3d":
-            cout = node.params["weight"].shape[1]
-            shapes[node.nid] = (cout,) + tuple(2 * n for n in ins[0][1:])
-        elif node.op == "max_pool3d":
-            shapes[node.nid] = (ins[0][0],) + tuple(n // 2 for n in ins[0][1:])
-        elif node.op in ("batch_norm", "relu"):
-            shapes[node.nid] = ins[0]
-        elif node.op == "channel_concat":
-            shapes[node.nid] = (sum(s[0] for s in ins),) + ins[0][1:]
-        elif node.op == "add":
-            shapes[node.nid] = ins[0]
-        elif node.op == "l2_loss":
-            shapes[node.nid] = ()
+            shapes.append(tuple(input_shapes[node.attrs["name"]]))
         else:
-            raise ValueError(f"cannot propagate shape through op '{node.op}'")
+            shapes.append(OP_TABLE[node.op].shape(node, [shapes[i] for i in node.inputs]))
     return shapes
 
 
@@ -60,82 +42,33 @@ def _bytes_of(shape: tuple, itemsize: int) -> int:
     return int(np.prod(shape, dtype=np.int64)) * itemsize if shape else itemsize
 
 
-def plan_memory(graph: Graph, input_shapes: dict[str, tuple]) -> MemoryPlan:
-    """Replay the executor's liveness rules on shapes only."""
-    itemsize = graph.dtype.itemsize
-    shapes = node_shapes(graph, input_shapes)
-    nbytes = [_bytes_of(s, itemsize) for s in shapes]
-    target = graph.loss_id
-    need = graph._ancestors(target)
-    retained = graph._retained_set(need, target)
-
-    uses_fwd = {nid: 0 for nid in need}
-    for nid in need:
-        for i in graph.nodes[nid].inputs:
-            uses_fwd[i] += 1
-
-    # forward with discard: last-consumer frees for non-retained values
-    live = 0
-    fwd_peak = 0
-    uses = dict(uses_fwd)
-    alive: set[int] = set()
-    for nid in need:
+def _peaks(schedule: Schedule, nbytes: list[int]) -> tuple[int, int]:
+    """Meter peaks at the end of the forward walk and of the whole step."""
+    live = peak = 0
+    for nid, frees in zip(schedule.need, schedule.forward_frees):
         live += nbytes[nid]
-        alive.add(nid)
-        fwd_peak = max(fwd_peak, live)
-        for i in graph.nodes[nid].inputs:
-            uses[i] -= 1
-            if uses[i] == 0 and i not in retained:
-                live -= nbytes[i]
-                alive.discard(i)
+        peak = max(peak, live)
+        live -= sum(nbytes[i] for i in frees)
+    forward_peak = peak
+    for _, recompute, frees in schedule.backward:
+        live += sum(nbytes[m] for m in recompute)
+        peak = max(peak, live)
+        live -= sum(nbytes[i] for i in frees)
+    return forward_peak, peak
 
-    # checkpointed backward: segments over non-retained nodes, recompute then
-    # free by backward use counts (mirrors Graph.backward_checkpointed)
-    seg_of: dict[int, int] = {}
-    segments: list[list[int]] = []
-    for idx, nid in enumerate(need):
-        if nid in retained:
-            continue
-        if segments and idx > 0 and need[idx - 1] == segments[-1][-1]:
-            segments[-1].append(nid)
-        else:
-            segments.append([nid])
-        seg_of[nid] = len(segments) - 1
-    for si, seg in enumerate(segments):
-        seg_set = set(seg)
-        for nid in seg:
-            for i in graph.nodes[nid].inputs:
-                if i not in retained and i not in seg_set:
-                    raise CheckpointInvariantError(
-                        f"segment {si}: node {nid} needs discarded node {i}"
-                    )
 
-    bwd_peak = fwd_peak
-    uses = dict(uses_fwd)
-    for nid in reversed(need):
-        node = graph.nodes[nid]
-        if node.op != "input":
-            for i in node.inputs:
-                if i not in alive:
-                    for m in segments[seg_of[i]]:
-                        if m not in alive:
-                            live += nbytes[m]
-                            alive.add(m)
-                            bwd_peak = max(bwd_peak, live)
-        for i in node.inputs:
-            uses[i] -= 1
-            if uses[i] == 0 and i in alive:
-                live -= nbytes[i]
-                alive.discard(i)
-        if uses.get(nid, 0) == 0 and nid in alive:
-            live -= nbytes[nid]
-            alive.discard(nid)
-
-    plain_peak = sum(nbytes[nid] for nid in need)
+def plan_memory(graph: Graph, input_shapes: dict[str, tuple]) -> MemoryPlan:
+    """Walk the plain and the discarding schedules on byte sizes only."""
+    itemsize = graph.dtype.itemsize
+    nbytes = [_bytes_of(s, itemsize) for s in node_shapes(graph, input_shapes)]
+    plain_peak, _ = _peaks(Schedule.build(graph, graph.loss_id, discard=False), nbytes)
+    checkpointed = Schedule.build(graph, graph.loss_id, discard=True)
+    checkpointed.check()
+    forward_peak, step_peak = _peaks(checkpointed, nbytes)
     return MemoryPlan(
         parameter_count=int(sum(v.size for v in graph.parameters().values())),
         node_bytes=nbytes,
         plain_step_peak=plain_peak,
-        forward_discard_peak=fwd_peak,
-        checkpointed_step_peak=max(fwd_peak, bwd_peak),
+        forward_discard_peak=forward_peak,
+        checkpointed_step_peak=step_peak,
     )

@@ -27,7 +27,7 @@ class PhantomError(RuntimeError):
     pass
 
 
-# Base figure在 body frame, mm: +z toward the head, +y toward the front
+# Base figure in body frame, mm: +z toward the head, +y toward the front
 # (limbs curl that way), +x the anatomical left. 1-based landmark indexing.
 _BASE_POSITIONS = {
     1: (0.0, 3.0, 21.0),     # head_top

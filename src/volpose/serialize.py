@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from volpose.graph import Graph, GraphError, Node
+from volpose.graph import Graph, GraphError
 
 FORMAT_VERSION = 1
 
@@ -46,16 +46,16 @@ def graph_from_dict(doc: dict) -> Graph:
     if doc.get("version") != FORMAT_VERSION:
         raise GraphError(f"unsupported graph format version {doc.get('version')}")
     g = Graph(np.dtype(doc["dtype"]))
-    for spec in doc["nodes"]:
-        node = Node(
-            spec["id"],
+    for pos, spec in enumerate(doc["nodes"]):
+        if spec["id"] != pos:
+            raise GraphError(f"graph.json: node at position {pos} has id {spec['id']}")
+        g.add(
             spec["op"],
-            list(spec["inputs"]),
+            spec["inputs"],
             {k: np.zeros(shape, dtype=g.dtype) for k, shape in spec["params"].items()},
             {k: np.zeros(shape, dtype=g.dtype) for k, shape in spec["state"].items()},
-            dict(spec["attrs"]),
+            spec["attrs"],
         )
-        g.nodes.append(node)
     g.inputs = {k: int(v) for k, v in doc["inputs"].items()}
     g.loss_id = doc["loss"]
     g.set_checkpoints(set(doc.get("checkpoints", [])))

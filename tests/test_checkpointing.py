@@ -135,8 +135,8 @@ def test_adding_checkpoints_never_increases_recompute_count():
     def recompute_count(ckpts):
         g.set_checkpoints(ckpts)
         g.forward(feeds, discard=True)
-        lf = g._last_forward
-        return sum(1 for nid in lf["need"] if nid not in lf["retained"])
+        schedule = g.schedule
+        return sum(1 for nid in schedule.need if nid not in schedule.retained)
 
     base = select_checkpoints(g, "block_boundary")
     count = recompute_count(base)

@@ -1,5 +1,7 @@
 """Detector graph construction, preprocessing, training, and inference."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,30 @@ def test_model_save_load_round_trip(tmp_path):
     g2 = load_model(tmp_path / "model")
     after, _ = infer(g2, vol, 1.0, cfg)
     np.testing.assert_array_equal(before, after)
+
+
+def _first_relu(doc):
+    return next(n for n in doc["nodes"] if n["op"] == "relu")
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda doc: _first_relu(doc).update(op="gelu"), "unknown op"),
+        (lambda doc: _first_relu(doc).update(inputs=[len(doc["nodes"]) - 1]), "does not precede"),
+        (lambda doc: doc["nodes"][3].update(id=4), "position 3 has id 4"),
+    ],
+    ids=["unknown-op", "forward-reference", "id-mismatch"],
+)
+def test_corrupt_graph_json_rejected_at_load(tmp_path, corrupt, match):
+    g = build_detector(small_cfg(depth=2, base_channels=2), seed=21)
+    save_model(tmp_path / "model", g)
+    path = tmp_path / "model" / "graph.json"
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphError, match=match):
+        load_model(tmp_path / "model")
 
 
 def test_epochs_default_is_20():

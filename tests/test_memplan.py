@@ -1,13 +1,20 @@
 """The symbolic memory planner must agree with the live meter, then scale."""
 
 import numpy as np
+import pytest
 
 from volpose.graph import select_checkpoints
-from volpose.memplan import plan_memory
+from volpose.memplan import node_shapes, plan_memory
 from volpose.model import DetectorConfig, build_detector
 
+POLICIES = [
+    pytest.param("block_boundary", {}, id="block_boundary"),
+    *[pytest.param("every_k", {"k": k}, id=f"every_{k}") for k in (1, 2, 3, 5)],
+    pytest.param("manual", {"manual": []}, id="manual_empty"),
+]
 
-def measured_peaks(graph, shape):
+
+def measured_peaks(graph, shape, checkpoints):
     rng = np.random.default_rng(0)
     feeds = {
         "volume": rng.normal(size=(1, *shape)).astype(np.float32),
@@ -16,7 +23,7 @@ def measured_peaks(graph, shape):
     graph.forward(feeds)
     graph.backward_plain()
     plain = graph.meter.peak
-    graph.set_checkpoints(select_checkpoints(graph, "block_boundary"))
+    graph.set_checkpoints(checkpoints)
     graph.forward(feeds, discard=True)
     fwd = graph.meter.peak
     graph.backward_checkpointed()
@@ -24,27 +31,44 @@ def measured_peaks(graph, shape):
     return plain, fwd, step
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("policy, kw", POLICIES)
+def test_plan_matches_live_meter(depth, policy, kw):
+    cfg = DetectorConfig(depth=depth, base_channels=4, input_scale=1.0)
+    graph = build_detector(cfg, seed=depth - 1)
+    shape = (16, 16, 16)
+    checkpoints = select_checkpoints(graph, policy, **kw)
+    plain, fwd, step = measured_peaks(graph, shape, checkpoints)
+    plan = plan_memory(graph, {"volume": (1, *shape), "target": (16, *shape)})
+    assert (plan.plain_step_peak, plan.forward_discard_peak, plan.checkpointed_step_peak) == (
+        plain, fwd, step
+    )
+
+
 def test_plan_matches_live_meter_on_reference_detector():
     cfg = DetectorConfig(depth=3, base_channels=8, input_scale=1.0)
     graph = build_detector(cfg, seed=0)
     shape = (32, 32, 32)
-    plain, fwd, step = measured_peaks(graph, shape)
-    graph.set_checkpoints(select_checkpoints(graph, "block_boundary"))
+    plain, fwd, step = measured_peaks(
+        graph, shape, select_checkpoints(graph, "block_boundary")
+    )
     plan = plan_memory(graph, {"volume": (1, *shape), "target": (16, *shape)})
     assert plan.plain_step_peak == plain
     assert plan.forward_discard_peak == fwd
     assert plan.checkpointed_step_peak == step
 
 
-def test_plan_matches_meter_small_depth2():
-    cfg = DetectorConfig(depth=2, base_channels=4, input_scale=1.0)
-    graph = build_detector(cfg, seed=1)
-    shape = (16, 16, 16)
-    plain, fwd, step = measured_peaks(graph, shape)
-    graph.set_checkpoints(select_checkpoints(graph, "block_boundary"))
-    plan = plan_memory(graph, {"volume": (1, *shape), "target": (16, *shape)})
-    assert plan.plain_step_peak == plain
-    assert plan.checkpointed_step_peak == step
+def test_node_shapes_match_forward_values_on_reference_detector():
+    cfg = DetectorConfig(depth=3, base_channels=8, input_scale=1.0)
+    graph = build_detector(cfg, seed=0)
+    shape = (32, 32, 32)
+    rng = np.random.default_rng(1)
+    graph.forward({
+        "volume": rng.normal(size=(1, *shape)).astype(np.float32),
+        "target": rng.normal(size=(16, *shape)).astype(np.float32),
+    })
+    planned = node_shapes(graph, {"volume": (1, *shape), "target": (16, *shape)})
+    assert planned == [graph.value(n.nid).shape for n in graph.nodes]
 
 
 def test_depth4_full_scale_report():
