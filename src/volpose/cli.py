@@ -424,8 +424,8 @@ def cmd_eval(args) -> int:
     write_report(report, args.out, config_note=run_cfg.note())
     run_cfg.save(Path(args.out) / "run_config.json")
     log.info(
-        "evaluated %d cases: mean %.3f mm, AUC %.2f%%",
-        report.case_count, report.mean_mm, report.mean_auc,
+        "evaluated %d cases: mean %.3f mm, AUC %.2f%%, coverage %.3f",
+        report.case_count, report.mean_mm, report.mean_auc, report.coverage,
     )
     return 0
 

@@ -3,9 +3,11 @@
 PCK at a threshold is the fraction of predictions whose Euclidean distance
 to ground truth is strictly below it (an exactly-zero distance counts at
 every threshold, so perfect predictions score AUC 100 even at the grid's
-zero point); AUC is the trapezoidal integral of the PCK curve normalized by
-the grid span, in percent. The default threshold grid is 0..30 mm in 0.5 mm
-steps and is recorded in every report.
+zero point). A landmark without a valid distance counts as a miss at every
+threshold, and reports state the valid share as ``coverage``. AUC is the
+trapezoidal integral of the PCK curve normalized by the grid span, in
+percent. The default threshold grid is 0..30 mm in 0.5 mm steps and is
+recorded in every report.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def euclidean(
 def pck_curve(distances: np.ndarray, thresholds: np.ndarray) -> dict:
     """PCK per landmark and pooled over a strictly increasing threshold grid.
 
-    ``distances``: (n_cases, 16) mm, NaN entries excluded from the counts.
+    ``distances``: (n_cases, 16) mm; a NaN entry (a masked or invalid
+    landmark) is a miss at every threshold but stays in the denominator.
     """
     distances = np.atleast_2d(np.asarray(distances, dtype=np.float64))
     thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -62,19 +65,15 @@ def pck_curve(distances: np.ndarray, thresholds: np.ndarray) -> dict:
         raise MetricsError("threshold grid is empty")
     if thresholds.size > 1 and np.any(np.diff(thresholds) <= 0):
         raise MetricsError("threshold grid must be strictly increasing")
-    valid = np.isfinite(distances)
-    n_valid = valid.sum(axis=0)             # per landmark
     below = distances[None, :, :] < thresholds[:, None, None]
     below |= (distances == 0.0)[None, :, :]
-    below &= valid[None, :, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per_landmark = below.sum(axis=1) / np.maximum(n_valid, 1)[None, :]
-    pooled = below.sum(axis=(1, 2)) / max(int(valid.sum()), 1)
+    per_landmark = below.sum(axis=1) / distances.shape[0]
+    pooled = below.sum(axis=(1, 2)) / distances.size
     return {
         "thresholds": thresholds,
         "per_landmark": per_landmark,        # (T, 16)
         "pooled": pooled,                    # (T,)
-        "n_valid": n_valid,
+        "n_valid": np.isfinite(distances).sum(axis=0),  # per landmark
     }
 
 
@@ -104,6 +103,7 @@ class EvalReport:
     per_landmark_auc: np.ndarray              # (16,)
     mean_mm: float
     mean_auc: float
+    coverage: float                           # valid landmarks / (cases * 16)
     pck: dict
     case_ids: list[str]
     segment_lengths_mm: dict[str, list[float]] = field(default_factory=dict)
@@ -140,6 +140,7 @@ def build_report(
         per_landmark_auc=per_auc,
         mean_mm=float(np.nanmean(rows)),
         mean_auc=auc(curve["pooled"], thresholds),
+        coverage=float(curve["n_valid"].sum() / rows.size),
         pck=curve,
         case_ids=ids,
         segment_lengths_mm=seg,
@@ -162,6 +163,7 @@ def write_report(report: EvalReport, out_dir: str | Path, config_note: dict | No
         "case_ids": report.case_ids,
         "mean_distance_mm": report.mean_mm,
         "mean_auc_percent": report.mean_auc,
+        "coverage": report.coverage,
         "per_landmark_mean_mm": [float(v) for v in report.per_landmark_mean_mm],
         "per_landmark_auc_percent": [float(v) for v in report.per_landmark_auc],
         "landmark_names": landmark_names(),

@@ -6,6 +6,14 @@ re-evaluating it on the same inputs reproduces the same bits. That property
 is what lets the checkpointed backward pass recompute discarded values and
 still match the plain backward pass exactly.
 
+conv3d runs as k^3 GEMMs over shifted column slices of the flattened,
+zero-padded input ("flat shifted GEMM", after MEC, Cho & Brand 2017), so
+its workspace is about the size of its operands instead of an im2col
+buffer k^3 times the input. Each output element is the sum of its k^3 tap
+products taken in one fixed (a, b, c) tap order, and each gradient slice
+is accumulated in that same order; this fixed order is what keeps conv3d
+and its backward deterministic.
+
 Conventions baked in here:
   * ReLU gradient at exactly 0 is 0.
   * Max-pool ties resolve to the lowest linear index inside the 2x2x2 window.
@@ -17,7 +25,6 @@ Conventions baked in here:
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatch(ValueError):
@@ -44,12 +51,22 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
     k = kd
     if k == 1:
         out = weight.reshape(cout, cin) @ x.reshape(cin, -1)
-    else:
-        p = k // 2
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
-        out = weight.reshape(cout, cin * k**3) @ _im2col(xp, k, (d, h, w))
-    out += bias[:, None]
-    return out.reshape(cout, d, h, w)
+        out += bias[:, None]
+        return out.reshape(cout, d, h, w)
+    xp, offsets, n = _shifted_layout(x, k)
+    xf = xp.reshape(cin, -1)
+    hp, wp = xp.shape[2:]
+    wk = np.ascontiguousarray(weight.reshape(cout, cin, k**3).transpose(2, 0, 1))
+    acc = np.zeros((cout, d * hp * wp), dtype=x.dtype)
+    tmp = np.empty((cout, n), dtype=x.dtype)
+    # With one input channel each offset's product is an outer product, which
+    # a broadcast multiply computes with the same single rounding as a K=1
+    # GEMM, several times faster.
+    product = np.multiply if cin == 1 else np.matmul
+    for s, off in enumerate(offsets):
+        product(wk[s], xf[:, off : off + n], out=tmp)
+        acc[:, :n] += tmp
+    return acc.reshape(cout, d, hp, wp)[:, :, :h, :w] + bias[:, None, None, None]
 
 
 def conv3d_backward(
@@ -58,38 +75,51 @@ def conv3d_backward(
     cout = weight.shape[0]
     k = weight.shape[2]
     cin, d, h, w = x.shape
-    go = grad_out.reshape(cout, -1)
-    if k == 1:
-        gw = (go @ x.reshape(cin, -1).T).reshape(weight.shape)
-        gx = (weight.reshape(cout, cin).T @ go).reshape(x.shape)
-    else:
-        p = k // 2
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
-        cols = _im2col(xp, k, (d, h, w))
-        gw = (go @ cols.T).reshape(weight.shape)
-        gcols = weight.reshape(cout, cin * k**3).T @ go
-        gx = _col2im(gcols, x.shape, k)
     gb = grad_out.sum(axis=(1, 2, 3))
-    return gx, gw, gb
-
-
-def _im2col(xp: np.ndarray, k: int, out_shape: tuple[int, int, int]) -> np.ndarray:
-    d, h, w = out_shape
-    win = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))  # (C, d, h, w, k, k, k)
-    return win.transpose(0, 4, 5, 6, 1, 2, 3).reshape(xp.shape[0] * k**3, d * h * w)
-
-
-def _col2im(gcols: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.ndarray:
-    cin, d, h, w = x_shape
+    if k == 1:
+        go = grad_out.reshape(cout, -1)
+        gw = (x.reshape(cin, -1) @ go.T).T.reshape(weight.shape)
+        gx = (weight.reshape(cout, cin).T @ go).reshape(x.shape)
+        return gx, gw, gb
+    xp, offsets, n = _shifted_layout(x, k)
+    xf = xp.reshape(cin, -1)
+    hp, wp = xp.shape[2:]
+    # grad_out on the padded stride grid, zero where the forward's flat
+    # accumulator held wrapped-around rows, cut to the n columns it used
+    gog = np.zeros((cout, d, hp, wp), dtype=grad_out.dtype)
+    gog[:, :, :h, :w] = grad_out
+    gof = gog.reshape(cout, -1)[:, :n]
+    wkt = np.ascontiguousarray(weight.reshape(cout, cin, k**3).transpose(2, 1, 0))
+    gw = np.empty((cout, cin, k**3), dtype=x.dtype)
+    gxp = np.zeros_like(xf)
+    tmp = np.empty((cin, n), dtype=x.dtype)
+    for s, off in enumerate(offsets):
+        gw[:, :, s] = (xf[:, off : off + n] @ gof.T).T
+        np.matmul(wkt[s], gof, out=tmp)
+        gxp[:, off : off + n] += tmp
     p = k // 2
-    gxp = np.zeros((cin, d + 2 * p, h + 2 * p, w + 2 * p), dtype=gcols.dtype)
-    g = gcols.reshape(cin, k, k, k, d, h, w)
-    # fixed (a, b, c) order keeps the scatter-add deterministic
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                gxp[:, a : a + d, b : b + h, c : c + w] += g[:, a, b, c]
-    return np.ascontiguousarray(gxp[:, p : p + d, p : p + h, p : p + w])
+    gx = np.ascontiguousarray(gxp.reshape(xp.shape)[:, p : p + d, p : p + h, p : p + w])
+    return gx, gw.reshape(weight.shape), gb
+
+
+def _shifted_layout(x: np.ndarray, k: int) -> tuple[np.ndarray, list[int], int]:
+    """Zero-pad x by k//2 and list each kernel tap's flat offset.
+
+    Give output voxel (i, j, l) the flat index i*Hp*Wp + j*Wp + l of the
+    padded (Dp, Hp, Wp) grid. Its kernel tap (a, b, c) reads the padded input
+    at that index plus ``off = a*Hp*Wp + b*Wp + c``, so one tap over all
+    output voxels is the contiguous column slice ``[off, off + n)``. Columns
+    whose j >= H or l >= W mix the end of one row with the start of the
+    next; they are computed and never read back. Offsets are listed in the
+    weight's (a, b, c) order.
+    """
+    _, d, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
+    hp, wp = h + 2 * p, w + 2 * p
+    offsets = [a * hp * wp + b * wp + c for a in range(k) for b in range(k) for c in range(k)]
+    n = (d - 1) * hp * wp + (h - 1) * wp + w
+    return xp, offsets, n
 
 
 # ---------------------------------------------------------------------------

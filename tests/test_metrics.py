@@ -1,5 +1,7 @@
 """Metrics against hand-computed oracles and invariance properties."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,32 @@ def test_pck_counting_oracle_five_distances():
         sum(d < t for d in dists) / 5 for t in thresholds
     ]  # brute-force count
     np.testing.assert_allclose(curve["pooled"], expected)
+
+
+def test_pck_counts_invalid_distance_as_miss():
+    # NaN is a landmark with no valid prediction: a miss at every threshold,
+    # never a smaller denominator
+    d = np.array([[1.0], [np.nan]])
+    curve = pck_curve(d, np.array([2.0, 50.0]))
+    np.testing.assert_array_equal(curve["pooled"], [0.5, 0.5])
+    np.testing.assert_array_equal(curve["per_landmark"][:, 0], [0.5, 0.5])
+    assert curve["n_valid"][0] == 1
+
+
+def test_report_masked_landmark_lowers_pck_and_coverage(tmp_path):
+    rng = np.random.default_rng(12)
+    gts = {f"case_{i}": random_pose(rng) for i in range(2)}
+    preds = {k: v.copy() for k, v in gts.items()}
+    full = build_report(preds, gts)
+    assert full.coverage == 1.0 and full.mean_auc == 100.0
+    preds["case_1"].present[5] = False
+    masked = build_report(preds, gts)
+    assert masked.coverage == 31 / 32
+    np.testing.assert_array_equal(masked.pck["pooled"], 31 / 32)
+    assert masked.per_landmark_auc[5] == 50.0
+    assert masked.mean_auc < full.mean_auc
+    write_report(masked, tmp_path)
+    assert json.loads((tmp_path / "report.json").read_text())["coverage"] == 31 / 32
 
 
 def test_pck_rejects_empty_and_bad_grid():

@@ -1,4 +1,6 @@
-"""Primitive forward behavior: hand values and shape rules."""
+"""Primitive forward behavior: hand values, references and shape rules."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,59 @@ def test_conv3d_same_padding_preserves_shape():
     w = rng.normal(size=(4, 3, 3, 3, 3))
     out = ops.conv3d_forward(x, w, np.zeros(4))
     assert out.shape == (4, 5, 6, 7)
+
+
+def conv3d_direct(x, w, b):
+    """float64 sum over kernel taps of the zero-padded input, one tap at a time."""
+    k = w.shape[2]
+    p = k // 2
+    _, d, h, ww = x.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (p, p), (p, p), (p, p)))
+    out = np.zeros((w.shape[0], d, h, ww)) + b[:, None, None, None]
+    for a in range(k):
+        for bb in range(k):
+            for c in range(k):
+                window = xp[:, a : a + d, bb : bb + h, c : c + ww]
+                out += np.einsum("oi,izyx->ozyx", w[:, :, a, bb, c].astype(np.float64), window)
+    return out
+
+
+@pytest.mark.parametrize("extents", [(5, 6, 7), (2, 3, 4), (1, 2, 1)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("cin", [1, 3])
+def test_conv3d_forward_matches_direct_sum(extents, k, cin):
+    # non-cubic extents put every tap's row wrap at a different place;
+    # extents below k leave taps that read padding only
+    rng = np.random.default_rng(k * 10 + cin)
+    x = rng.normal(size=(cin, *extents)).astype(np.float32)
+    w = rng.normal(size=(2, cin, k, k, k)).astype(np.float32)
+    b = rng.normal(size=2).astype(np.float32)
+    out = ops.conv3d_forward(x, w, b)
+    assert out.shape == (2, *extents) and out.dtype == np.float32
+    # float32 rounding of at most cin * k^3 terms of order 1
+    np.testing.assert_allclose(out, conv3d_direct(x, w, b), rtol=0, atol=1e-4)
+
+
+def test_conv3d_workspace_stays_near_operand_size():
+    # 16 -> 8 channels at 32^3 float32: an im2col of x alone would be 27x
+    # x.nbytes, so these bounds fail as soon as such a buffer comes back
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(16, 32, 32, 32)).astype(np.float32)
+    w = rng.normal(size=(8, 16, 3, 3, 3)).astype(np.float32)
+    b = np.zeros(8, dtype=np.float32)
+    g = rng.normal(size=(8, 32, 32, 32)).astype(np.float32)
+    operands = x.nbytes + g.nbytes
+    tracemalloc.start()
+    try:
+        ops.conv3d_forward(x, w, b)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ops.conv3d_backward(x, w, g)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak <= 4 * operands, forward_peak / operands
+    assert backward_peak <= 6 * operands, backward_peak / operands
 
 
 def test_conv3d_channel_mismatch_rejected():
@@ -119,3 +174,16 @@ def test_primitives_deterministic():
     a1 = ops.conv3d_forward(x, w, b)
     a2 = ops.conv3d_forward(x, w, b)
     np.testing.assert_array_equal(a1, a2)
+    # the checkpointed backward pass matches the plain one only if every
+    # backward kernel reproduces its bits on the same inputs
+    w1 = rng.normal(size=(5, 3, 1, 1, 1)).astype(np.float32)
+    wd = rng.normal(size=(3, 5, 2, 2, 2)).astype(np.float32)
+    g = rng.normal(size=(5, 6, 6, 6)).astype(np.float32)
+    gd = rng.normal(size=(5, 12, 12, 12)).astype(np.float32)
+    for kernel, args in (
+        (ops.conv3d_backward, (x, w, g)),
+        (ops.conv3d_backward, (x, w1, g)),
+        (ops.deconv3d_backward, (x, wd, gd)),
+    ):
+        for r1, r2 in zip(kernel(*args), kernel(*args)):
+            np.testing.assert_array_equal(r1, r2)
