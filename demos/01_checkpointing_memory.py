@@ -17,7 +17,7 @@ from volpose.model import DetectorConfig, build_detector
 
 def one_step(graph, feeds, checkpointed):
     t0 = time.perf_counter()
-    graph.forward(feeds, discard=checkpointed, update_stats=True)
+    graph.forward(feeds, discard=checkpointed)
     grads = graph.backward_checkpointed() if checkpointed else graph.backward_plain()
     return grads, graph.meter.peak, time.perf_counter() - t0
 

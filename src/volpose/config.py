@@ -74,14 +74,3 @@ class RunConfig:
             "hash": self.hash(),
         }
         Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
-
-    @staticmethod
-    def load(path: str | Path) -> "RunConfig":
-        doc = json.loads(Path(path).read_text())
-        return RunConfig(
-            doc["command"],
-            doc["settings"],
-            inputs=doc.get("inputs", {}),
-            paths=doc.get("paths", {}),
-            version=doc["version"],
-        )

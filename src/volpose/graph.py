@@ -92,7 +92,6 @@ class Node:
     op: str
     inputs: list[int]
     params: dict[str, np.ndarray] = field(default_factory=dict)
-    state: dict[str, np.ndarray] = field(default_factory=dict)
     attrs: dict = field(default_factory=dict)
     value: np.ndarray | None = None
 
@@ -300,23 +299,18 @@ class Graph:
         self.inputs[name] = nid
         return nid
 
-    def add(self, op: str, inputs: list[int], params=None, state=None, attrs=None) -> int:
+    def add(self, op: str, inputs: list[int], params=None, attrs=None) -> int:
         if op not in OP_TABLE:
             raise GraphError(f"unknown op '{op}'")
         nid = len(self.nodes)
         for i in inputs:
             if not (0 <= i < nid):
                 raise GraphError(f"node {nid}: input {i} does not precede it topologically")
-        self.nodes.append(
-            Node(nid, op, list(inputs), dict(params or {}), dict(state or {}), dict(attrs or {}))
-        )
+        self.nodes.append(Node(nid, op, list(inputs), dict(params or {}), dict(attrs or {})))
         return nid
 
     def set_loss(self, nid: int) -> None:
         self.loss_id = nid
-
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
 
     def value(self, nid: int) -> np.ndarray:
         v = self.nodes[nid].value
@@ -334,28 +328,8 @@ class Graph:
                 out[f"{n.nid}.{name}"] = arr
         return out
 
-    def set_parameters(self, values: dict[str, np.ndarray]) -> None:
-        for key, arr in values.items():
-            nid_s, name = key.split(".", 1)
-            node = self.nodes[int(nid_s)]
-            if name not in node.params:
-                raise GraphError(f"unknown parameter '{key}'")
-            if node.params[name].shape != arr.shape:
-                raise GraphError(
-                    f"parameter '{key}': shape {arr.shape} != {node.params[name].shape}"
-                )
-            node.params[name] = np.asarray(arr, dtype=self.dtype)
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        """Non-learnable state (e.g. batch-norm running statistics)."""
-        out: dict[str, np.ndarray] = {}
-        for n in self.nodes:
-            for name, arr in n.state.items():
-                out[f"{n.nid}.{name}"] = arr
-        return out
-
     def clone(self) -> "Graph":
-        """Structure-sharing copy with fresh parameter/state arrays, no values."""
+        """Structure-sharing copy with fresh parameter arrays, no values."""
         g = Graph(self.dtype)
         for n in self.nodes:
             g.nodes.append(
@@ -364,7 +338,6 @@ class Graph:
                     n.op,
                     list(n.inputs),
                     {k: v.copy() for k, v in n.params.items()},
-                    {k: v.copy() for k, v in n.state.items()},
                     dict(n.attrs),
                 )
             )
@@ -436,6 +409,7 @@ class Graph:
         With ``discard=True``, values that are not retained (checkpoints,
         inputs, loss, concat inputs) are freed as soon as their last forward
         consumer has run. The loss value is identical either way.
+        ``update_stats`` is accepted for old callers and ignored.
         """
         target = self.loss_id if to_node is None else to_node
         if target is None:
@@ -462,21 +436,12 @@ class Graph:
             self._set_value(nid, val)
             if not np.all(np.isfinite(val)):
                 raise NonFiniteValue(nid, node.op, f" tag={node.attrs.get('tag', '')}")
-            if update_stats and node.op == "batch_norm":
-                self._update_running_stats(node)
             for i in frees:
                 self._free_value(i)
 
         self.schedule = schedule
         out = self.nodes[target].value
         return float(out) if out.ndim == 0 else out
-
-    def _update_running_stats(self, node: Node) -> None:
-        x = self.nodes[node.inputs[0]].value
-        mean, var = ops.spatial_stats(x)
-        mom = np.asarray(node.attrs.get("momentum", 0.1), dtype=self.dtype)
-        node.state["running_mean"] = (1 - mom) * node.state["running_mean"] + mom * mean
-        node.state["running_var"] = (1 - mom) * node.state["running_var"] + mom * var
 
     # -- backward ----------------------------------------------------------------
 

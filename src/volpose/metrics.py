@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -129,8 +130,11 @@ def build_report(
         raise MetricsError("no cases to evaluate")
     rows = np.stack([euclidean(preds[i], gts[i]) for i in ids])
     curve = pck_curve(rows, thresholds)
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        # a landmark with no valid distance has a NaN mean; coverage says so
+        warnings.simplefilter("ignore", RuntimeWarning)
         per_mean = np.nanmean(rows, axis=0)
+        mean_mm = float(np.nanmean(rows))
     per_auc = np.array(
         [auc(curve["per_landmark"][:, j], thresholds) for j in range(rows.shape[1])]
     )
@@ -138,7 +142,7 @@ def build_report(
     return EvalReport(
         per_landmark_mean_mm=per_mean,
         per_landmark_auc=per_auc,
-        mean_mm=float(np.nanmean(rows)),
+        mean_mm=mean_mm,
         mean_auc=auc(curve["pooled"], thresholds),
         coverage=float(curve["n_valid"].sum() / rows.size),
         pck=curve,
@@ -148,11 +152,17 @@ def build_report(
     )
 
 
+def _mm_or_null(v: float) -> float | None:
+    return float(v) if np.isfinite(v) else None
+
+
 def write_report(report: EvalReport, out_dir: str | Path, config_note: dict | None = None) -> None:
     """Emit report.json plus the landmark-table and PCK-curve CSVs.
 
     Table CSVs carry one column per landmark (L1..L16) plus a mean column;
-    the PCK CSV has one row per threshold for plotting.
+    the PCK CSV has one row per threshold for plotting. A mean distance
+    without a valid landmark behind it, or a segment length with a masked
+    endpoint, is written as JSON ``null``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -161,14 +171,17 @@ def write_report(report: EvalReport, out_dir: str | Path, config_note: dict | No
         **note,
         "case_count": report.case_count,
         "case_ids": report.case_ids,
-        "mean_distance_mm": report.mean_mm,
+        "mean_distance_mm": _mm_or_null(report.mean_mm),
         "mean_auc_percent": report.mean_auc,
         "coverage": report.coverage,
-        "per_landmark_mean_mm": [float(v) for v in report.per_landmark_mean_mm],
+        "per_landmark_mean_mm": [_mm_or_null(v) for v in report.per_landmark_mean_mm],
         "per_landmark_auc_percent": [float(v) for v in report.per_landmark_auc],
         "landmark_names": landmark_names(),
         "threshold_grid_mm": [float(v) for v in report.thresholds],
-        "segment_lengths_mm": report.segment_lengths_mm,
+        "segment_lengths_mm": {
+            cid: [_mm_or_null(v) for v in lengths]
+            for cid, lengths in report.segment_lengths_mm.items()
+        },
     }
     (out_dir / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
 

@@ -50,7 +50,6 @@ class DetectorConfig:
     sigma_vox: float = 2.0
     in_channels: int = 1
     bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -124,11 +123,7 @@ def build_detector(cfg: DetectorConfig, seed: int = 0) -> Graph:
             "batch_norm",
             [c],
             params={"gamma": np.ones(cout, dtype=g.dtype), "beta": np.zeros(cout, dtype=g.dtype)},
-            state={
-                "running_mean": np.zeros(cout, dtype=g.dtype),
-                "running_var": np.ones(cout, dtype=g.dtype),
-            },
-            attrs={"eps": cfg.bn_eps, "momentum": cfg.bn_momentum, "tag": f"{tag}.bn"},
+            attrs={"eps": cfg.bn_eps, "tag": f"{tag}.bn"},
         )
         attrs = {"tag": f"{tag}.relu"}
         if block_output:
@@ -408,7 +403,7 @@ def train(
             net_in, target = prepared[case_idx]
             feeds = {"volume": net_in, "target": target}
             try:
-                loss = graph.forward(feeds, discard=use_ckpt, update_stats=True)
+                loss = graph.forward(feeds, discard=use_ckpt)
                 grads = graph.backward_checkpointed() if use_ckpt else graph.backward_plain()
             except GraphError as e:
                 raise GraphError(f"epoch {epoch} step {step}: {e}") from e

@@ -201,52 +201,34 @@ def max_pool3d_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 # batch_norm: per-channel spatial statistics (batch size 1)
 # ---------------------------------------------------------------------------
 
-def spatial_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and biased variance over the spatial axes."""
-    return x.mean(axis=(1, 2, 3)), x.var(axis=(1, 2, 3))
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel normalized input and inverse std over the spatial axes."""
+    mean, var = x.mean(axis=(1, 2, 3)), x.var(axis=(1, 2, 3))
+    istd = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    return (x - mean[:, None, None, None]) * istd[:, None, None, None], istd
 
 
 def batch_norm_forward(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float = 1e-5,
-    mean: np.ndarray | None = None,
-    var: np.ndarray | None = None,
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
-    """Normalize per channel; statistics are computed from x unless given."""
+    """Normalize each channel with the input's own spatial statistics."""
     c = x.shape[0]
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"batch_norm: affine params must be ({c},), got {gamma.shape}/{beta.shape}")
-    if mean is None:
-        mean, var = spatial_stats(x)
-    istd = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = (x - mean[:, None, None, None]) * istd[:, None, None, None]
+    xhat, _ = _normalize(x, eps)
     return gamma[:, None, None, None] * xhat + beta[:, None, None, None]
 
 
 def batch_norm_backward(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    grad_out: np.ndarray,
-    eps: float = 1e-5,
-    mean: np.ndarray | None = None,
-    var: np.ndarray | None = None,
+    x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray, eps: float = 1e-5
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    frozen = mean is not None
-    if mean is None:
-        mean, var = spatial_stats(x)
-    istd = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = (x - mean[:, None, None, None]) * istd[:, None, None, None]
+    xhat, istd = _normalize(x, eps)
     ggamma = (grad_out * xhat).sum(axis=(1, 2, 3))
     gbeta = grad_out.sum(axis=(1, 2, 3))
     gscaled = grad_out * gamma[:, None, None, None]
-    if frozen:
-        gx = gscaled * istd[:, None, None, None]
-    else:
-        m1 = gscaled.mean(axis=(1, 2, 3), keepdims=True)
-        m2 = (gscaled * xhat).mean(axis=(1, 2, 3), keepdims=True)
-        gx = istd[:, None, None, None] * (gscaled - m1 - xhat * m2)
+    m1 = gscaled.mean(axis=(1, 2, 3), keepdims=True)
+    m2 = (gscaled * xhat).mean(axis=(1, 2, 3), keepdims=True)
+    gx = istd[:, None, None, None] * (gscaled - m1 - xhat * m2)
     return gx, ggamma, gbeta
 
 

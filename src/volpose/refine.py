@@ -4,9 +4,8 @@ Per case, on a private copy of the trained detector: infer heatmaps, decode
 an intermediate pose, align every library pose to it and keep the best K,
 average their Gaussian maps into a label proxy, and take one Adam step
 toward the proxy. Support set and proxy are rebuilt every iteration, so the
-supervision evolves with the prediction. The base model is never mutated;
-batch-norm running statistics stay frozen throughout (normalization always
-uses live per-volume statistics, and no step updates the stored buffers).
+supervision evolves with the prediction. The base model is never mutated.
+Batch norm always normalizes with the volume's own statistics.
 """
 
 from __future__ import annotations

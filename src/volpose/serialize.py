@@ -2,11 +2,14 @@
 
 Layout of a model directory:
   graph.json     node list (op kinds, inputs, attrs, parameter shapes)
-  params.bin     all parameters and state buffers, little-endian float32,
+  params.bin     the learnable parameters, little-endian float32,
                  concatenated in manifest order
-  manifest.json  maps each buffer id to (kind, offset, shape); offsets are
-                 in elements
+  manifest.json  maps each parameter key ('<node id>.<name>') to
+                 (offset, shape); offsets are in elements
 Extra JSON documents (detector config, run config) sit next to these.
+
+Version 1 also stored batch-norm running statistics, which nothing read;
+loading a version-1 directory raises ``GraphError``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from volpose.graph import Graph, GraphError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def graph_to_dict(graph: Graph) -> dict:
@@ -35,7 +38,6 @@ def graph_to_dict(graph: Graph) -> dict:
                 "inputs": n.inputs,
                 "attrs": n.attrs,
                 "params": {k: list(v.shape) for k, v in n.params.items()},
-                "state": {k: list(v.shape) for k, v in n.state.items()},
             }
             for n in graph.nodes
         ],
@@ -53,7 +55,6 @@ def graph_from_dict(doc: dict) -> Graph:
             spec["op"],
             spec["inputs"],
             {k: np.zeros(shape, dtype=g.dtype) for k, shape in spec["params"].items()},
-            {k: np.zeros(shape, dtype=g.dtype) for k, shape in spec["state"].items()},
             spec["attrs"],
         )
     g.inputs = {k: int(v) for k, v in doc["inputs"].items()}
@@ -81,13 +82,12 @@ def save_model(
     entries = {}
     chunks = []
     offset = 0
-    buffers = [("param", graph.parameters()), ("state", graph.buffers())]
-    for kind, table in buffers:
-        for key in sorted(table):
-            arr = np.ascontiguousarray(table[key], dtype="<f4")
-            entries[key] = {"kind": kind, "offset": offset, "shape": list(arr.shape)}
-            chunks.append(arr.tobytes())
-            offset += arr.size
+    params = graph.parameters()
+    for key in sorted(params):
+        arr = np.ascontiguousarray(params[key], dtype="<f4")
+        entries[key] = {"offset": offset, "shape": list(arr.shape)}
+        chunks.append(arr.tobytes())
+        offset += arr.size
     (model_dir / "params.bin").write_bytes(b"".join(chunks))
     manifest = {
         **(note or {}),
@@ -112,14 +112,15 @@ def load_model(model_dir: str | Path) -> Graph:
         raise GraphError(
             f"params.bin holds {blob.size} elements, manifest says {manifest['total_elements']}"
         )
+    params = graph.parameters()
+    if set(manifest["entries"]) != set(params):
+        raise GraphError("manifest entries do not match the graph's parameters")
     for key, entry in manifest["entries"].items():
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         arr = blob[entry["offset"] : entry["offset"] + count].reshape(shape).astype(graph.dtype)
-        nid_s, name = key.split(".", 1)
-        node = graph.nodes[int(nid_s)]
-        table = node.params if entry["kind"] == "param" else node.state
-        if name not in table or table[name].shape != arr.shape:
+        if params[key].shape != arr.shape:
             raise GraphError(f"manifest entry '{key}' does not match graph structure")
-        table[name] = arr
+        nid_s, name = key.split(".", 1)
+        graph.nodes[int(nid_s)].params[name] = arr
     return graph

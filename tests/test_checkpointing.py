@@ -28,7 +28,6 @@ def skip_graph(dtype=np.float64, seed=0, size=8):
             "batch_norm",
             [c],
             params={"gamma": np.ones(cout), "beta": np.zeros(cout)},
-            state={"running_mean": np.zeros(cout), "running_var": np.ones(cout)},
         )
         return g.add("relu", [b])
 

@@ -161,6 +161,19 @@ def test_eval_missing_dirs_exit_2(tmp_path):
                  "--out", str(tmp_path / "z")]) == 2
 
 
+def test_eval_spacing_disagreement_exits_2(dataset, tmp_path):
+    gt_dir = dataset / "cases"
+    gt_path = sorted(gt_dir.glob("*_pose.json"))[0]
+    doc = json.loads(gt_path.read_text())
+    assert doc["spacing_mm"] is not None
+    doc["spacing_mm"] = [2.0 * v for v in doc["spacing_mm"]]
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    (pred_dir / gt_path.name).write_text(json.dumps(doc))
+    rc = main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(tmp_path / "out")])
+    assert rc == 2
+
+
 def test_gcp_produces_identical_final_params(dataset, tmp_path):
     outs = {}
     for policy in ("off", "block_boundary"):

@@ -213,6 +213,20 @@ def test_gcp_training_matches_plain_training_bitwise():
         np.testing.assert_array_equal(finals[0][key], finals[1][key])
 
 
+def test_batch_accumulation_of_equal_gradients_equals_one_step():
+    # the same gradient twice, summed and halved, is exact: one batch of two
+    # copies of a case must step exactly like that case alone
+    cfg = small_cfg(depth=1, base_channels=2)
+    case = random_case(np.random.default_rng(22), (8, 8, 8), margin=2.0)
+    finals = []
+    for cases, batch_size in (([case, case], 2), ([case], 1)):
+        g = build_detector(cfg, seed=23)
+        train(g, cases, TrainConfig(epochs=1, batch_size=batch_size), cfg)
+        finals.append(g.parameters())
+    for key in finals[0]:
+        np.testing.assert_array_equal(finals[0][key], finals[1][key])
+
+
 def test_block_boundary_memory_reduction_on_reference_detector():
     cfg = DetectorConfig(depth=3, base_channels=8, input_scale=1.0)
     g = build_detector(cfg, seed=17)
@@ -240,6 +254,26 @@ def test_model_save_load_round_trip(tmp_path):
     g2 = load_model(tmp_path / "model")
     after, _ = infer(g2, vol, 1.0, cfg)
     np.testing.assert_array_equal(before, after)
+
+
+def test_saved_manifest_lists_exactly_the_parameters(tmp_path):
+    g = build_detector(small_cfg(depth=2, base_channels=2), seed=24)
+    save_model(tmp_path / "model", g)
+    manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+    params = g.parameters()
+    assert set(manifest["entries"]) == set(params)
+    assert manifest["total_elements"] == sum(v.size for v in params.values())
+    assert (tmp_path / "model" / "params.bin").stat().st_size == 4 * manifest["total_elements"]
+    assert all(set(e) == {"offset", "shape"} for e in manifest["entries"].values())
+
+
+def test_version_1_model_rejected(tmp_path):
+    save_model(tmp_path / "model", build_detector(small_cfg(), seed=25))
+    for name in ("graph.json", "manifest.json"):
+        path = tmp_path / "model" / name
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}))
+    with pytest.raises(GraphError, match="version 1"):
+        load_model(tmp_path / "model")
 
 
 def _first_relu(doc):

@@ -111,19 +111,6 @@ def test_batch_norm_gradients(trial):
 
 
 @pytest.mark.parametrize("trial", range(20))
-def test_batch_norm_frozen_stats_gradients(trial):
-    rng = np.random.default_rng(600 + trial)
-    c = 2
-    x = rng.normal(size=(c, 4, 4, 4))
-    gamma, beta = rng.normal(size=c), rng.normal(size=c)
-    mean, var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
-    u = rng.normal(size=x.shape)
-    J = lambda: np.sum(u * ops.batch_norm_forward(x, gamma, beta, mean=mean, var=var))
-    gx, gg, gb = ops.batch_norm_backward(x, gamma, u, mean=mean, var=var)
-    check_grads([(gx, x, J), (gg, gamma, J), (gb, beta, J)])
-
-
-@pytest.mark.parametrize("trial", range(20))
 def test_relu_gradients(trial):
     rng = np.random.default_rng(700 + trial)
     x = rng.normal(size=(2, 4, 4, 4))

@@ -45,7 +45,6 @@ def tiny_conv_graph(dtype=np.float64, seed=0):
         "batch_norm",
         [c1],
         params={"gamma": np.ones(3), "beta": np.zeros(3)},
-        state={"running_mean": np.zeros(3), "running_var": np.ones(3)},
     )
     r1 = g.add("relu", [b1])
     c2 = g.add(
@@ -165,15 +164,6 @@ def test_graph_gradients_match_finite_differences():
             flat[idx] = orig
             numeric = (fp - fm) / (2 * h)
             assert abs(grads[key].reshape(-1)[idx] - numeric) < 1e-6 * max(1.0, abs(numeric))
-
-
-def test_running_stats_update_only_when_asked():
-    g, feeds = tiny_conv_graph()
-    before = g.nodes[3].state["running_mean"].copy()
-    g.forward(feeds)
-    np.testing.assert_array_equal(g.nodes[3].state["running_mean"], before)
-    g.forward(feeds, update_stats=True)
-    assert not np.array_equal(g.nodes[3].state["running_mean"], before)
 
 
 def test_memory_cap_enforced():

@@ -1,6 +1,7 @@
 """Metrics against hand-computed oracles and invariance properties."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,36 @@ def test_report_masked_landmark_lowers_pck_and_coverage(tmp_path):
     assert masked.mean_auc < full.mean_auc
     write_report(masked, tmp_path)
     assert json.loads((tmp_path / "report.json").read_text())["coverage"] == 31 / 32
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_report_without_valid_distance_writes_null(tmp_path):
+    rng = np.random.default_rng(13)
+    gts = {f"case_{i}": random_pose(rng) for i in range(2)}
+    preds = {k: v.copy() for k, v in gts.items()}
+    for p in preds.values():
+        p.present[5] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = build_report(preds, gts)
+    write_report(report, tmp_path / "one")
+    doc = _strict_json((tmp_path / "one" / "report.json").read_text())
+    assert doc["per_landmark_mean_mm"][5] is None
+    assert [v for j, v in enumerate(doc["per_landmark_mean_mm"]) if j != 5] == [0.0] * 15
+    assert doc["mean_distance_mm"] == 0.0
+    assert None in doc["segment_lengths_mm"]["case_0"]  # segments ending at landmark 6
+    for p in preds.values():
+        p.present[:] = False
+    write_report(build_report(preds, gts), tmp_path / "none")
+    doc = _strict_json((tmp_path / "none" / "report.json").read_text())
+    assert doc["mean_distance_mm"] is None
+    assert doc["per_landmark_mean_mm"] == [None] * 16
 
 
 def test_pck_rejects_empty_and_bad_grid():
