@@ -35,7 +35,7 @@ from volpose.model import (
     train,
     write_loss_curve,
 )
-from volpose.phantom import PhantomSpec, augment, make_dataset, sample_case
+from volpose.phantom import PhantomSpec, augment, make_dataset
 from volpose.refine import RefineConfig, refine_batch
 from volpose.registration import Pose, PoseLibrary
 from volpose.serialize import load_model, save_model
@@ -115,8 +115,6 @@ def cmd_phantom_gen(args) -> int:
     manifest = make_dataset(
         spec, args.n_train, args.n_test, out, seed=args.seed, stamp=cfg.note()
     )
-    manifest.update(cfg.note())
-    fileio.save_manifest(out / "manifest.json", manifest)
     cfg.save(out / "run_config.json")
     log.info("wrote %d cases under %s", len(manifest["cases"]), out)
     return 0
@@ -142,10 +140,7 @@ def cmd_build_library(args) -> int:
         poses.append(pose)
         sources.append(args.split)
     library = PoseLibrary(ids, poses, sources)
-    library.save(args.out)
-    doc = json.loads(Path(args.out).read_text())
-    doc.update(cfg.note())
-    Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=1))
+    library.save(args.out, stamp=cfg.note())
     log.info("library of %d poses -> %s", len(ids), args.out)
     return 0
 

@@ -1,14 +1,15 @@
-"""Explicit computation graph with plain and checkpointed reverse-mode autodiff.
+"""Explicit computation graph with reverse-mode autodiff and checkpointing.
 
 A :class:`Graph` is a topologically ordered list of nodes. Each op is
 declared once, in ``OP_TABLE``: its forward, backward and shape rules.
-Running ``forward`` stores node values; ``backward_plain`` walks the graph in
-reverse and returns gradients for every learnable parameter. With
-``discard=True`` the forward pass frees every value that is neither a
-checkpoint nor otherwise needed later, and ``backward_checkpointed``
-recomputes the freed values segment by segment while backpropagating.
-Because every primitive has a fixed reduction order, the checkpointed
-gradients are bitwise identical to the plain ones.
+Running ``forward`` stores node values. With ``discard=True`` it frees every
+value that is neither a checkpoint nor otherwise needed later. The backward
+pass (``backward_plain`` and ``backward_checkpointed`` are one function) walks
+the graph in reverse, recomputes any freed value segment by segment just
+before it is read, frees each value after its last reader, and returns
+gradients for every learnable parameter. Because every primitive has a fixed
+reduction order, the gradients after a discarding forward are bitwise
+identical to those after a plain one.
 
 Which value is live at which step is decided in one place: the
 :class:`Schedule` that ``forward`` builds from (graph, target, discard).
@@ -195,7 +196,6 @@ class Schedule:
     """
 
     target: int
-    discard: bool
     need: list[int]
     retained: set[int]
     forward_frees: list[list[int]]
@@ -275,7 +275,7 @@ class Schedule:
             freed = [i for i in dict.fromkeys(inputs + [nid]) if left[i] == 0 and i in alive]
             alive.difference_update(freed)
             backward.append((nid, recompute, freed))
-        return cls(target, discard, need, retained, forward_frees, segments, backward, error)
+        return cls(target, need, retained, forward_frees, segments, backward, error)
 
     def check(self) -> None:
         if self.error is not None:
@@ -455,40 +455,21 @@ class Graph:
         for name, gp in gparams.items():
             gradmap[f"{node.nid}.{name}"] = gp
 
-    def _loss_schedule(self, caller: str) -> Schedule:
-        schedule = self.schedule
-        if schedule is None or schedule.target != self.loss_id:
-            raise MissingValue(f"{caller}: run forward to the loss node first")
-        return schedule
-
-    def backward_plain(self) -> dict[str, np.ndarray]:
+    def backward_checkpointed(self) -> dict[str, np.ndarray]:
         """Gradients of the loss w.r.t. every reachable learnable parameter.
 
-        Requires a prior ``forward(discard=False)``; all node values must be
-        present. Does not free any values (the naive memory baseline).
+        One walk over the last forward's :class:`Schedule`, in reverse. Each
+        step first recomputes the discarded values it reads by re-running
+        their segment from still-live values (there are none to recompute
+        after a plain forward), then backpropagates, then frees every value
+        that no later step reads. After the walk the graph holds no value, so
+        the meter shows true liveness and a second call raises
+        :class:`MissingValue`. Gradients are bitwise identical whether the
+        forward discarded values or not.
         """
-        schedule = self._loss_schedule("backward_plain")
-        if schedule.discard:
-            raise MissingValue("backward_plain: last forward discarded values; rerun with discard=False")
-        if self.nodes[self.loss_id].value is None:
-            raise MissingValue("backward_plain: loss value missing")
-        grads: dict[int, np.ndarray] = {self.loss_id: np.asarray(1.0, dtype=self.dtype)}
-        gradmap: dict[str, np.ndarray] = {}
-        for nid, _, _ in schedule.backward:
-            self._backward_step(self.nodes[nid], grads, gradmap)
-        return gradmap
-
-    def backward_checkpointed(self) -> dict[str, np.ndarray]:
-        """Backward pass after a discarding forward.
-
-        Walks the forward's :class:`Schedule`: discarded values are recovered
-        by re-running their segment from still-live values just before the
-        first step that reads them, and every value is freed as soon as no
-        remaining step needs it, so the meter reflects true liveness.
-        Gradients are bitwise identical to ``backward_plain`` on the same
-        graph and inputs.
-        """
-        schedule = self._loss_schedule("backward_checkpointed")
+        schedule = self.schedule
+        if schedule is None or schedule.target != self.loss_id:
+            raise MissingValue("backward: run forward to the loss node first")
         schedule.check()
         grads: dict[int, np.ndarray] = {self.loss_id: np.asarray(1.0, dtype=self.dtype)}
         gradmap: dict[str, np.ndarray] = {}
@@ -500,6 +481,8 @@ class Graph:
                 self._free_value(i)
         self.schedule = None
         return gradmap
+
+    backward_plain = backward_checkpointed
 
 
 # ---------------------------------------------------------------------------

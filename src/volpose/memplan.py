@@ -33,7 +33,7 @@ def node_shapes(graph: Graph, input_shapes: dict[str, tuple]) -> list[tuple]:
 class MemoryPlan:
     parameter_count: int
     node_bytes: list[int]
-    plain_step_peak: int       # forward keeps everything; backward frees nothing
+    plain_step_peak: int       # the forward's: it keeps everything, backward only frees
     forward_discard_peak: int
     checkpointed_step_peak: int
 

@@ -376,15 +376,15 @@ def train(
 ) -> TrainResult:
     """Optimize the detector on (volume, pose, spacing) cases.
 
-    ``ckpt_policy``: 'off' (plain backward), 'block_boundary', or 'every_k'.
+    ``ckpt_policy``: 'off' (no checkpointing), 'block_boundary', or 'every_k'.
     Per-epoch parameter checkpoints land in ``out_dir`` when given. The loss
     curve records every step; training aborts on a non-finite loss.
     """
     if not dataset:
         raise GraphError("training dataset is empty")
     prepared = _prepare_dataset(dataset, detector_cfg)
-    use_ckpt = ckpt_policy != "off"
-    if use_ckpt:
+    discard = ckpt_policy != "off"
+    if discard:
         graph.set_checkpoints(select_checkpoints(graph, ckpt_policy, k=every_k))
     adam = Adam(
         graph.parameters(),
@@ -403,24 +403,17 @@ def train(
             net_in, target = prepared[case_idx]
             feeds = {"volume": net_in, "target": target}
             try:
-                loss = graph.forward(feeds, discard=use_ckpt)
-                grads = graph.backward_checkpointed() if use_ckpt else graph.backward_plain()
+                loss = graph.forward(feeds, discard=discard)
+                grads = graph.backward_checkpointed()
             except GraphError as e:
                 raise GraphError(f"epoch {epoch} step {step}: {e}") from e
             if not np.isfinite(loss):
                 raise GraphError(f"epoch {epoch} step {step}: non-finite loss {loss}")
-            if train_cfg.batch_size == 1:
-                adam.step(grads)
-            else:
-                if accum is None:
-                    accum = {k: g.copy() for k, g in grads.items()}
-                else:
-                    for k, g in grads.items():
-                        accum[k] += g
-                if (step + 1) % train_cfg.batch_size == 0 or step == len(order) - 1:
-                    count = (step % train_cfg.batch_size) + 1
-                    adam.step({k: g / count for k, g in accum.items()})
-                    accum = None
+            accum = grads if accum is None else {k: accum[k] + g for k, g in grads.items()}
+            if (step + 1) % train_cfg.batch_size == 0 or step == len(order) - 1:
+                count = (step % train_cfg.batch_size) + 1
+                adam.step({k: g / count for k, g in accum.items()})
+                accum = None
             result.loss_curve.append((epoch, step, float(loss)))
             epoch_losses.append(loss)
         result.epoch_means.append(float(np.mean(epoch_losses)))

@@ -49,10 +49,6 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
     _require(cin == cin_w, f"conv3d: expected {cin_w} input channels, got {cin}")
     _require(bias.shape == (cout,), f"conv3d: bias must be ({cout},), got {bias.shape}")
     k = kd
-    if k == 1:
-        out = weight.reshape(cout, cin) @ x.reshape(cin, -1)
-        out += bias[:, None]
-        return out.reshape(cout, d, h, w)
     xp, offsets, n = _shifted_layout(x, k)
     xf = xp.reshape(cin, -1)
     hp, wp = xp.shape[2:]
@@ -76,11 +72,6 @@ def conv3d_backward(
     k = weight.shape[2]
     cin, d, h, w = x.shape
     gb = grad_out.sum(axis=(1, 2, 3))
-    if k == 1:
-        go = grad_out.reshape(cout, -1)
-        gw = (x.reshape(cin, -1) @ go.T).T.reshape(weight.shape)
-        gx = (weight.reshape(cout, cin).T @ go).reshape(x.shape)
-        return gx, gw, gb
     xp, offsets, n = _shifted_layout(x, k)
     xf = xp.reshape(cin, -1)
     hp, wp = xp.shape[2:]

@@ -381,7 +381,7 @@ def make_dataset(
     Case seeds are ``seed + i`` for train and ``seed + n_train + j`` for
     test: disjoint by construction and sufficient to regenerate every volume
     bit for bit. ``stamp`` (e.g. a run-config hash) is embedded in every
-    written file.
+    written file, the manifest included.
     """
     if n_train < 1 or n_test < 1:
         raise PhantomError("need at least one train and one test case")
@@ -421,6 +421,7 @@ def make_dataset(
         "n_train": n_train,
         "n_test": n_test,
         "cases": entries,
+        **(stamp or {}),
     }
     fileio.save_manifest(out_dir / "manifest.json", manifest)
     return manifest

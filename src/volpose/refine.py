@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from volpose import fileio
+from volpose import fileio, ops
 from volpose.anatomy import NUM_LANDMARKS
 from volpose.graph import Graph, GraphError, NonFiniteValue
 from volpose.heatmap import DecodedPose
@@ -127,7 +127,7 @@ def refine(
             # the prediction is already on the graph from the last forward;
             # swap in the fresh proxy as the loss target and backpropagate
             graph.feed("target", proxy)
-            loss_pre = _mse(graph.value(out_id), proxy)
+            loss_pre = float(ops.l2_loss_forward(graph.value(out_id), proxy))
             grads = graph.backward_plain()
             adam.step(grads)
             loss_post = graph.forward({"volume": net_in, "target": proxy})
@@ -167,11 +167,6 @@ def _proxy_in_net_frame(support, frame, sigma_vox) -> np.ndarray:
     ]
     # aligned poses are now in net-voxel units; encode with unit spacing
     return build_label_proxy(SupportSet(entries), frame.net_shape, 1.0, sigma_vox)
-
-
-def _mse(a: np.ndarray, b: np.ndarray) -> float:
-    diff = (a - b).ravel()
-    return float(np.dot(diff, diff) / diff.size)
 
 
 @dataclass

@@ -132,7 +132,9 @@ class PoseLibrary:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | Path, stamp: dict | None = None) -> None:
+        """Write the library as JSON; ``stamp`` (e.g. a run-config hash) is
+        merged into the top-level object."""
         records = []
         for pid, pose, src in zip(self.ids, self.poses, self.sources):
             records.append(
@@ -150,7 +152,8 @@ class PoseLibrary:
                     ],
                 }
             )
-        Path(path).write_text(json.dumps({"version": 1, "poses": records}, indent=1))
+        doc = {"version": 1, "poses": records, **(stamp or {})}
+        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
 
     @staticmethod
     def load(path: str | Path) -> "PoseLibrary":

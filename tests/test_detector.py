@@ -227,6 +227,21 @@ def test_batch_accumulation_of_equal_gradients_equals_one_step():
         np.testing.assert_array_equal(finals[0][key], finals[1][key])
 
 
+def test_partial_tail_batch_steps_on_its_own_gradient():
+    # three equal cases at batch size 2: the first batch averages two equal
+    # gradients exactly and the tail batch of one divides by 1, so this must
+    # step exactly like two cases at batch size 1
+    cfg = small_cfg(depth=1, base_channels=2)
+    case = random_case(np.random.default_rng(24), (8, 8, 8), margin=2.0)
+    finals = []
+    for cases, batch_size in (([case] * 3, 2), ([case] * 2, 1)):
+        g = build_detector(cfg, seed=25)
+        train(g, cases, TrainConfig(epochs=1, batch_size=batch_size), cfg)
+        finals.append(g.parameters())
+    for key in finals[0]:
+        np.testing.assert_array_equal(finals[0][key], finals[1][key])
+
+
 def test_block_boundary_memory_reduction_on_reference_detector():
     cfg = DetectorConfig(depth=3, base_channels=8, input_scale=1.0)
     g = build_detector(cfg, seed=17)

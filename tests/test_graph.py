@@ -119,12 +119,32 @@ def test_backward_requires_forward():
         g.backward_plain()
 
 
-def test_backward_plain_after_discard_rejected():
+def test_backward_plain_after_discard_recomputes_bitwise():
+    # both names are the one schedule walk: after a discarding forward it
+    # recomputes what was freed and yields the plain step's exact gradients
     g, feeds = tiny_conv_graph()
+    g.forward(feeds)
+    plain = g.backward_plain()
     g.set_checkpoints({2})
     g.forward(feeds, discard=True)
+    after_discard = g.backward_plain()
+    assert plain.keys() == after_discard.keys()
+    for key in plain:
+        np.testing.assert_array_equal(plain[key], after_discard[key])
+
+
+@pytest.mark.parametrize(
+    "backward, discard", [("backward_plain", False), ("backward_checkpointed", True)]
+)
+def test_backward_frees_every_value(backward, discard):
+    g, feeds = tiny_conv_graph()
+    g.set_checkpoints({2})
+    g.forward(feeds, discard=discard)
+    getattr(g, backward)()
+    assert g.meter.live == 0
+    assert all(n.value is None for n in g.nodes)
     with pytest.raises(MissingValue):
-        g.backward_plain()
+        getattr(g, backward)()
 
 
 def test_single_relu_graph_gradient():
