@@ -102,10 +102,12 @@ class Op:
     """One primitive op.
 
     ``forward(node, xs)`` is the value from the input values ``xs``;
-    ``backward(node, xs, g)`` is (input gradients, parameter gradients) for
-    the output gradient ``g``; ``shape(node, shapes)`` is the value shape from
-    the input shapes. Kernels are looked up on ``ops`` at call time, so a
-    rebound ``volpose.ops`` attribute sees every call.
+    ``backward(node, xs, g, want)`` is (input gradients, parameter gradients)
+    for the output gradient ``g``, where ``want[i]`` says whether anything
+    reads input ``i``'s gradient (an op may skip it and give None);
+    ``shape(node, shapes)`` is the value shape from the input shapes.
+    Kernels are looked up on ``ops`` at call time, so a rebound
+    ``volpose.ops`` attribute sees every call.
     """
 
     forward: Callable | None
@@ -128,28 +130,30 @@ OP_TABLE: dict[str, Op] = {
     "input": Op(None, None, None),
     "conv3d": Op(
         lambda n, x: ops.conv3d_forward(x[0], n.params["weight"], n.params["bias"]),
-        lambda n, x, g: _with_params(
-            ops.conv3d_backward(x[0], n.params["weight"], g), "weight", "bias"
+        lambda n, x, g, want: _with_params(
+            ops.conv3d_backward(x[0], n.params["weight"], g, input_grad=want[0]),
+            "weight",
+            "bias",
         ),
         lambda n, s: (n.params["weight"].shape[0],) + s[0][1:],
     ),
     "deconv3d": Op(
         lambda n, x: ops.deconv3d_forward(x[0], n.params["weight"], n.params["bias"]),
-        lambda n, x, g: _with_params(
+        lambda n, x, g, want: _with_params(
             ops.deconv3d_backward(x[0], n.params["weight"], g), "weight", "bias"
         ),
         lambda n, s: (n.params["weight"].shape[1],) + tuple(2 * e for e in s[0][1:]),
     ),
     "max_pool3d": Op(
         lambda n, x: ops.max_pool3d_forward(x[0]),
-        lambda n, x, g: ([ops.max_pool3d_backward(x[0], g)], {}),
+        lambda n, x, g, want: ([ops.max_pool3d_backward(x[0], g)], {}),
         lambda n, s: s[0][:1] + tuple(e // 2 for e in s[0][1:]),
     ),
     "batch_norm": Op(
         lambda n, x: ops.batch_norm_forward(
             x[0], n.params["gamma"], n.params["beta"], n.attrs.get("eps", 1e-5)
         ),
-        lambda n, x, g: _with_params(
+        lambda n, x, g, want: _with_params(
             ops.batch_norm_backward(x[0], n.params["gamma"], g, n.attrs.get("eps", 1e-5)),
             "gamma",
             "beta",
@@ -158,22 +162,25 @@ OP_TABLE: dict[str, Op] = {
     ),
     "relu": Op(
         lambda n, x: ops.relu_forward(x[0]),
-        lambda n, x, g: ([ops.relu_backward(x[0], g)], {}),
+        lambda n, x, g, want: ([ops.relu_backward(x[0], g)], {}),
         _same_shape,
     ),
     "channel_concat": Op(
         lambda n, x: ops.concat_forward(x),
-        lambda n, x, g: (ops.concat_backward([v.shape[0] for v in x], g), {}),
+        lambda n, x, g, want: (ops.concat_backward([v.shape[0] for v in x], g), {}),
         lambda n, s: (sum(e[0] for e in s),) + s[0][1:],
     ),
     "add": Op(
         lambda n, x: ops.add_forward(x[0], x[1]),
-        lambda n, x, g: ([g, g], {}),
+        lambda n, x, g, want: ([g, g], {}),
         _same_shape,
     ),
     "l2_loss": Op(
         lambda n, x: ops.l2_loss_forward(x[0], x[1]),
-        lambda n, x, g: (list(ops.l2_loss_backward(x[0], x[1], g)), {}),
+        lambda n, x, g, want: (
+            list(ops.l2_loss_backward(x[0], x[1], g, target_grad=want[1])),
+            {},
+        ),
         lambda n, s: (),
     ),
 }
@@ -184,6 +191,8 @@ class Schedule:
     """The liveness walk of one training step, computed without any value.
 
     * ``need``: the target and its ancestors, in forward order;
+    * ``requires_grad``: needed nodes whose gradient is read, those with a
+      learnable parameter at or upstream of them (never an input);
     * ``retained``: values a discarding forward keeps (every needed value
       when not discarding);
     * ``forward_frees[k]``: values freed right after forward step ``k``;
@@ -197,6 +206,7 @@ class Schedule:
 
     target: int
     need: list[int]
+    requires_grad: set[int]
     retained: set[int]
     forward_frees: list[list[int]]
     segments: list[list[int]]
@@ -214,6 +224,10 @@ class Schedule:
                     seen.add(i)
                     stack.append(i)
         need = sorted(seen)
+        requires_grad: set[int] = set()
+        for nid in need:
+            if nodes[nid].params or requires_grad.intersection(nodes[nid].inputs):
+                requires_grad.add(nid)
         retained = set(need)
         if discard:
             retained = set(graph.checkpoint_set) | set(graph.inputs.values()) | {target}
@@ -275,7 +289,7 @@ class Schedule:
             freed = [i for i in dict.fromkeys(inputs + [nid]) if left[i] == 0 and i in alive]
             alive.difference_update(freed)
             backward.append((nid, recompute, freed))
-        return cls(target, need, retained, forward_frees, segments, backward, error)
+        return cls(target, need, requires_grad, retained, forward_frees, segments, backward, error)
 
     def check(self) -> None:
         if self.error is not None:
@@ -445,13 +459,15 @@ class Graph:
 
     # -- backward ----------------------------------------------------------------
 
-    def _backward_step(self, node: Node, grads: dict, gradmap: dict) -> None:
+    def _backward_step(self, node: Node, requires_grad: set, grads: dict, gradmap: dict) -> None:
         g = grads.pop(node.nid, None)
-        if g is None or node.op == "input":
+        if g is None:
             return
-        gins, gparams = OP_TABLE[node.op].backward(node, self._input_values(node), g)
-        for i, gi in zip(node.inputs, gins):
-            grads[i] = grads[i] + gi if i in grads else gi
+        want = [i in requires_grad for i in node.inputs]
+        gins, gparams = OP_TABLE[node.op].backward(node, self._input_values(node), g, want)
+        for i, gi, wanted in zip(node.inputs, gins, want):
+            if wanted:
+                grads[i] = grads[i] + gi if i in grads else gi
         for name, gp in gparams.items():
             gradmap[f"{node.nid}.{name}"] = gp
 
@@ -476,7 +492,7 @@ class Graph:
         for nid, recompute, frees in schedule.backward:
             for m in recompute:
                 self._set_value(m, self._run(self.nodes[m]))
-            self._backward_step(self.nodes[nid], grads, gradmap)
+            self._backward_step(self.nodes[nid], schedule.requires_grad, grads, gradmap)
             for i in frees:
                 self._free_value(i)
         self.schedule = None

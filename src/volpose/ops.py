@@ -6,12 +6,17 @@ re-evaluating it on the same inputs reproduces the same bits. That property
 is what lets the checkpointed backward pass recompute discarded values and
 still match the plain backward pass exactly.
 
-conv3d runs as k^3 GEMMs over shifted column slices of the flattened,
-zero-padded input ("flat shifted GEMM", after MEC, Cho & Brand 2017), so
-its workspace is about the size of its operands instead of an im2col
-buffer k^3 times the input. Each output element is the sum of its k^3 tap
-products taken in one fixed (a, b, c) tap order, and each gradient slice
-is accumulated in that same order; this fixed order is what keeps conv3d
+conv3d pads its input straight into a stacked operand of k copies of the
+flattened padded input, copy c shifted by c columns, and runs k^2 GEMMs
+with inner dimension k*Cin over contiguous column slices of it (between
+im2col and MEC, Cho & Brand 2017; Vasudevan et al., arXiv:1704.04428). Its
+workspace is about k times the input instead of an im2col buffer k^3 times
+the input. Each output element is the sum of its k^2 GEMM products taken in
+one fixed (a, b) order. The backward stacks ``grad_out`` the same way: the
+input gradient is the forward conv of ``grad_out`` with the flipped,
+channel-swapped kernel, so the forward and ``gx`` share one tap kernel,
+and the weight gradient is k^2 GEMMs of that stack against the padded
+input, one GEMM entry per weight. These fixed orders are what keep conv3d
 and its backward deterministic.
 
 Conventions baked in here:
@@ -45,72 +50,108 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
     _require(weight.ndim == 5, f"conv3d: weight must be (Cout,Cin,k,k,k), got {weight.shape}")
     cout, cin_w, kd, kh, kw = weight.shape
     _require(kd == kh == kw and kd % 2 == 1, f"conv3d: kernel must be cubic odd, got {weight.shape[2:]}")
-    cin, d, h, w = x.shape
+    cin = x.shape[0]
     _require(cin == cin_w, f"conv3d: expected {cin_w} input channels, got {cin}")
     _require(bias.shape == (cout,), f"conv3d: bias must be ({cout},), got {bias.shape}")
-    k = kd
-    xp, offsets, n = _shifted_layout(x, k)
-    xf = xp.reshape(cin, -1)
-    hp, wp = xp.shape[2:]
-    wk = np.ascontiguousarray(weight.reshape(cout, cin, k**3).transpose(2, 0, 1))
-    acc = np.zeros((cout, d * hp * wp), dtype=x.dtype)
-    tmp = np.empty((cout, n), dtype=x.dtype)
-    # With one input channel each offset's product is an outer product, which
-    # a broadcast multiply computes with the same single rounding as a K=1
-    # GEMM, several times faster.
-    product = np.multiply if cin == 1 else np.matmul
-    for s, off in enumerate(offsets):
-        product(wk[s], xf[:, off : off + n], out=tmp)
-        acc[:, :n] += tmp
-    return acc.reshape(cout, d, hp, wp)[:, :, :h, :w] + bias[:, None, None, None]
+    out = _tap_conv(_shifted_layout(x, kd), _tap_weights(weight), x.shape)
+    return out + bias[:, None, None, None]
 
 
 def conv3d_backward(
-    x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cout = weight.shape[0]
-    k = weight.shape[2]
-    cin, d, h, w = x.shape
+    x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """(gx, gw, gb) of conv3d; gx is None when ``input_grad`` is False.
+
+    Both gradients read one operand, ``grad_out`` stacked like a forward
+    input. ``gx`` is the forward conv of ``grad_out`` with the kernel
+    flipped in every axis and its channel axes swapped, run by the forward's
+    tap kernel. ``gw`` is k*k GEMMs of the stack against the padded input.
+    """
+    cout, cin, k = weight.shape[:3]
+    _require(
+        grad_out.shape == (cout, *x.shape[1:]),
+        f"conv3d: grad_out must be {(cout, *x.shape[1:])}, got {grad_out.shape}",
+    )
     gb = grad_out.sum(axis=(1, 2, 3))
-    xp, offsets, n = _shifted_layout(x, k)
-    xf = xp.reshape(cin, -1)
-    hp, wp = xp.shape[2:]
-    # grad_out on the padded stride grid, zero where the forward's flat
-    # accumulator held wrapped-around rows, cut to the n columns it used
-    gog = np.zeros((cout, d, hp, wp), dtype=grad_out.dtype)
-    gog[:, :, :h, :w] = grad_out
-    gof = gog.reshape(cout, -1)[:, :n]
-    wkt = np.ascontiguousarray(weight.reshape(cout, cin, k**3).transpose(2, 1, 0))
-    gw = np.empty((cout, cin, k**3), dtype=x.dtype)
-    gxp = np.zeros_like(xf)
-    tmp = np.empty((cin, n), dtype=x.dtype)
-    for s, off in enumerate(offsets):
-        gw[:, :, s] = (xf[:, off : off + n] @ gof.T).T
-        np.matmul(wkt[s], gof, out=tmp)
-        gxp[:, off : off + n] += tmp
+    sg = _shifted_layout(grad_out, k)
+    hp, wp, n, offsets = _grid(x.shape, k)
+    # Read from column lo, row block r of sg is grad_out on the stride grid
+    # delayed by k-1-r columns, i.e. tap c = k-1-r of the weight gradient.
+    # The stride grid is zero in its wrap columns, and m = n + 2p columns
+    # cover every delay of its n columns.
     p = k // 2
-    gx = np.ascontiguousarray(gxp.reshape(xp.shape)[:, p : p + d, p : p + h, p : p + w])
-    return gx, gw.reshape(weight.shape), gb
+    lo, m = p * (hp * wp + wp + 1) - 2 * p, n + 2 * p
+    xf = np.pad(x, ((0, 0), (p, p), (p, p), (p, p))).reshape(cin, -1)
+    gw = np.empty((k * k, k * cout, cin), dtype=x.dtype)
+    for t, off in enumerate(offsets):
+        np.matmul(sg[:, lo : lo + m], xf[:, off : off + m].T, out=gw[t])
+    del xf  # before gx's accumulator exists, so the two are never held together
+    gw = gw.reshape(k, k, k, cout, cin)[:, :, ::-1].transpose(3, 4, 0, 1, 2)
+    gx = None
+    if input_grad:
+        flipped = weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        gx = np.ascontiguousarray(_tap_conv(sg, _tap_weights(flipped), grad_out.shape))
+    return gx, np.ascontiguousarray(gw), gb
 
 
-def _shifted_layout(x: np.ndarray, k: int) -> tuple[np.ndarray, list[int], int]:
-    """Zero-pad x by k//2 and list each kernel tap's flat offset.
+def _grid(shape: tuple, k: int) -> tuple[int, int, int, list[int]]:
+    """Padded row and plane extents Hp and Wp, the n columns a conv computes,
+    and the flat offset a*Hp*Wp + b*Wp of each tap pair, in (a, b) order."""
+    _, d, h, w = shape
+    p = k // 2
+    hp, wp = h + 2 * p, w + 2 * p
+    n = (d - 1) * hp * wp + (h - 1) * wp + w
+    return hp, wp, n, [a * hp * wp + b * wp for a in range(k) for b in range(k)]
+
+
+def _tap_weights(weight: np.ndarray) -> np.ndarray:
+    """(k*k, Cout, k*Cin) blocks: block a*k + b, column c*Cin + i is tap (a, b, c)."""
+    cout, cin, k = weight.shape[:3]
+    return np.ascontiguousarray(weight.transpose(2, 3, 0, 4, 1).reshape(k * k, cout, k * cin))
+
+
+def _tap_conv(s: np.ndarray, wk: np.ndarray, shape: tuple) -> np.ndarray:
+    """Same-padded conv of the (C, D, H, W) input stacked in ``s``.
+
+    Runs one GEMM per (a, b) tap pair, with the k column taps c inside its
+    inner dimension, and accumulates the k*k products in (a, b) order.
+    Returns a (Cout, D, H, W) view of the accumulator.
+    """
+    cin, d, h, w = shape
+    hp, wp, n, offsets = _grid(shape, s.shape[0] // cin)
+    acc = np.empty((wk.shape[1], d * hp * wp), dtype=s.dtype)
+    tmp = np.empty((wk.shape[1], n), dtype=s.dtype)
+    np.matmul(wk[0], s[:, :n], out=acc[:, :n])  # tap pair (0, 0) is at offset 0
+    for wt, off in zip(wk[1:], offsets[1:]):
+        np.matmul(wt, s[:, off : off + n], out=tmp)
+        acc[:, :n] += tmp
+    return acc.reshape(-1, d, hp, wp)[:, :, :h, :w]
+
+
+def _shifted_layout(x: np.ndarray, k: int) -> np.ndarray:
+    """Zero-pad x by k//2 straight into a (k*C, Dp*Hp*Wp) stacked operand.
 
     Give output voxel (i, j, l) the flat index i*Hp*Wp + j*Wp + l of the
-    padded (Dp, Hp, Wp) grid. Its kernel tap (a, b, c) reads the padded input
-    at that index plus ``off = a*Hp*Wp + b*Wp + c``, so one tap over all
-    output voxels is the contiguous column slice ``[off, off + n)``. Columns
-    whose j >= H or l >= W mix the end of one row with the start of the
-    next; they are computed and never read back. Offsets are listed in the
-    weight's (a, b, c) order.
+    padded (Dp, Hp, Wp) grid. Its kernel tap (a, b, c) reads the flat padded
+    input at that index plus a*Hp*Wp + b*Wp + c. Row block c of the stack
+    (rows c*C to c*C + C) is the flat padded input shifted left by c
+    columns, so the k taps (a, b, 0..k-1) over all output voxels are one
+    (k*C)-row slice of contiguous columns starting at a*Hp*Wp + b*Wp, and a
+    whole conv is k*k GEMMs with inner dimension k*C. Columns whose j >= H
+    or l >= W mix the end of one row with the start of the next; they are
+    computed and never read back. In a stacked ``grad_out`` they hold zero
+    padding, so the backward reads the stack as ``grad_out`` on the stride
+    grid without masking them.
     """
-    _, d, h, w = x.shape
+    c, d, h, w = x.shape
     p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
     hp, wp = h + 2 * p, w + 2 * p
-    offsets = [a * hp * wp + b * wp + c for a in range(k) for b in range(k) for c in range(k)]
-    n = (d - 1) * hp * wp + (h - 1) * wp + w
-    return xp, offsets, n
+    plane = hp * wp
+    s = np.zeros((k, c, (d + 2 * p) * plane), dtype=x.dtype)
+    for r in range(k):
+        start = p * plane - r
+        s[r, :, start : start + d * plane].reshape(c, d, hp, wp)[:, :, p : p + h, p : p + w] = x
+    return s.reshape(k * c, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +182,10 @@ def deconv3d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cin, d, h, w = x.shape
     cout = weight.shape[1]
+    _require(
+        grad_out.shape == (cout, 2 * d, 2 * h, 2 * w),
+        f"deconv3d: grad_out must be {(cout, 2 * d, 2 * h, 2 * w)}, got {grad_out.shape}",
+    )
     go = (
         grad_out.reshape(cout, d, 2, h, 2, w, 2)
         .transpose(0, 2, 4, 6, 1, 3, 5)
@@ -263,7 +308,8 @@ def l2_loss_forward(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def l2_loss_backward(
-    pred: np.ndarray, target: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    pred: np.ndarray, target: np.ndarray, grad_out: np.ndarray, target_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(gpred, gtarget); gtarget is None when ``target_grad`` is False."""
     g = (2.0 / pred.size) * grad_out * (pred - target)
-    return g, -g
+    return g, (-g if target_grad else None)

@@ -147,6 +147,35 @@ def test_backward_frees_every_value(backward, discard):
         getattr(g, backward)()
 
 
+@pytest.mark.parametrize("discard", [False, True])
+def test_backward_skips_gradients_nothing_reads(monkeypatch, discard):
+    # the inputs' gradients (the first conv's input, the loss target) are
+    # never computed; every kernel still runs once per node
+    from volpose import ops
+
+    calls = []
+    for name, flag in (("conv3d_backward", "input_grad"), ("l2_loss_backward", "target_grad")):
+        kernel = getattr(ops, name)
+
+        def spy(*args, _kernel=kernel, _name=name, _flag=flag, **kwargs):
+            result = _kernel(*args, **kwargs)
+            calls.append((_name, kwargs[_flag], result[0 if _flag == "input_grad" else 1]))
+            return result
+
+        monkeypatch.setattr(ops, name, spy)
+    g, feeds = tiny_conv_graph()
+    g.set_checkpoints({2})
+    g.forward(feeds, discard=discard)
+    assert g.schedule.requires_grad == {2, 3, 4, 5, 6}
+    g.backward_plain()
+    assert [(n, f) for n, f, _ in calls] == [
+        ("l2_loss_backward", False),
+        ("conv3d_backward", True),
+        ("conv3d_backward", False),
+    ]
+    assert calls[0][2] is None and calls[2][2] is None and calls[1][2] is not None
+
+
 def test_single_relu_graph_gradient():
     # loss = l2(relu(x), 0) on x=[-1, 2]: d loss/dx = [0, 2*2/2] = [0, 2]
     g = Graph(np.float64)

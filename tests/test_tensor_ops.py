@@ -72,6 +72,30 @@ def test_conv3d_forward_matches_direct_sum(extents, k, cin):
     np.testing.assert_allclose(out, conv3d_direct(x, w, b), rtol=0, atol=1e-4)
 
 
+@pytest.mark.parametrize("extents", [(5, 6, 7), (2, 3, 4), (1, 2, 1)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("cin", [1, 3])
+def test_conv3d_backward_is_the_adjoint_of_forward(extents, k, cin):
+    # <conv(x, w), u> is bilinear in x and w, so the backward must satisfy
+    # <conv(x, w), u> == <x, gx> == <w, gw> exactly up to float64 rounding,
+    # also where wrap columns and padding-only taps occur
+    rng = np.random.default_rng(k * 100 + cin)
+    x = rng.normal(size=(cin, *extents))
+    w = rng.normal(size=(2, cin, k, k, k))
+    u = rng.normal(size=(2, *extents))
+    lhs = np.sum(ops.conv3d_forward(x, w, np.zeros(2)) * u)
+    gx, gw, gb = ops.conv3d_backward(x, w, u)
+    assert gx.shape == x.shape and gw.shape == w.shape
+    np.testing.assert_allclose(np.sum(x * gx), lhs, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(np.sum(w * gw), lhs, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(gb, u.sum(axis=(1, 2, 3)))
+    # skipping the input gradient leaves the others bit for bit
+    none, gw2, gb2 = ops.conv3d_backward(x, w, u, input_grad=False)
+    assert none is None
+    np.testing.assert_array_equal(gw2, gw)
+    np.testing.assert_array_equal(gb2, gb)
+
+
 def test_conv3d_workspace_stays_near_operand_size():
     # 16 -> 8 channels at 32^3 float32: an im2col of x alone would be 27x
     # x.nbytes, so these bounds fail as soon as such a buffer comes back
@@ -99,6 +123,22 @@ def test_conv3d_channel_mismatch_rejected():
     w = np.zeros((4, 3, 3, 3, 3))
     with pytest.raises(ShapeMismatch, match="expected 3 input channels, got 2"):
         ops.conv3d_forward(x, w, np.zeros(4))
+
+
+@pytest.mark.parametrize("go_shape", [(4, 5, 6, 6), (3, 5, 6, 7), (4, 5, 6)])
+def test_conv3d_backward_rejects_mismatched_grad_out(go_shape):
+    x = np.zeros((2, 5, 6, 7))
+    w = np.zeros((4, 2, 3, 3, 3))
+    with pytest.raises(ShapeMismatch, match="conv3d: grad_out must be"):
+        ops.conv3d_backward(x, w, np.zeros(go_shape))
+
+
+@pytest.mark.parametrize("go_shape", [(2, 6, 8, 9), (3, 6, 8, 10), (2, 3, 4, 5)])
+def test_deconv3d_backward_rejects_mismatched_grad_out(go_shape):
+    x = np.zeros((4, 3, 4, 5))
+    w = np.zeros((4, 2, 2, 2, 2))
+    with pytest.raises(ShapeMismatch, match="deconv3d: grad_out must be"):
+        ops.deconv3d_backward(x, w, np.zeros(go_shape))
 
 
 def test_deconv3d_doubles_extents():
