@@ -30,10 +30,13 @@ print(f"alignment of the true source pose: rms {rms:.2f} mm, "
 
 support = retrieve_support(query, np.ones(16, dtype=bool), library, k=5)
 print("\ntop-5 support set (summed subset residuals):")
-for entry in support.entries:
-    print(f"  {entry.atlas_id}: {entry.error_mm:7.2f} mm")
+for atlas_id, error_mm in zip(support.atlas_ids, support.errors_mm):
+    print(f"  {atlas_id}: {error_mm:7.2f} mm")
 
-proxy = build_label_proxy(support, spec.shape, spec.spacing_mm, sigma_vox=2.0)
+# the proxy is built on voxel positions; the phantom grid's voxel centers sit
+# at index * spacing, so mm / spacing is the voxel position
+points_vox = support.aligned_mm / spec.spacing_mm
+proxy = build_label_proxy(points_vox, support.present, spec.shape, sigma_vox=2.0)
 print(f"\nproxy stack: {proxy.shape}, values in [{proxy.min():.3f}, {proxy.max():.3f}]")
 peak = np.unravel_index(np.argmax(proxy[9]), proxy[9].shape)
 print(f"channel 10 proxy peak at voxel (z,y,x)={peak}: the aligned atlases "

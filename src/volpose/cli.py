@@ -35,7 +35,7 @@ from volpose.model import (
     train,
     write_loss_curve,
 )
-from volpose.phantom import PhantomSpec, augment, make_dataset
+from volpose.phantom import PhantomError, PhantomSpec, augment, make_dataset
 from volpose.refine import RefineConfig, refine_batch
 from volpose.registration import Pose, PoseLibrary
 from volpose.serialize import load_model, save_model
@@ -79,6 +79,14 @@ def _decoded_to_pose(dec: DecodedPose) -> Pose:
     return Pose(dec.xyz_mm, dec.valid.copy())
 
 
+def _configured(make, **fields):
+    """Build a config object; a value its validation rejects is a usage error."""
+    try:
+        return make(**fields)
+    except GraphError as e:
+        raise UsageError(str(e)) from e
+
+
 def _load_detector(model_dir: Path):
     if not (model_dir / "graph.json").exists():
         raise UsageError(f"model directory not found or incomplete: {model_dir}")
@@ -94,6 +102,10 @@ def _load_detector(model_dir: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_phantom_gen(args) -> int:
+    if args.n_train < 1 or args.n_test < 1:
+        raise UsageError(
+            f"--n-train and --n-test must be >= 1, got {args.n_train} and {args.n_test}"
+        )
     spec = PhantomSpec(
         shape=(args.size, args.size, args.size),
         spacing_mm=args.spacing,
@@ -152,14 +164,16 @@ def cmd_build_library(args) -> int:
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     cases = _load_manifest_cases(data_dir, "train")
-    det_cfg = DetectorConfig(
+    det_cfg = _configured(
+        DetectorConfig,
         depth=args.depth,
         base_channels=args.base_channels,
         convs_per_block=args.convs_per_block,
         input_scale=args.input_scale,
         sigma_vox=args.sigma,
     )
-    train_cfg = TrainConfig(
+    train_cfg = _configured(
+        TrainConfig,
         lr=args.lr, beta1=args.beta1, epochs=args.epochs, seed=args.seed,
         batch_size=args.batch_size,
     )
@@ -312,9 +326,12 @@ def cmd_refine(args) -> int:
     if not Path(args.library).exists():
         raise UsageError(f"pose library not found: {args.library}")
     library = PoseLibrary.load(args.library)
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     if args.k > len(library):
         raise UsageError(f"--k {args.k} exceeds library size {len(library)}")
-    refine_cfg = RefineConfig(
+    refine_cfg = _configured(
+        RefineConfig,
         iterations=args.iterations,
         lr=args.lr,
         k_support=args.k,
@@ -544,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (GraphError, ValueError, OSError) as e:
+    except (GraphError, PhantomError, ValueError, OSError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 1
 

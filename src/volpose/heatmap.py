@@ -85,11 +85,14 @@ def encode(
     shape: tuple[int, int, int],
     spacing,
     sigma_vox: float,
+    present: np.ndarray | None = None,
 ) -> np.ndarray:
-    """16-channel Gaussian stack for a complete pose given in mm.
+    """16-channel Gaussian stack for a pose given in mm.
 
-    Raises if any landmark falls outside the grid; proxy construction, which
-    tolerates out-of-bounds landmarks, goes through ``encode_channel``.
+    A landmark masked out by ``present`` gets an all-zero channel and is not
+    checked. Raises if any other landmark falls outside the grid; proxy
+    construction, which tolerates out-of-bounds landmarks, goes through
+    ``encode_channel``.
     """
     if sigma_vox <= 0:
         raise HeatmapError(f"sigma_vox must be positive, got {sigma_vox}")
@@ -101,6 +104,8 @@ def encode(
     bounds = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
     stack = np.zeros((NUM_LANDMARKS, nz, ny, nx), dtype=np.float32)
     for j in range(NUM_LANDMARKS):
+        if present is not None and not present[j]:
+            continue
         vox = xyz_mm[j] / s
         if np.any(vox < 0) or np.any(vox > bounds):
             raise HeatmapError(

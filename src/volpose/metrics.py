@@ -31,22 +31,8 @@ class MetricsError(ValueError):
 DEFAULT_THRESHOLDS = np.arange(0.0, 30.0 + 1e-9, 0.5)
 
 
-def euclidean(
-    pred: Pose,
-    gt: Pose,
-    pred_spacing=None,
-    gt_spacing=None,
-) -> np.ndarray:
-    """Per-landmark Euclidean distance in mm; NaN where either side is masked.
-
-    If both poses carry spacing metadata it must agree, guarding against
-    accidentally comparing poses from differently calibrated volumes.
-    """
-    if pred_spacing is not None and gt_spacing is not None:
-        ps = np.broadcast_to(np.asarray(pred_spacing, dtype=np.float64), (3,))
-        gs = np.broadcast_to(np.asarray(gt_spacing, dtype=np.float64), (3,))
-        if not np.allclose(ps, gs):
-            raise MetricsError(f"spacing metadata disagrees: {ps} vs {gs}")
+def euclidean(pred: Pose, gt: Pose) -> np.ndarray:
+    """Per-landmark Euclidean distance in mm; NaN where either side is masked."""
     d = np.linalg.norm(pred.xyz_mm - gt.xyz_mm, axis=1)
     d = np.where(pred.present & gt.present, d, np.nan)
     return d

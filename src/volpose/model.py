@@ -207,8 +207,6 @@ class NetFrame:
     mm = origin + (net_voxel - pad_lo) * net_spacing, per axis (x, y, z).
     """
 
-    orig_shape: tuple[int, int, int]        # (nz, ny, nx)
-    orig_spacing: tuple[float, float, float]  # (sx, sy, sz)
     net_shape: tuple[int, int, int]         # padded (nz, ny, nx)
     net_spacing: tuple[float, float, float]
     origin_mm: tuple[float, float, float]
@@ -284,31 +282,12 @@ def prepare_volume(
     pad_hi = [p - lo for p, lo in zip(pads, pad_lo)]
     padded = np.pad(normalized, tuple(zip(pad_lo, pad_hi)))
     frame = NetFrame(
-        orig_shape=tuple(volume.shape),
-        orig_spacing=tuple(float(v) for v in spacing),
         net_shape=tuple(padded.shape),
         net_spacing=tuple(float(v) for v in net_spacing),
         origin_mm=tuple(float(v) for v in origin),
         pad_lo=(pad_lo[2], pad_lo[1], pad_lo[0]),  # reorder to (x, y, z)
     )
     return padded[None].astype(np.float32), frame
-
-
-def encode_targets(pose: Pose, frame: NetFrame, sigma_vox: float) -> np.ndarray:
-    """Ground-truth heatmaps in the network frame."""
-    stack = np.zeros((NUM_LANDMARKS,) + frame.net_shape, dtype=np.float32)
-    nz, ny, nx = frame.net_shape
-    bounds = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
-    for j in range(NUM_LANDMARKS):
-        if not pose.present[j]:
-            continue
-        vox = frame.mm_to_net_voxel(pose.xyz_mm[j])
-        if np.any(vox < 0) or np.any(vox > bounds):
-            raise GraphError(
-                f"landmark {j + 1} maps to net voxel {vox.round(2)}, outside {frame.net_shape}"
-            )
-        heatmap.encode_channel(vox, frame.net_shape, sigma_vox, out=stack[j])
-    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +336,12 @@ def _prepare_dataset(dataset, cfg: DetectorConfig):
         net_in, frame = prepare_volume(volume, spacing, cfg)
         validate_input_shape(cfg, net_in.shape[1:])
         try:
-            target = encode_targets(pose, frame, cfg.sigma_vox)
-        except GraphError as e:
+            # ground-truth heatmaps in the network frame, in net-voxel units
+            target = heatmap.encode(
+                frame.mm_to_net_voxel(pose.xyz_mm), frame.net_shape, 1.0, cfg.sigma_vox,
+                pose.present,
+            )
+        except heatmap.HeatmapError as e:
             raise GraphError(f"case {idx}: {e}") from e
         prepared.append((net_in, target))
     return prepared

@@ -319,44 +319,37 @@ def sample_case(spec: PhantomSpec, seed: int) -> PhantomCase:
 # augmentation: flips (with left/right label swap) and quarter rotations
 # ---------------------------------------------------------------------------
 
-AUGMENT_OPS = ("flip_x", "flip_y", "flip_z", "rot90_x", "rot90_y", "rot90_z")
+# op -> the volume axis (z, y, x order) it mirrors
+_FLIP_AXES = {"flip_x": 2, "flip_y": 1, "flip_z": 0}
+# op -> the volume axes of the quarter turn, in np.rot90's order
+_ROT90_AXES = {"rot90_x": (0, 1), "rot90_y": (2, 0), "rot90_z": (1, 2)}
+AUGMENT_OPS = (*_FLIP_AXES, *_ROT90_AXES)
 
 
 def augment(case: PhantomCase, op: str) -> PhantomCase:
     """Transform volume and pose identically; flips also swap the left/right
-    landmark labels so they stay anatomically consistent."""
-    vol = case.volume
+    landmark labels so they stay anatomically consistent.
+
+    Volume axis ``a`` (z, y, x order) holds coordinate column ``2 - a``
+    (x, y, z order). A quarter turn over axes (a0, a1) moves coordinate
+    ``2 - a0`` onto ``2 - a1`` and mirrors the old ``2 - a1`` into ``2 - a0``.
+    """
     xyz = case.pose.xyz_mm.copy()
     present = case.pose.present.copy()
-    nz, ny, nx = vol.shape
     s = case.spacing_mm
-    if op == "flip_x":
-        vol2 = vol[:, :, ::-1].copy()
-        xyz[:, 0] = (nx - 1) * s - xyz[:, 0]
+    if op in _FLIP_AXES:
+        axis = _FLIP_AXES[op]
+        vol2 = np.flip(case.volume, axis).copy()
+        c = 2 - axis
+        xyz[:, c] = (case.volume.shape[axis] - 1) * s - xyz[:, c]
         xyz, present = xyz[list(FLIP_PERMUTATION)], present[list(FLIP_PERMUTATION)]
-    elif op == "flip_y":
-        vol2 = vol[:, ::-1, :].copy()
-        xyz[:, 1] = (ny - 1) * s - xyz[:, 1]
-        xyz, present = xyz[list(FLIP_PERMUTATION)], present[list(FLIP_PERMUTATION)]
-    elif op == "flip_z":
-        vol2 = vol[::-1, :, :].copy()
-        xyz[:, 2] = (nz - 1) * s - xyz[:, 2]
-        xyz, present = xyz[list(FLIP_PERMUTATION)], present[list(FLIP_PERMUTATION)]
-    elif op == "rot90_z":
-        vol2 = np.rot90(vol, k=1, axes=(1, 2)).copy()
-        x, y = xyz[:, 0].copy(), xyz[:, 1].copy()
-        xyz[:, 0] = y
-        xyz[:, 1] = (nx - 1) * s - x
-    elif op == "rot90_x":
-        vol2 = np.rot90(vol, k=1, axes=(0, 1)).copy()
-        y, z = xyz[:, 1].copy(), xyz[:, 2].copy()
-        xyz[:, 1] = z
-        xyz[:, 2] = (ny - 1) * s - y
-    elif op == "rot90_y":
-        vol2 = np.rot90(vol, k=1, axes=(2, 0)).copy()
-        x, z = xyz[:, 0].copy(), xyz[:, 2].copy()
-        xyz[:, 2] = x
-        xyz[:, 0] = (nz - 1) * s - z
+    elif op in _ROT90_AXES:
+        a0, a1 = _ROT90_AXES[op]
+        vol2 = np.rot90(case.volume, k=1, axes=(a0, a1)).copy()
+        c0, c1 = 2 - a0, 2 - a1
+        mirrored = (case.volume.shape[a1] - 1) * s - xyz[:, c1]
+        xyz[:, c1] = xyz[:, c0]
+        xyz[:, c0] = mirrored
     else:
         raise PhantomError(f"unknown augmentation op '{op}' (choose from {AUGMENT_OPS})")
     prov = dict(case.provenance)

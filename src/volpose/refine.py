@@ -2,8 +2,9 @@
 
 Per case, on a private copy of the trained detector: infer heatmaps, decode
 an intermediate pose, align every library pose to it and keep the best K,
-average their Gaussian maps into a label proxy, and take one Adam step
-toward the proxy. Support set and proxy are rebuilt every iteration, so the
+map the K aligned poses from mm into the network's voxel frame, average
+their Gaussian maps there into a label proxy, and take one Adam step toward
+the proxy. Support set and proxy are rebuilt every iteration, so the
 supervision evolves with the prediction. The base model is never mutated.
 Batch norm always normalizes with the volume's own statistics.
 """
@@ -122,7 +123,10 @@ def refine(
             )
         except RetrievalDeclined as e:
             return RefineResult(current, initial, trace, declined=True, note=str(e))
-        proxy = _proxy_in_net_frame(support, frame, detector_cfg.sigma_vox)
+        proxy = build_label_proxy(
+            frame.mm_to_net_voxel(support.aligned_mm), support.present,
+            frame.net_shape, detector_cfg.sigma_vox,
+        )
         try:
             # the prediction is already on the graph from the last forward;
             # swap in the fresh proxy as the loss target and backpropagate
@@ -145,28 +149,10 @@ def refine(
                 loss_post=float(loss_post),
                 pose_mm=current.xyz_mm.copy(),
                 support_ids=support.ids(),
-                mean_support_error=float(
-                    np.mean([e.error_mm for e in support.entries])
-                ),
+                mean_support_error=float(np.mean(support.errors_mm)),
             )
         )
     return RefineResult(current, initial, trace)
-
-
-def _proxy_in_net_frame(support, frame, sigma_vox) -> np.ndarray:
-    from volpose.registration import SupportEntry, SupportSet
-
-    entries = [
-        SupportEntry(
-            e.atlas_id,
-            e.transform,
-            e.error_mm,
-            Pose(frame.mm_to_net_voxel(e.aligned.xyz_mm), e.aligned.present),
-        )
-        for e in support.entries
-    ]
-    # aligned poses are now in net-voxel units; encode with unit spacing
-    return build_label_proxy(SupportSet(entries), frame.net_shape, 1.0, sigma_vox)
 
 
 @dataclass

@@ -4,8 +4,10 @@ Alignment of a library pose to a prediction uses the closed-form
 least-squares rotation (centroid subtraction, cross-covariance SVD,
 reflection correction so det(R) = +1). Retrieval ranks every library pose by
 its summed per-landmark residual over the registration subset and returns
-the top-K with full aligned poses; the label proxy is the mean of the
-aligned poses' Gaussian heatmaps.
+the top-K as a ``SupportSet`` of arrays: atlas ids, errors, the full aligned
+poses in mm and their presence masks. The label proxy is the mean of the
+aligned poses' Gaussian heatmaps, built from voxel positions on the target
+grid, so the caller chooses the frame.
 """
 
 from __future__ import annotations
@@ -173,27 +175,23 @@ class PoseLibrary:
 
 
 @dataclass
-class SupportEntry:
-    atlas_id: str
-    transform: RigidTransform
-    error_mm: float          # summed subset residual norms
-    aligned: Pose            # full 16-landmark pose after alignment
-
-
-@dataclass
 class SupportSet:
-    entries: list[SupportEntry]
+    """The top-K aligned library poses, ordered by ascending error."""
+
+    atlas_ids: list[str]
+    errors_mm: np.ndarray     # (K,) summed subset residual norms
+    aligned_mm: np.ndarray    # (K, 16, 3) full poses after alignment
+    present: np.ndarray       # (K, 16) bool
 
     def __post_init__(self):
-        errs = [e.error_mm for e in self.entries]
-        if any(b < a for a, b in zip(errs, errs[1:])):
+        if np.any(np.diff(self.errors_mm) < 0):
             raise RegistrationError("support entries must be sorted by ascending error")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.atlas_ids)
 
     def ids(self) -> list[str]:
-        return [e.atlas_id for e in self.entries]
+        return list(self.atlas_ids)
 
 
 MIN_VALID_SUBSET = 4
@@ -233,38 +231,35 @@ def retrieve_support(
         error = float(np.linalg.norm(residual, axis=1).sum())
         scored.append((error, pid, transform, pose))
     scored.sort(key=lambda item: (item[0], item[1]))
-    entries = [
-        SupportEntry(pid, tr, err, Pose(tr.apply(pose.xyz_mm), pose.present.copy()))
-        for err, pid, tr, pose in scored[:k]
-    ]
-    return SupportSet(entries)
+    errors, ids, transforms, poses = zip(*scored[:k])
+    return SupportSet(
+        list(ids),
+        np.array(errors),
+        np.stack([tr.apply(pose.xyz_mm) for tr, pose in zip(transforms, poses)]),
+        np.stack([pose.present for pose in poses]),
+    )
 
 
 def build_label_proxy(
-    support: SupportSet,
+    points_vox: np.ndarray,
+    present: np.ndarray,
     shape: tuple[int, int, int],
-    spacing,
     sigma_vox: float,
 ) -> np.ndarray:
-    """Mean of the aligned atlases' Gaussian stacks: the pseudo ground truth.
+    """Mean of K aligned poses' Gaussian stacks: the pseudo ground truth.
 
-    Aligned landmarks may land outside the grid; such a landmark contributes
-    a zero (or edge-clipped) map for its channel.
+    ``points_vox`` is (K, 16, 3) continuous voxel positions (x, y, z) on the
+    grid ``shape``, ``present`` the (K, 16) landmark mask. A landmark outside
+    the grid contributes a zero (or edge-clipped) map for its channel.
     """
-    if len(support) == 0:
+    if len(points_vox) == 0:
         raise RegistrationError("support set is empty")
-    s = np.asarray(spacing, dtype=np.float64)
-    if s.ndim == 0:
-        s = np.repeat(s, 3)
     nz, ny, nx = shape
     acc = np.zeros((NUM_LANDMARKS, nz, ny, nx), dtype=np.float64)
     chan = np.zeros((nz, ny, nx), dtype=np.float32)
-    for entry in support.entries:
-        for j in range(NUM_LANDMARKS):
-            if not entry.aligned.present[j]:
-                continue
-            chan[:] = 0.0
-            heatmap.encode_channel(entry.aligned.xyz_mm[j] / s, shape, sigma_vox, out=chan)
-            acc[j] += chan
-    acc /= len(support)
+    for k, j in zip(*np.nonzero(present)):
+        chan[:] = 0.0
+        heatmap.encode_channel(points_vox[k, j], shape, sigma_vox, out=chan)
+        acc[j] += chan
+    acc /= len(points_vox)
     return acc.astype(np.float32)

@@ -47,6 +47,20 @@ def test_phantom_gen_counts_and_manifest(dataset):
     assert "config_hash" in manifest
 
 
+@pytest.mark.parametrize("counts", [("0", "2"), ("3", "0")])
+def test_phantom_gen_empty_split_exits_2(tmp_path, counts):
+    args = ["phantom-gen", "--n-train", counts[0], "--n-test", counts[1], "--size", "48"]
+    assert main(args + ["--out", str(tmp_path / "d")]) == 2
+
+
+def test_phantom_gen_unplaceable_skeleton_exits_1(tmp_path, capsys):
+    # the figure does not fit a 32-voxel grid: a runtime failure, not a traceback
+    rc = main(["phantom-gen", "--n-train", "1", "--n-test", "1", "--size", "32",
+               "--out", str(tmp_path / "d")])
+    assert rc == 1
+    assert "could not place the skeleton" in capsys.readouterr().err
+
+
 def test_phantom_gen_deterministic(tmp_path, dataset):
     rerun = tmp_path / "again"
     assert main(GEN_ARGS + ["--out", str(rerun)]) == 0
@@ -70,6 +84,13 @@ def test_train_writes_model_and_curve(dataset, model):
 def test_train_missing_dataset_exits_2(tmp_path):
     rc = main(TRAIN_ARGS + ["--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "m")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", [["--lr", "0"], ["--depth", "0"]])
+def test_train_invalid_config_exits_2(dataset, tmp_path, flag):
+    rc = main(TRAIN_ARGS + ["--data", str(dataset), "--out", str(tmp_path / "m")] + flag)
+    assert rc == 2
+    assert not (tmp_path / "m").exists()
 
 
 def test_infer_emits_pose_per_volume(dataset, model, tmp_path):
@@ -132,6 +153,19 @@ def test_refine_flags_declined_cases(dataset, model, tmp_path):
     assert all(d["declined"] for d in docs)
     summary = json.loads((out / "refine_summary.json").read_text())
     assert summary["n_declined"] == 2
+
+
+@pytest.mark.parametrize("flag", [["--k", "0"], ["--k", "-1"], ["--iterations", "-1"]])
+def test_refine_invalid_config_exits_2(dataset, model, tmp_path, flag):
+    lib = tmp_path / "library.json"
+    assert main(["build-library", "--data", str(dataset), "--out", str(lib)]) == 0
+    out = tmp_path / "refined"
+    rc = main([
+        "refine", "--model", str(model), "--data", str(dataset), "--split", "test",
+        "--library", str(lib), "--out", str(out), "--floor", "0.0", "--k", "3",
+    ] + flag)
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_eval_perfect_predictions(dataset, tmp_path):

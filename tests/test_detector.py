@@ -12,7 +12,6 @@ from volpose.model import (
     TrainConfig,
     build_detector,
     decode_prediction,
-    encode_targets,
     infer,
     output_node,
     prepare_volume,
@@ -21,6 +20,13 @@ from volpose.model import (
 )
 from volpose.registration import Pose
 from volpose.serialize import load_model, save_model
+
+
+def encode_targets(pose, frame, sigma_vox):
+    """Ground-truth heatmaps in the network frame, as training encodes them."""
+    return heatmap.encode(
+        frame.mm_to_net_voxel(pose.xyz_mm), frame.net_shape, 1.0, sigma_vox, pose.present
+    )
 
 
 def small_cfg(**kw):

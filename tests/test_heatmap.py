@@ -59,6 +59,21 @@ def test_encode_rejects_out_of_bounds_with_index():
         heatmap.encode(pose, (16, 16, 16), 1.0, 2.0)
 
 
+def test_encode_present_mask_zeroes_and_skips_masked_landmarks():
+    pose = np.tile([8.0, 8.0, 8.0], (NUM_LANDMARKS, 1))
+    pose[4] = [-30.0, 8.0, 8.0]      # outside the grid, but masked out
+    pose[6] = np.nan                 # an absent landmark need not be finite
+    present = np.ones(NUM_LANDMARKS, dtype=bool)
+    present[[4, 6]] = False
+    stack = heatmap.encode(pose, (16, 16, 16), 1.0, 2.0, present)
+    assert not stack[4].any() and not stack[6].any()
+    full = heatmap.encode(np.tile([8.0, 8.0, 8.0], (NUM_LANDMARKS, 1)), (16, 16, 16), 1.0, 2.0)
+    np.testing.assert_array_equal(stack[present], full[present])
+    # unmasked, the same pose is rejected
+    with pytest.raises(HeatmapError, match="landmark 5"):
+        heatmap.encode(np.nan_to_num(pose), (16, 16, 16), 1.0, 2.0)
+
+
 def test_encode_rejects_bad_sigma():
     pose = np.tile([8.0, 8.0, 8.0], (NUM_LANDMARKS, 1))
     with pytest.raises(HeatmapError, match="sigma"):

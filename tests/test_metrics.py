@@ -55,14 +55,6 @@ def test_euclidean_masked_pairs_are_nan():
     assert np.isfinite(np.delete(d, 3)).all()
 
 
-def test_euclidean_spacing_mismatch_rejected():
-    rng = np.random.default_rng(3)
-    p = random_pose(rng)
-    with pytest.raises(MetricsError, match="spacing"):
-        euclidean(p, p, pred_spacing=1.0, gt_spacing=0.5)
-    euclidean(p, p, pred_spacing=1.0, gt_spacing=1.0)  # agreeing is fine
-
-
 def test_euclidean_rigid_invariance():
     rng = np.random.default_rng(4)
     gt = random_pose(rng)

@@ -16,7 +16,7 @@ from volpose.registration import (
     PoseLibrary,
     RegistrationError,
     RetrievalDeclined,
-    RigidTransform,
+    SupportSet,
     build_label_proxy,
     fit_rigid,
     retrieve_support,
@@ -165,9 +165,10 @@ def test_library_containing_query_ranks_it_first():
     lib = make_library(rng, 20)
     query = lib.poses[7].xyz_mm.copy()
     support = retrieve_support(query, np.ones(16, dtype=bool), lib, k=3)
-    assert support.entries[0].atlas_id == "atlas_007"
-    assert support.entries[0].error_mm < 1e-9
-    np.testing.assert_allclose(support.entries[0].transform.rotation, np.eye(3), atol=1e-9)
+    assert support.ids()[0] == "atlas_007"
+    assert support.errors_mm[0] < 1e-9
+    # aligned onto itself: the full aligned pose is the query
+    np.testing.assert_allclose(support.aligned_mm[0], query, atol=1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 5, 10])
@@ -219,13 +220,27 @@ def test_support_errors_sorted_and_recomputable():
     query = random_pose_points(rng, NUM_LANDMARKS)
     support = retrieve_support(query, np.ones(16, dtype=bool), lib, k=10)
     subset = np.array(REGISTRATION_SUBSET) - 1
-    errs = [e.error_mm for e in support.entries]
+    errs = list(support.errors_mm)
     assert errs == sorted(errs)
-    for entry in support.entries:
-        pose = lib.poses[lib.ids.index(entry.atlas_id)]
-        res = entry.transform.apply(pose.xyz_mm[subset]) - query[subset]
+    assert support.aligned_mm.shape == (10, NUM_LANDMARKS, 3)
+    for atlas_id, error, aligned, present in zip(
+        support.atlas_ids, support.errors_mm, support.aligned_mm, support.present
+    ):
+        pose = lib.poses[lib.ids.index(atlas_id)]
+        np.testing.assert_array_equal(present, pose.present)
+        res = aligned[subset] - query[subset]
         recomputed = float(np.linalg.norm(res, axis=1).sum())
-        assert abs(recomputed - entry.error_mm) < 1e-9
+        assert abs(recomputed - error) < 1e-9
+        # the aligned pose is a rigid image of the library pose
+        tr, rms = fit_rigid(pose.xyz_mm, aligned)
+        assert rms < 1e-9
+
+
+def test_support_set_rejects_unsorted_errors():
+    poses = np.zeros((2, NUM_LANDMARKS, 3))
+    present = np.ones((2, NUM_LANDMARKS), dtype=bool)
+    with pytest.raises(RegistrationError, match="sorted"):
+        SupportSet(["a", "b"], np.array([2.0, 1.0]), poses, present)
 
 
 # --- label proxy -------------------------------------------------------------
@@ -239,20 +254,25 @@ def in_bounds_pose(rng, shape, spacing=1.0, margin=7.0):
 
 
 def support_of(poses):
-    from volpose.registration import SupportEntry, SupportSet
+    return SupportSet(
+        [f"a{i}" for i in range(len(poses))],
+        np.arange(len(poses), dtype=np.float64),
+        np.stack([p.xyz_mm for p in poses]),
+        np.stack([p.present for p in poses]),
+    )
 
-    entries = [
-        SupportEntry(f"a{i}", RigidTransform.identity(), float(i), p)
-        for i, p in enumerate(poses)
-    ]
-    return SupportSet(entries)
+
+def proxy_of(poses, shape, sigma_vox):
+    """The label proxy of poses given on a unit-spacing grid (mm = voxels)."""
+    support = support_of(poses)
+    return build_label_proxy(support.aligned_mm, support.present, shape, sigma_vox)
 
 
 def test_proxy_of_single_atlas_equals_encode():
     rng = np.random.default_rng(41)
     shape = (24, 24, 24)
     pose = in_bounds_pose(rng, shape)
-    proxy = build_label_proxy(support_of([pose]), shape, 1.0, 2.0)
+    proxy = proxy_of([pose], shape, 2.0)
     expected = heatmap.encode(pose.xyz_mm, shape, 1.0, 2.0)
     np.testing.assert_allclose(proxy, expected, atol=1e-7)
 
@@ -261,7 +281,7 @@ def test_proxy_mean_of_identical_poses_is_idempotent():
     rng = np.random.default_rng(43)
     shape = (24, 24, 24)
     pose = in_bounds_pose(rng, shape)
-    proxy = build_label_proxy(support_of([pose, pose.copy()]), shape, 1.0, 2.0)
+    proxy = proxy_of([pose, pose.copy()], shape, 2.0)
     expected = heatmap.encode(pose.xyz_mm, shape, 1.0, 2.0)
     np.testing.assert_allclose(proxy, expected, atol=1e-7)
 
@@ -273,7 +293,7 @@ def test_proxy_bimodal_for_4_sigma_offset():
     pose_a = in_bounds_pose(rng, shape, margin=12.0)
     pose_b = pose_a.copy()
     pose_b.xyz_mm[0, 0] += 4 * sigma  # one landmark moved 4 sigma along x
-    proxy = build_label_proxy(support_of([pose_a, pose_b]), shape, 1.0, sigma)
+    proxy = proxy_of([pose_a, pose_b], shape, sigma)
     chan = proxy[0]
     va = chan[tuple(np.round(pose_a.xyz_mm[0][::-1]).astype(int))]
     vb = chan[tuple(np.round(pose_b.xyz_mm[0][::-1]).astype(int))]
@@ -288,7 +308,7 @@ def test_proxy_out_of_bounds_landmark_contributes_zero_channel():
     shape = (16, 16, 16)
     pose = in_bounds_pose(rng, shape, margin=6.0)
     pose.xyz_mm[3] = [500.0, 500.0, 500.0]
-    proxy = build_label_proxy(support_of([pose]), shape, 1.0, 2.0)
+    proxy = proxy_of([pose], shape, 2.0)
     assert proxy[3].max() == 0.0
     assert proxy[0].max() > 0.9
 
@@ -297,7 +317,7 @@ def test_proxy_values_in_unit_interval():
     rng = np.random.default_rng(59)
     shape = (24, 24, 24)
     poses = [in_bounds_pose(rng, shape) for _ in range(5)]
-    proxy = build_label_proxy(support_of(poses), shape, 1.0, 2.0)
+    proxy = proxy_of(poses, shape, 2.0)
     assert proxy.min() >= 0.0
     assert proxy.max() <= 1.0
 

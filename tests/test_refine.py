@@ -1,9 +1,17 @@
 """Test-time refinement: isolation, no-op loop, declined path, loss trend."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from volpose.model import DetectorConfig, build_detector, predict_pose
+from volpose.model import (
+    DetectorConfig,
+    build_detector,
+    decode_prediction,
+    predict_pose,
+    prepare_volume,
+)
 from volpose.refine import RefineConfig, refine, refine_batch
 from volpose.registration import Pose, PoseLibrary
 
@@ -142,3 +150,43 @@ def test_snapshot_traces_written(tmp_path):
     assert (tmp_path / "case_x_trace.json").exists()
     assert (tmp_path / "case_x_iter00_pose.json").exists()
     assert (tmp_path / "case_x_iter01_pose.json").exists()
+
+
+def test_proxy_lands_in_the_network_frame(monkeypatch):
+    # at input_scale 0.5 with padding, net voxels are neither mm nor original
+    # voxels: decoding refine's proxy through the frame must give back the
+    # aligned atlas in mm
+    refine_module = importlib.import_module("volpose.refine")
+    seen = {}
+
+    def spy(name):
+        real = getattr(refine_module, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name] = out = real(*args, **kwargs)
+            return out
+
+        monkeypatch.setattr(refine_module, name, wrapper)
+
+    spy("retrieve_support")
+    spy("build_label_proxy")
+    cfg = DetectorConfig(depth=2, base_channels=2, input_scale=0.5, sigma_vox=2.0)
+    rng = np.random.default_rng(9)
+    vol = rng.uniform(0, 1, size=(20, 24, 28)).astype(np.float32)
+    spacing = np.array([0.8, 1.25, 1.0])     # (sx, sy, sz)
+    # library poses spread around the volume center, so every aligned atlas
+    # lies well inside the grid
+    center = (np.array([28, 24, 20]) - 1) * spacing / 2
+    poses = [Pose(center + rng.uniform(-5.0, 5.0, size=(16, 3))) for _ in range(4)]
+    lib = PoseLibrary([f"atlas_{i}" for i in range(4)], poses, ["train"] * 4)
+    net_in, frame = prepare_volume(vol, spacing, cfg)
+    assert net_in.shape[1:] != tuple(n // 2 for n in vol.shape)   # padded
+    refine(
+        build_detector(cfg, seed=0), vol, spacing, lib, cfg,
+        RefineConfig(iterations=1, k_support=1, confidence_floor=0.0),
+    )
+    support, proxy = seen["retrieve_support"], seen["build_label_proxy"]
+    assert len(support) == 1 and proxy.shape == (16,) + frame.net_shape
+    dec = decode_prediction(proxy, frame)
+    err = np.linalg.norm(dec.xyz_mm - support.aligned_mm[0], axis=1)
+    assert err.max() < 1.0
