@@ -23,8 +23,8 @@ import numpy as np
 from volpose import fileio
 from volpose.anatomy import LANDMARKS, REGISTRATION_SUBSET
 from volpose.config import RunConfig, digest_files
-from volpose.graph import GraphError
-from volpose.heatmap import DecodedPose
+from volpose.graph import GraphError, select_checkpoints
+from volpose.heatmap import DecodedPose, HeatmapError, check_window
 from volpose.metrics import build_report, write_report
 from volpose.model import (
     DetectorConfig,
@@ -80,10 +80,11 @@ def _decoded_to_pose(dec: DecodedPose) -> Pose:
 
 
 def _configured(make, **fields):
-    """Build a config object; a value its validation rejects is a usage error."""
+    """Build a config object, or run a check, on argument values; a value
+    the validation rejects is a usage error."""
     try:
         return make(**fields)
-    except GraphError as e:
+    except (GraphError, HeatmapError) as e:
         raise UsageError(str(e)) from e
 
 
@@ -218,6 +219,9 @@ def cmd_train(args) -> int:
         dataset.extend(extra)
 
     graph = build_detector(det_cfg, seed=args.model_seed)
+    if args.gcp != "off":
+        # the policy checks --every-k itself; ask it before anything is written
+        _configured(select_checkpoints, graph=graph, policy=args.gcp, k=args.every_k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = train(
@@ -275,6 +279,7 @@ def _input_volumes(args) -> tuple[list[tuple[str, Path]], dict, dict]:
 
 
 def cmd_infer(args) -> int:
+    _configured(check_window, window=args.window)
     model_dir = Path(args.model)
     graph, det_cfg = _load_detector(model_dir)
     volumes, volume_ids, volume_paths = _input_volumes(args)
@@ -326,8 +331,6 @@ def cmd_refine(args) -> int:
     if not Path(args.library).exists():
         raise UsageError(f"pose library not found: {args.library}")
     library = PoseLibrary.load(args.library)
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
     if args.k > len(library):
         raise UsageError(f"--k {args.k} exceeds library size {len(library)}")
     refine_cfg = _configured(
@@ -402,6 +405,10 @@ def _collect_poses(directory: Path) -> dict[str, tuple[Pose, dict]]:
 
 
 def cmd_eval(args) -> int:
+    if args.grid_step <= 0 or args.grid_max <= 0:
+        raise UsageError(
+            f"--grid-step and --grid-max must be positive, got {args.grid_step} and {args.grid_max}"
+        )
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
     if not pred_dir.is_dir():
         raise UsageError(f"prediction directory not found: {pred_dir}")

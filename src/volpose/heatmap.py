@@ -115,14 +115,19 @@ def encode(
     return stack
 
 
+def check_window(window: int) -> None:
+    """The centroid window must be an odd number of voxels, at least 1."""
+    if window < 1 or window % 2 == 0:
+        raise HeatmapError(f"window must be an odd integer >= 1, got {window}")
+
+
 def decode_voxels(
     stack: np.ndarray,
     window: int = 5,
     confidence_floor: float = 0.1,
 ) -> DecodedPose:
     """Peak extraction in voxel coordinates (x, y, z), spacing-agnostic."""
-    if window < 1 or window % 2 == 0:
-        raise HeatmapError(f"window must be an odd integer >= 1, got {window}")
+    check_window(window)
     c, nz, ny, nx = stack.shape
     half = window // 2
     coords = np.zeros((c, 3), dtype=np.float64)

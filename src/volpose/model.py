@@ -59,6 +59,8 @@ class DetectorConfig:
             raise GraphError(f"convs_per_block must be >= 2, got {self.convs_per_block}")
         if not (0.0 < self.input_scale <= 1.0):
             raise GraphError(f"input_scale must be in (0, 1], got {self.input_scale}")
+        if self.sigma_vox <= 0:
+            raise GraphError(f"sigma_vox must be positive, got {self.sigma_vox}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -83,6 +85,8 @@ class TrainConfig:
             raise GraphError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise GraphError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise GraphError(f"epochs must be >= 1, got {self.epochs}")
 
     def to_dict(self) -> dict:
         return asdict(self)

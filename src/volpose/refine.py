@@ -20,7 +20,7 @@ import numpy as np
 from volpose import fileio, ops
 from volpose.anatomy import NUM_LANDMARKS
 from volpose.graph import Graph, GraphError, NonFiniteValue
-from volpose.heatmap import DecodedPose
+from volpose.heatmap import DecodedPose, check_window
 from volpose.model import DetectorConfig, decode_prediction, output_node, prepare_volume
 from volpose.optim import Adam
 from volpose.registration import (
@@ -42,13 +42,16 @@ class RefineConfig:
     eps: float = 1e-8
     window: int = 5
     confidence_floor: float = 0.1
-    snapshot_each_iter: bool = False
+    snapshot_each_iter: bool = False   # hashed into the run stamp; out_dir gates snapshots
 
     def __post_init__(self):
         if self.iterations < 0:
             raise GraphError(f"iterations must be >= 0, got {self.iterations}")
         if self.lr <= 0:
             raise GraphError(f"lr must be positive, got {self.lr}")
+        if self.k_support < 1:
+            raise GraphError(f"k_support must be >= 1, got {self.k_support}")
+        check_window(self.window)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -77,7 +80,6 @@ class IterationRecord:
 @dataclass
 class RefineResult:
     pose: DecodedPose             # decode after the final update
-    initial_pose: DecodedPose     # plain inference, before any update
     trace: list[IterationRecord]
     declined: bool = False
     aborted: bool = False
@@ -122,7 +124,7 @@ def refine(
                 current.xyz_mm, current.valid, library, k=cfg.k_support
             )
         except RetrievalDeclined as e:
-            return RefineResult(current, initial, trace, declined=True, note=str(e))
+            return RefineResult(current, trace, declined=True, note=str(e))
         proxy = build_label_proxy(
             frame.mm_to_net_voxel(support.aligned_mm), support.present,
             frame.net_shape, detector_cfg.sigma_vox,
@@ -136,9 +138,7 @@ def refine(
             adam.step(grads)
             loss_post = graph.forward({"volume": net_in, "target": proxy})
         except NonFiniteValue as e:
-            return RefineResult(
-                initial, initial, trace, aborted=True, note=f"non-finite value: {e}"
-            )
+            return RefineResult(initial, trace, aborted=True, note=f"non-finite value: {e}")
         current = decode_prediction(
             graph.value(out_id), frame, cfg.window, cfg.confidence_floor
         )
@@ -152,7 +152,7 @@ def refine(
                 mean_support_error=float(np.mean(support.errors_mm)),
             )
         )
-    return RefineResult(current, initial, trace)
+    return RefineResult(current, trace)
 
 
 @dataclass
@@ -172,7 +172,11 @@ def refine_batch(
     out_dir: str | Path | None = None,
     stamp: dict | None = None,
 ) -> tuple[dict[str, RefineResult], BatchSummary]:
-    """Independent per-case refinement; one failing case never aborts the rest."""
+    """Independent per-case refinement; one failing case never aborts the rest.
+
+    With ``out_dir``, each case's trace and per-iteration poses are written
+    there.
+    """
     results: dict[str, RefineResult] = {}
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -184,9 +188,9 @@ def refine_batch(
             dummy = DecodedPose(
                 np.zeros((16, 3)), np.zeros(16), np.zeros(16, dtype=bool)
             )
-            res = RefineResult(dummy, dummy, [], aborted=True, note=f"error: {e}")
+            res = RefineResult(dummy, [], aborted=True, note=f"error: {e}")
         results[case_id] = res
-        if out_dir is not None and cfg.snapshot_each_iter:
+        if out_dir is not None:
             doc = {**(stamp or {}), **res.trace_dict()}
             (out_dir / f"{case_id}_trace.json").write_text(json.dumps(doc, indent=1))
             for rec in res.trace:

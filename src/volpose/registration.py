@@ -2,9 +2,10 @@
 
 Alignment of a library pose to a prediction uses the closed-form
 least-squares rotation (centroid subtraction, cross-covariance SVD,
-reflection correction so det(R) = +1). Retrieval ranks every library pose by
-its summed per-landmark residual over the registration subset and returns
-the top-K as a ``SupportSet`` of arrays: atlas ids, errors, the full aligned
+reflection correction so det(R) = +1), broadcast over a stack of poses.
+Retrieval aligns the whole library in one such fit, ranks every pose by its
+summed per-landmark residual over the registration subset and returns the
+top-K as a ``SupportSet`` of arrays: atlas ids, errors, the full aligned
 poses in mm and their presence masks. The label proxy is the mean of the
 aligned poses' Gaussian heatmaps, built from voxel positions on the target
 grid, so the caller chooses the frame.
@@ -54,62 +55,65 @@ class Pose:
 
 @dataclass
 class RigidTransform:
-    """Proper rotation (det = +1) plus translation, acting on mm points."""
+    """Proper rotations (det = +1) plus translations, acting on mm points."""
 
-    rotation: np.ndarray      # (3, 3)
-    translation: np.ndarray   # (3,)
+    rotation: np.ndarray      # (..., 3, 3)
+    translation: np.ndarray   # (..., 3)
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
         self.translation = np.asarray(self.translation, dtype=np.float64)
         r = self.rotation
-        if not np.allclose(r.T @ r, np.eye(3), atol=1e-9):
+        if not np.allclose(r.mT @ r, np.eye(3), atol=1e-9):
             raise RegistrationError("rotation is not orthonormal within 1e-9")
-        if not np.isclose(np.linalg.det(r), 1.0, atol=1e-9):
+        if not np.allclose(np.linalg.det(r), 1.0, atol=1e-9):
             raise RegistrationError("rotation determinant is not +1 within 1e-9")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
+        points = np.asarray(points, dtype=np.float64)
+        return points @ self.rotation.mT + self.translation[..., None, :]
 
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
 
-def fit_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[RigidTransform, float]:
+def fit_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[RigidTransform, float | np.ndarray]:
     """Least-squares rigid transform taking src points onto dst points.
 
-    Returns the transform and the RMS residual, computed as
+    ``dst`` is (n, 3). ``src`` is (n, 3), or a stack (..., n, 3) whose every
+    member is fitted onto the one ``dst``. Returns the transform (a stack for
+    a stacked ``src``) and the RMS residual of each fit, computed as
     sqrt(mean squared residual) over all 3n coordinates. Requires >= 3
-    non-collinear point pairs; a reflection-optimal configuration is
-    corrected to the best proper rotation.
+    non-collinear point pairs in every member; a reflection-optimal
+    configuration is corrected to the best proper rotation.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
-    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
-        raise RegistrationError(f"point sets must both be (n, 3), got {src.shape} vs {dst.shape}")
-    n = src.shape[0]
+    if dst.ndim != 2 or dst.shape[1] != 3 or src.shape[-2:] != dst.shape:
+        raise RegistrationError(f"point shapes {src.shape}, {dst.shape} are not (..., n, 3), (n, 3)")
+    n = dst.shape[0]
     if n < 3:
         raise RegistrationError(f"need at least 3 point pairs, got {n}")
-    cs = src.mean(axis=0)
+    cs = src.mean(axis=-2, keepdims=True)
     cd = dst.mean(axis=0)
     a = src - cs
     b = dst - cd
     # collinear points leave the rotation about their axis unconstrained
     sv_a = np.linalg.svd(a, compute_uv=False)
-    if sv_a[1] < 1e-9 * max(sv_a[0], 1.0):
+    collinear = sv_a[..., 1] < 1e-9 * np.maximum(sv_a[..., 0], 1.0)
+    if collinear.any():
         raise RegistrationError(
-            f"source points are collinear (singular values {sv_a.round(12)}); "
+            f"source points are collinear (singular values {sv_a[collinear][0].round(12)}); "
             "rotation is not determined"
         )
-    cov = a.T @ b
-    u, _, vt = np.linalg.svd(cov)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    t = cd - rot @ cs
+    u, _, vt = np.linalg.svd(a.mT @ b)
+    vt[..., 2, :] *= np.sign(np.linalg.det(vt.mT @ u.mT))[..., None]
+    rot = vt.mT @ u.mT
+    t = cd - (cs @ rot.mT)[..., 0, :]
     transform = RigidTransform(rot, t)
     residual = transform.apply(src) - dst
-    rms = float(np.sqrt(np.mean(residual**2)))
+    rms = np.sqrt(np.mean(residual**2, axis=(-2, -1)))
     return transform, rms
 
 
@@ -205,8 +209,8 @@ def retrieve_support(
 ) -> SupportSet:
     """Align every library pose to the query and keep the top-K by error.
 
-    The alignment is fit on the registration subset intersected with the
-    query's valid mask (at least 4 landmarks, else the retrieval is
+    One stacked fit aligns the library on the registration subset intersected
+    with the query's valid mask (at least 4 landmarks, else the retrieval is
     declined). Errors are the summed Euclidean residuals of the subset
     landmarks; ties in the ranking break on atlas id.
     """
@@ -224,19 +228,15 @@ def retrieve_support(
             f"(need >= {MIN_VALID_SUBSET})"
         )
     dst = query_xyz_mm[usable]
-    scored = []
-    for pid, pose in zip(library.ids, library.poses):
-        transform, _ = fit_rigid(pose.xyz_mm[usable], dst)
-        residual = transform.apply(pose.xyz_mm[usable]) - dst
-        error = float(np.linalg.norm(residual, axis=1).sum())
-        scored.append((error, pid, transform, pose))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    errors, ids, transforms, poses = zip(*scored[:k])
+    xyz = np.stack([pose.xyz_mm for pose in library.poses])
+    transform, _ = fit_rigid(xyz[:, usable], dst)
+    errors = np.linalg.norm(transform.apply(xyz[:, usable]) - dst, axis=-1).sum(axis=-1)
+    top = np.lexsort((library.ids, errors))[:k]
     return SupportSet(
-        list(ids),
-        np.array(errors),
-        np.stack([tr.apply(pose.xyz_mm) for tr, pose in zip(transforms, poses)]),
-        np.stack([pose.present for pose in poses]),
+        [library.ids[i] for i in top],
+        errors[top],
+        transform.apply(xyz)[top],
+        np.stack([library.poses[i].present for i in top]),
     )
 
 

@@ -86,10 +86,14 @@ def test_train_missing_dataset_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("flag", [["--lr", "0"], ["--depth", "0"]])
-def test_train_invalid_config_exits_2(dataset, tmp_path, flag):
+@pytest.mark.parametrize("flag", [
+    ["--lr", "0"], ["--depth", "0"], ["--epochs", "0"], ["--sigma", "0"],
+    ["--gcp", "every_k", "--every-k", "0"],
+])
+def test_train_invalid_config_exits_2(dataset, tmp_path, capsys, flag):
     rc = main(TRAIN_ARGS + ["--data", str(dataset), "--out", str(tmp_path / "m")] + flag)
     assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "m").exists()
 
 
@@ -104,6 +108,17 @@ def test_infer_emits_pose_per_volume(dataset, model, tmp_path):
     pose, doc = load_pose(poses[0])
     assert doc["spacing_mm"] == [1.0, 1.0, 1.0]  # propagated from input header
     assert "config_hash" in doc
+
+
+def test_infer_even_window_exits_2(dataset, model, tmp_path, capsys):
+    out = tmp_path / "pred"
+    rc = main([
+        "infer", "--model", str(model), "--data", str(dataset),
+        "--split", "test", "--out", str(out), "--window", "4",
+    ])
+    assert rc == 2
+    assert "window must be an odd integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_infer_dump_heatmaps(dataset, model, tmp_path):
@@ -155,7 +170,9 @@ def test_refine_flags_declined_cases(dataset, model, tmp_path):
     assert summary["n_declined"] == 2
 
 
-@pytest.mark.parametrize("flag", [["--k", "0"], ["--k", "-1"], ["--iterations", "-1"]])
+@pytest.mark.parametrize("flag", [
+    ["--k", "0"], ["--k", "-1"], ["--iterations", "-1"], ["--window", "4"], ["--window", "0"],
+])
 def test_refine_invalid_config_exits_2(dataset, model, tmp_path, flag):
     lib = tmp_path / "library.json"
     assert main(["build-library", "--data", str(dataset), "--out", str(lib)]) == 0
@@ -193,6 +210,18 @@ def test_eval_reports_reproducible(dataset, tmp_path):
 def test_eval_missing_dirs_exit_2(tmp_path):
     assert main(["eval", "--pred", str(tmp_path / "x"), "--gt", str(tmp_path / "y"),
                  "--out", str(tmp_path / "z")]) == 2
+
+
+@pytest.mark.parametrize("grid", [
+    ["--grid-step", "0"], ["--grid-step", "-1"], ["--grid-max", "0"], ["--grid-max", "-5"],
+])
+def test_eval_invalid_grid_exits_2(dataset, tmp_path, capsys, grid):
+    gt_dir = dataset / "cases"
+    out = tmp_path / "eval"
+    rc = main(["eval", "--pred", str(gt_dir), "--gt", str(gt_dir), "--out", str(out)] + grid)
+    assert rc == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_spacing_disagreement_exits_2(dataset, tmp_path):

@@ -138,6 +138,40 @@ def test_monte_carlo_optimality_on_4_point_sets(seed):
         assert rms <= cand + 1e-12
 
 
+def test_stacked_fit_equals_fit_of_each_slice_bitwise():
+    rng = np.random.default_rng(13)
+    dst = random_pose_points(rng, 10)
+    src = np.stack([
+        dst @ random_rotation(rng).T + rng.normal(scale=5.0, size=3)
+        + rng.normal(scale=0.5, size=dst.shape)
+        for _ in range(6)
+    ])
+    src[2] = dst * [-1.0, 1.0, 1.0]  # reflection-optimal member
+    stacked, rms = fit_rigid(src, dst)
+    assert stacked.rotation.shape == (6, 3, 3) and rms.shape == (6,)
+    for i in range(len(src)):
+        tr, rms_i = fit_rigid(src[i], dst)
+        np.testing.assert_array_equal(stacked.rotation[i], tr.rotation)
+        np.testing.assert_array_equal(stacked.translation[i], tr.translation)
+        assert rms[i] == rms_i
+        np.testing.assert_array_equal(stacked.apply(src)[i], tr.apply(src[i]))
+
+
+def test_stacked_fit_rejects_one_collinear_member():
+    rng = np.random.default_rng(19)
+    dst = random_pose_points(rng, 5)
+    src = np.stack([random_pose_points(rng, 5) for _ in range(4)])
+    src[3] = np.outer(np.arange(5, dtype=float), [1.0, 2.0, 0.5])
+    with pytest.raises(RegistrationError, match="collinear"):
+        fit_rigid(src, dst)
+
+
+def test_stacked_fit_rejects_point_count_mismatch():
+    rng = np.random.default_rng(21)
+    with pytest.raises(RegistrationError, match="are not"):
+        fit_rigid(rng.normal(size=(4, 6, 3)), rng.normal(size=(5, 3)))
+
+
 # --- retrieval ---------------------------------------------------------------
 
 
@@ -190,6 +224,30 @@ def test_retrieval_rigid_invariance_of_ranking():
     t = rng.normal(scale=50.0, size=3)
     moved = retrieve_support(query @ rot.T + t, np.ones(16, dtype=bool), lib, k=30).ids()
     assert base == moved
+
+
+def test_retrieval_mirror_equivariance():
+    # reflecting the query and every library pose through one plane, with no
+    # left/right label swap, is an isometry of the whole problem: the same
+    # atlases win with the same errors, and their aligned poses come out
+    # reflected
+    rng = np.random.default_rng(67)
+    lib = make_library(rng, 40)
+    query = random_pose_points(rng, NUM_LANDMARKS)
+    normal = rng.normal(size=3)
+    normal /= np.linalg.norm(normal)
+    offset = 7.5
+
+    def mirror(points):
+        return points - 2.0 * (points @ normal - offset)[..., None] * normal
+
+    mirrored_lib = PoseLibrary(lib.ids, [Pose(mirror(p.xyz_mm)) for p in lib.poses], lib.sources)
+    valid = np.ones(16, dtype=bool)
+    base = retrieve_support(query, valid, lib, k=10)
+    flipped = retrieve_support(mirror(query), valid, mirrored_lib, k=10)
+    assert flipped.ids() == base.ids()
+    np.testing.assert_allclose(flipped.errors_mm, base.errors_mm, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(flipped.aligned_mm, mirror(base.aligned_mm), rtol=0, atol=1e-9)
 
 
 def test_retrieval_declined_below_four_valid_subset_landmarks():

@@ -144,7 +144,7 @@ def test_snapshot_traces_written(tmp_path):
     rng = np.random.default_rng(8)
     g = detector()
     lib = library(rng)
-    cfg = RefineConfig(iterations=2, confidence_floor=0.0, snapshot_each_iter=True)
+    cfg = RefineConfig(iterations=2, confidence_floor=0.0)  # out_dir alone asks for snapshots
     cases = [("case_x", volume(rng), np.ones(3))]
     refine_batch(g, cases, lib, CFG, cfg, out_dir=tmp_path)
     assert (tmp_path / "case_x_trace.json").exists()
