@@ -24,8 +24,8 @@ from volpose import fileio
 from volpose.anatomy import LANDMARKS, REGISTRATION_SUBSET
 from volpose.config import RunConfig, digest_files
 from volpose.graph import GraphError, select_checkpoints
-from volpose.heatmap import DecodedPose, HeatmapError, check_window
-from volpose.metrics import build_report, write_report
+from volpose.heatmap import CONFIDENCE_FLOOR, WINDOW, DecodedPose, HeatmapError, check_window
+from volpose.metrics import GRID_MAX_MM, GRID_STEP_MM, build_report, threshold_grid, write_report
 from volpose.model import (
     DetectorConfig,
     TrainConfig,
@@ -221,7 +221,9 @@ def cmd_train(args) -> int:
     graph = build_detector(det_cfg, seed=args.model_seed)
     if args.gcp != "off":
         # the policy checks --every-k itself; ask it before anything is written
-        _configured(select_checkpoints, graph=graph, policy=args.gcp, k=args.every_k)
+        graph.set_checkpoints(
+            _configured(select_checkpoints, graph=graph, policy=args.gcp, k=args.every_k)
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = train(
@@ -229,8 +231,6 @@ def cmd_train(args) -> int:
         dataset,
         train_cfg,
         det_cfg,
-        ckpt_policy=args.gcp,
-        every_k=args.every_k,
         out_dir=out / "epochs" if args.save_epochs else None,
         save_note=run_cfg.note(),
     )
@@ -340,13 +340,13 @@ def cmd_refine(args) -> int:
         k_support=args.k,
         window=args.window,
         confidence_floor=args.floor,
-        snapshot_each_iter=args.snapshot_each_iter,
     )
     volumes, volume_ids, volume_paths = _input_volumes(args)
     run_cfg = RunConfig(
         "refine",
         {
             "refine": refine_cfg.to_dict(),
+            "snapshot_each_iter": args.snapshot_each_iter,
             "detector": det_cfg.to_dict(),
         },
         inputs={
@@ -364,7 +364,7 @@ def cmd_refine(args) -> int:
         cases.append((case_id, volume, spacing))
     results, summary = refine_batch(
         graph, cases, library, det_cfg, refine_cfg,
-        out_dir=out if refine_cfg.snapshot_each_iter else None,
+        out_dir=out if args.snapshot_each_iter else None,
         stamp=run_cfg.note(),
     )
     for case_id, res in results.items():
@@ -419,7 +419,7 @@ def cmd_eval(args) -> int:
     common = sorted(set(preds) & set(gts))
     if not common:
         raise UsageError("no case ids shared between prediction and ground-truth dirs")
-    thresholds = np.arange(0.0, args.grid_max + 1e-9, args.grid_step)
+    thresholds = threshold_grid(args.grid_max, args.grid_step)
     run_cfg = RunConfig(
         "eval",
         {"grid_max": args.grid_max, "grid_step": args.grid_step},
@@ -481,13 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n-train", type=int, default=50)
     g.add_argument("--n-test", type=int, default=10)
     g.add_argument("--seed", type=int, default=7)
-    g.add_argument("--size", type=int, default=64)
-    g.add_argument("--spacing", type=float, default=1.0)
-    g.add_argument("--left-offset", type=float, default=0.0,
+    g.add_argument("--size", type=int, default=PhantomSpec.shape[0])
+    g.add_argument("--spacing", type=float, default=PhantomSpec.spacing_mm)
+    g.add_argument("--left-offset", type=float, default=PhantomSpec.left_intensity_offset,
                    help="left-limb intensity offset; 0 is the hardest symmetry")
-    g.add_argument("--noise-mult", type=float, default=0.08)
-    g.add_argument("--noise-add", type=float, default=0.02)
-    g.add_argument("--shadow-prob", type=float, default=0.08)
+    g.add_argument("--noise-mult", type=float, default=PhantomSpec.noise_multiplicative)
+    g.add_argument("--noise-add", type=float, default=PhantomSpec.noise_additive)
+    g.add_argument("--shadow-prob", type=float, default=PhantomSpec.shadow_probability)
     g.set_defaults(func=cmd_phantom_gen)
 
     b = sub.add_parser("build-library", help="collect poses into a library file")
@@ -499,17 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the landmark detector")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--epochs", type=int, default=20)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--beta1", type=float, default=0.5)
-    t.add_argument("--batch-size", type=int, default=1)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    t.add_argument("--lr", type=float, default=TrainConfig.lr)
+    t.add_argument("--beta1", type=float, default=TrainConfig.beta1)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
     t.add_argument("--model-seed", type=int, default=0)
-    t.add_argument("--depth", type=int, default=3)
-    t.add_argument("--base-channels", type=int, default=8)
-    t.add_argument("--convs-per-block", type=int, default=2)
-    t.add_argument("--input-scale", type=float, default=0.5)
-    t.add_argument("--sigma", type=float, default=2.0)
+    t.add_argument("--depth", type=int, default=DetectorConfig.depth)
+    t.add_argument("--base-channels", type=int, default=DetectorConfig.base_channels)
+    t.add_argument("--convs-per-block", type=int, default=DetectorConfig.convs_per_block)
+    t.add_argument("--input-scale", type=float, default=DetectorConfig.input_scale)
+    t.add_argument("--sigma", type=float, default=DetectorConfig.sigma_vox)
     t.add_argument("--gcp", choices=("off", "block_boundary", "every_k"), default="off")
     t.add_argument("--every-k", type=int, default=8)
     t.add_argument("--augment", choices=("none", "flips", "flips-rotations"),
@@ -525,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--split", default="test")
     i.add_argument("--volumes", nargs="*")
     i.add_argument("--out", required=True)
-    i.add_argument("--window", type=int, default=5)
-    i.add_argument("--floor", type=float, default=0.1)
+    i.add_argument("--window", type=int, default=WINDOW)
+    i.add_argument("--floor", type=float, default=CONFIDENCE_FLOOR)
     i.add_argument("--dump-heatmaps", action="store_true")
     i.set_defaults(func=cmd_infer)
 
@@ -537,11 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--volumes", nargs="*")
     r.add_argument("--library", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--iterations", type=int, default=6)
-    r.add_argument("--lr", type=float, default=5e-4)
-    r.add_argument("--k", type=int, default=10)
-    r.add_argument("--window", type=int, default=5)
-    r.add_argument("--floor", type=float, default=0.1)
+    r.add_argument("--iterations", type=int, default=RefineConfig.iterations)
+    r.add_argument("--lr", type=float, default=RefineConfig.lr)
+    r.add_argument("--k", type=int, default=RefineConfig.k_support)
+    r.add_argument("--window", type=int, default=RefineConfig.window)
+    r.add_argument("--floor", type=float, default=RefineConfig.confidence_floor)
     r.add_argument("--snapshot-each-iter", action="store_true")
     r.set_defaults(func=cmd_refine)
 
@@ -549,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--pred", required=True)
     e.add_argument("--gt", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--grid-max", type=float, default=30.0)
-    e.add_argument("--grid-step", type=float, default=0.5)
+    e.add_argument("--grid-max", type=float, default=GRID_MAX_MM)
+    e.add_argument("--grid-step", type=float, default=GRID_STEP_MM)
     e.set_defaults(func=cmd_eval)
 
     lm = sub.add_parser("landmarks", help="print the canonical landmark table")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-CONFIG_VERSION = 2
+CONFIG_VERSION = 3
 
 
 def digest_files(paths: Iterable[str | Path]) -> str:

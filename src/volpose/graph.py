@@ -151,10 +151,10 @@ OP_TABLE: dict[str, Op] = {
     ),
     "batch_norm": Op(
         lambda n, x: ops.batch_norm_forward(
-            x[0], n.params["gamma"], n.params["beta"], n.attrs.get("eps", 1e-5)
+            x[0], n.params["gamma"], n.params["beta"], n.attrs.get("eps", ops.BN_EPS)
         ),
         lambda n, x, g, want: _with_params(
-            ops.batch_norm_backward(x[0], n.params["gamma"], g, n.attrs.get("eps", 1e-5)),
+            ops.batch_norm_backward(x[0], n.params["gamma"], g, n.attrs.get("eps", ops.BN_EPS)),
             "gamma",
             "beta",
         ),
@@ -196,7 +196,6 @@ class Schedule:
     * ``retained``: values a discarding forward keeps (every needed value
       when not discarding);
     * ``forward_frees[k]``: values freed right after forward step ``k``;
-    * ``segments``: maximal runs of consecutive non-retained needed nodes;
     * ``backward``: one ``(node, recompute, frees)`` per backward step, in
       reverse order: the discarded values to recompute before the step, and
       the values no later step reads.
@@ -209,7 +208,6 @@ class Schedule:
     requires_grad: set[int]
     retained: set[int]
     forward_frees: list[list[int]]
-    segments: list[list[int]]
     backward: list[tuple[int, list[int], list[int]]]
     error: str | None
 
@@ -252,6 +250,7 @@ class Schedule:
                     freed.append(i)
             forward_frees.append(freed)
 
+        # segments: maximal runs of consecutive non-retained needed nodes
         segments: list[list[int]] = []
         seg_of: dict[int, int] = {}
         for k, nid in enumerate(need):
@@ -289,7 +288,7 @@ class Schedule:
             freed = [i for i in dict.fromkeys(inputs + [nid]) if left[i] == 0 and i in alive]
             alive.difference_update(freed)
             backward.append((nid, recompute, freed))
-        return cls(target, need, requires_grad, retained, forward_frees, segments, backward, error)
+        return cls(target, need, requires_grad, retained, forward_frees, backward, error)
 
     def check(self) -> None:
         if self.error is not None:
@@ -505,12 +504,7 @@ class Graph:
 # checkpoint selection policies
 # ---------------------------------------------------------------------------
 
-def select_checkpoints(
-    graph: Graph,
-    policy: str,
-    k: int | None = None,
-    manual: list[int] | None = None,
-) -> set[int]:
+def select_checkpoints(graph: Graph, policy: str, k: int | None = None) -> set[int]:
     """Choose the retained-node set for a discarding forward pass.
 
     Policies:
@@ -518,19 +512,13 @@ def select_checkpoints(
         builder, minus any node that directly feeds a channel_concat (those
         stay live through the runtime's skip-connection pinning instead).
       * ``every_k``: every k-th node id, plus inputs and loss.
-      * ``manual``: a caller-provided id list, validated.
+
+    Any other set goes through ``Graph.set_checkpoints``, which checks its ids.
     """
     n = len(graph.nodes)
     implicit = set(graph.inputs.values())
     if graph.loss_id is not None:
         implicit.add(graph.loss_id)
-    if policy == "manual":
-        if manual is None:
-            raise GraphError("manual policy requires a node id list")
-        bad = [i for i in manual if not (0 <= i < n)]
-        if bad:
-            raise GraphError(f"manual checkpoint list references unknown node ids {bad}")
-        return set(manual) | implicit
     if policy == "every_k":
         if not k or k < 1:
             raise GraphError("every_k policy requires k >= 1")

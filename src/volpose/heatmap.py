@@ -22,6 +22,8 @@ import numpy as np
 from volpose.anatomy import NUM_LANDMARKS
 
 TRUNCATION = 1e-4
+WINDOW = 5                  # centroid window, voxels per side
+CONFIDENCE_FLOOR = 0.1      # a peak below it leaves its landmark invalid
 
 
 class HeatmapError(ValueError):
@@ -123,8 +125,8 @@ def check_window(window: int) -> None:
 
 def decode_voxels(
     stack: np.ndarray,
-    window: int = 5,
-    confidence_floor: float = 0.1,
+    window: int = WINDOW,
+    confidence_floor: float = CONFIDENCE_FLOOR,
 ) -> DecodedPose:
     """Peak extraction in voxel coordinates (x, y, z), spacing-agnostic."""
     check_window(window)
@@ -166,8 +168,8 @@ def decode_voxels(
 def decode(
     stack: np.ndarray,
     spacing,
-    window: int = 5,
-    confidence_floor: float = 0.1,
+    window: int = WINDOW,
+    confidence_floor: float = CONFIDENCE_FLOOR,
 ) -> DecodedPose:
     """Decode to mm: voxel peak coordinates scaled by the voxel spacing."""
     s = _as_spacing(spacing)

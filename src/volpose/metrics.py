@@ -28,7 +28,16 @@ class MetricsError(ValueError):
     pass
 
 
-DEFAULT_THRESHOLDS = np.arange(0.0, 30.0 + 1e-9, 0.5)
+GRID_MAX_MM = 30.0
+GRID_STEP_MM = 0.5
+
+
+def threshold_grid(grid_max: float = GRID_MAX_MM, step: float = GRID_STEP_MM) -> np.ndarray:
+    """PCK thresholds from 0 to ``grid_max`` mm inclusive, ``step`` mm apart."""
+    return np.arange(0.0, grid_max + 1e-9, step)
+
+
+DEFAULT_THRESHOLDS = threshold_grid()
 
 
 def euclidean(pred: Pose, gt: Pose) -> np.ndarray:

@@ -28,15 +28,16 @@ coordinates map back to original-frame mm exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from volpose import heatmap
+from volpose import heatmap, ops
 from volpose.anatomy import NUM_LANDMARKS
-from volpose.graph import Graph, GraphError, select_checkpoints
-from volpose.optim import Adam
+from volpose.graph import Graph, GraphError
+from volpose.optim import BETA1, BETA2, EPS, Adam
 from volpose.registration import Pose
 from volpose.serialize import save_model
 
@@ -48,9 +49,6 @@ class DetectorConfig:
     convs_per_block: int = 2
     input_scale: float = 0.5
     sigma_vox: float = 2.0
-    in_channels: int = 1
-    bn_eps: float = 1e-5
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.depth < 1:
@@ -67,18 +65,22 @@ class DetectorConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "DetectorConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(DetectorConfig)})
+        if unknown:
+            raise GraphError(f"detector config has unknown keys {unknown}")
         return DetectorConfig(**d)
 
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.5          # Adam moment term
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: float = BETA1
     batch_size: int = 1
     epochs: int = 20
     seed: int = 0
+    # Adam's own defaults, not settings: training leaves them to the optimizer
+    beta2: ClassVar[float] = BETA2
+    eps: ClassVar[float] = EPS
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -109,7 +111,7 @@ def build_detector(cfg: DetectorConfig, seed: int = 0) -> Graph:
     depend on the scale.
     """
     rng = np.random.default_rng(seed)
-    g = Graph(np.dtype(cfg.dtype))
+    g = Graph()
     x = g.add_input("volume")
 
     def he(cout, cin, k):
@@ -127,7 +129,7 @@ def build_detector(cfg: DetectorConfig, seed: int = 0) -> Graph:
             "batch_norm",
             [c],
             params={"gamma": np.ones(cout, dtype=g.dtype), "beta": np.zeros(cout, dtype=g.dtype)},
-            attrs={"eps": cfg.bn_eps, "tag": f"{tag}.bn"},
+            attrs={"eps": ops.BN_EPS, "tag": f"{tag}.bn"},
         )
         attrs = {"tag": f"{tag}.relu"}
         if block_output:
@@ -146,7 +148,7 @@ def build_detector(cfg: DetectorConfig, seed: int = 0) -> Graph:
     chans = [cfg.base_channels * 2**i for i in range(cfg.depth + 1)]
     skips = []
     h = x
-    cin = cfg.in_channels
+    cin = 1  # prepare_volume makes one channel
     for level in range(cfg.depth):
         h = block(h, cin, chans[level], f"enc{level}")
         skips.append(h)
@@ -308,7 +310,10 @@ def infer(graph: Graph, volume: np.ndarray, spacing, cfg: DetectorConfig) -> tup
 
 
 def decode_prediction(
-    stack: np.ndarray, frame: NetFrame, window: int = 5, confidence_floor: float = 0.1
+    stack: np.ndarray,
+    frame: NetFrame,
+    window: int = heatmap.WINDOW,
+    confidence_floor: float = heatmap.CONFIDENCE_FLOOR,
 ) -> heatmap.DecodedPose:
     """Decode network-frame heatmaps into original-frame mm coordinates."""
     dec = heatmap.decode_voxels(stack, window=window, confidence_floor=confidence_floor)
@@ -318,7 +323,7 @@ def decode_prediction(
 
 def predict_pose(
     graph: Graph, volume: np.ndarray, spacing, cfg: DetectorConfig,
-    window: int = 5, confidence_floor: float = 0.1,
+    window: int = heatmap.WINDOW, confidence_floor: float = heatmap.CONFIDENCE_FLOOR,
 ) -> heatmap.DecodedPose:
     stack, frame = infer(graph, volume, spacing, cfg)
     return decode_prediction(stack, frame, window, confidence_floor)
@@ -356,30 +361,21 @@ def train(
     dataset: list[tuple[np.ndarray, Pose, np.ndarray]],
     train_cfg: TrainConfig,
     detector_cfg: DetectorConfig,
-    ckpt_policy: str = "off",
-    every_k: int = 8,
     out_dir: str | Path | None = None,
     save_note: dict | None = None,
 ) -> TrainResult:
     """Optimize the detector on (volume, pose, spacing) cases.
 
-    ``ckpt_policy``: 'off' (no checkpointing), 'block_boundary', or 'every_k'.
+    A graph with a checkpoint set trains with a discarding forward and
+    segment recompute, which gives the plain gradients bit for bit.
     Per-epoch parameter checkpoints land in ``out_dir`` when given. The loss
     curve records every step; training aborts on a non-finite loss.
     """
     if not dataset:
         raise GraphError("training dataset is empty")
     prepared = _prepare_dataset(dataset, detector_cfg)
-    discard = ckpt_policy != "off"
-    if discard:
-        graph.set_checkpoints(select_checkpoints(graph, ckpt_policy, k=every_k))
-    adam = Adam(
-        graph.parameters(),
-        lr=train_cfg.lr,
-        beta1=train_cfg.beta1,
-        beta2=train_cfg.beta2,
-        eps=train_cfg.eps,
-    )
+    discard = bool(graph.checkpoint_set)
+    adam = Adam(graph.parameters(), lr=train_cfg.lr, beta1=train_cfg.beta1)
     rng = np.random.default_rng(train_cfg.seed)
     result = TrainResult()
     accum: dict[str, np.ndarray] | None = None

@@ -237,6 +237,8 @@ def max_pool3d_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 # batch_norm: per-channel spatial statistics (batch size 1)
 # ---------------------------------------------------------------------------
 
+BN_EPS = 1e-5
+
 def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel normalized input and inverse std over the spatial axes."""
     mean, var = x.mean(axis=(1, 2, 3)), x.var(axis=(1, 2, 3))
@@ -245,7 +247,7 @@ def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_norm_forward(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = BN_EPS
 ) -> np.ndarray:
     """Normalize each channel with the input's own spatial statistics."""
     c = x.shape[0]
@@ -256,7 +258,7 @@ def batch_norm_forward(
 
 
 def batch_norm_backward(
-    x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray, eps: float = 1e-5
+    x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray, eps: float = BN_EPS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, istd = _normalize(x, eps)
     ggamma = (grad_out * xhat).sum(axis=(1, 2, 3))

@@ -8,15 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.5     # the reference protocol's moment term
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     def __init__(
         self,
         params: dict[str, np.ndarray],
-        lr: float = 1e-3,
-        beta1: float = 0.5,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        lr: float,
+        beta1: float = BETA1,
+        beta2: float = BETA2,
+        eps: float = EPS,
     ):
         self.params = params
         self.lr = lr

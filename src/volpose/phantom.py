@@ -13,7 +13,7 @@ makes the symmetric landmarks progressively easier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +48,31 @@ _BASE_POSITIONS = {
     16: (-5.0, 14.0, -11.5), # r_ankle
 }
 
-# segment class -> intensity; radii live on PhantomSpec
+# segment class -> tube intensity, and tube radius in mm
 _CLASS_AMPS = {
     "torso": 0.95,
     "arm": 0.80,
     "leg": 0.85,
 }
+_CLASS_RADII_MM = {
+    "torso": 3.0,
+    "arm": 2.2,
+    "leg": 2.6,
+}
+_HEAD_RADIUS_MM = 5.5
+_JOINT_BUMP_SCALE = 1.35             # bump radius vs tube radius
+_JOINT_BUMP_AMP = 1.06               # uniform bump intensity
+
+# per-case jitter of the base figure and its placement
+_SCALE_RANGE = (0.92, 1.12)
+_SPINE_JITTER_DEG = 7.0
+_LIMB_JITTER_DEG = 11.0
+_LENGTH_JITTER = 0.1                 # relative
+_CENTER_JITTER_MM = 3.0
+_BOUNDS_MARGIN_MM = 2.0              # beyond the widest tube radius
+_MIN_JOINT_SEPARATION_MM = 4.0
+_MAX_REJECTIONS = 100
+_SHADOW_HALF_ANGLE_DEG = (10.0, 18.0)
 
 
 def _segment_class(a: int, b: int) -> str:
@@ -68,25 +87,10 @@ def _segment_class(a: int, b: int) -> str:
 class PhantomSpec:
     shape: tuple[int, int, int] = (64, 64, 64)      # (nz, ny, nx)
     spacing_mm: float = 1.0
-    scale_range: tuple[float, float] = (0.92, 1.12)
-    spine_jitter_deg: float = 7.0
-    limb_jitter_deg: float = 11.0
-    length_jitter: float = 0.1                       # relative
-    head_radius_mm: float = 5.5
-    torso_radius_mm: float = 3.0
-    arm_radius_mm: float = 2.2
-    leg_radius_mm: float = 2.6
-    joint_bump_scale: float = 1.35                   # bump radius vs tube radius
-    joint_bump_amp: float = 1.06                     # uniform bump intensity
     left_intensity_offset: float = 0.0               # 0 = hardest symmetry
     noise_multiplicative: float = 0.08
     noise_additive: float = 0.02
     shadow_probability: float = 0.08
-    shadow_half_angle_deg: tuple[float, float] = (10.0, 18.0)
-    center_jitter_mm: float = 3.0
-    bounds_margin_mm: float = 2.0
-    min_joint_separation_mm: float = 4.0
-    max_rejections: int = 100
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -95,11 +99,11 @@ class PhantomSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "PhantomSpec":
+        unknown = sorted(set(d) - {f.name for f in fields(PhantomSpec)})
+        if unknown:
+            raise PhantomError(f"phantom spec has unknown keys {unknown}")
         d = dict(d)
         d["shape"] = tuple(d["shape"])
-        for key in ("scale_range", "shadow_half_angle_deg"):
-            if key in d:
-                d[key] = tuple(d[key])
         return PhantomSpec(**d)
 
 
@@ -138,16 +142,16 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def _sample_skeleton(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
+def _sample_skeleton(rng: np.random.Generator) -> np.ndarray:
     """Jittered joint positions (16, 3) in the body frame, centered."""
     pos = {1: np.zeros(3)}
     for a, b in SEGMENTS:
         base_vec = np.asarray(_BASE_POSITIONS[b]) - np.asarray(_BASE_POSITIONS[a])
         length = np.linalg.norm(base_vec)
         cls = _segment_class(a, b)
-        cone = spec.spine_jitter_deg if cls == "torso" else spec.limb_jitter_deg
+        cone = _SPINE_JITTER_DEG if cls == "torso" else _LIMB_JITTER_DEG
         direction = _rotate_toward(rng, base_vec / length, cone)
-        length *= rng.uniform(1.0 - spec.length_jitter, 1.0 + spec.length_jitter)
+        length *= rng.uniform(1.0 - _LENGTH_JITTER, 1.0 + _LENGTH_JITTER)
         pos[b] = pos[a] + direction * length
     pts = np.stack([pos[j] for j in range(1, NUM_LANDMARKS + 1)])
     return pts - pts.mean(axis=0)
@@ -197,14 +201,6 @@ def render_tube(
     np.maximum(region, blob.astype(volume.dtype), out=region)
 
 
-def _class_radius(spec: PhantomSpec, cls: str) -> float:
-    return {
-        "torso": spec.torso_radius_mm,
-        "arm": spec.arm_radius_mm,
-        "leg": spec.leg_radius_mm,
-    }[cls]
-
-
 def _render_clean(spec: PhantomSpec, pose_mm: np.ndarray) -> np.ndarray:
     nz, ny, nx = spec.shape
     vol = np.zeros((nz, ny, nx), dtype=np.float32)
@@ -219,18 +215,18 @@ def _render_clean(spec: PhantomSpec, pose_mm: np.ndarray) -> np.ndarray:
         cls = _segment_class(a, b)
         amp = amp_for({a, b}, _CLASS_AMPS[cls])
         render_tube(
-            vol, pose_mm[a - 1], pose_mm[b - 1], _class_radius(spec, cls), amp, spec.spacing_mm
+            vol, pose_mm[a - 1], pose_mm[b - 1], _CLASS_RADII_MM[cls], amp, spec.spacing_mm
         )
     # joint bumps: spheres of one uniform intensity above every tube keep an
     # intensity ridge maximum exactly at each ground-truth landmark even
     # where bumps of different body parts sit close together
     for ld in LANDMARKS:
         if ld.index == 1:
-            radius = spec.head_radius_mm
+            radius = _HEAD_RADIUS_MM
         else:
             parent_edges = [(a, b) for a, b in SEGMENTS if b == ld.index or a == ld.index]
-            radius = _class_radius(spec, _segment_class(*parent_edges[0])) * spec.joint_bump_scale
-        amp = min(amp_for({ld.index}, spec.joint_bump_amp), 1.3)
+            radius = _CLASS_RADII_MM[_segment_class(*parent_edges[0])] * _JOINT_BUMP_SCALE
+        amp = min(amp_for({ld.index}, _JOINT_BUMP_AMP), 1.3)
         p = pose_mm[ld.index - 1]
         render_tube(vol, p, p, radius, amp, spec.spacing_mm)
     return vol
@@ -247,7 +243,7 @@ def _apply_shadow(spec: PhantomSpec, vol: np.ndarray, rng: np.random.Generator) 
     apex[face // 2] = 0.0 if face % 2 == 0 else [nx - 1, ny - 1, nz - 1][face // 2] * s
     normal[face // 2] = 1.0 if face % 2 == 0 else -1.0
     axis = _rotate_toward(rng, normal, 25.0)
-    half_angle = np.deg2rad(rng.uniform(*spec.shadow_half_angle_deg))
+    half_angle = np.deg2rad(rng.uniform(*_SHADOW_HALF_ANGLE_DEG))
     zs, ys, xs = np.meshgrid(
         np.arange(nz) * s, np.arange(ny) * s, np.arange(nx) * s, indexing="ij"
     )
@@ -269,25 +265,21 @@ def sample_case(spec: PhantomSpec, seed: int) -> PhantomCase:
     nz, ny, nx = spec.shape
     s = spec.spacing_mm
     extent_mm = np.array([(nx - 1) * s, (ny - 1) * s, (nz - 1) * s])
-    margin = spec.bounds_margin_mm + max(
-        spec.torso_radius_mm, spec.arm_radius_mm, spec.leg_radius_mm
-    )
+    margin = _BOUNDS_MARGIN_MM + max(_CLASS_RADII_MM.values())
 
     pose_mm = None
-    for attempt in range(spec.max_rejections):
-        pts = _sample_skeleton(spec, rng)
-        scale = rng.uniform(*spec.scale_range)
+    for attempt in range(_MAX_REJECTIONS):
+        pts = _sample_skeleton(rng)
+        scale = rng.uniform(*_SCALE_RANGE)
         rot = _random_rotation(rng)
-        center = extent_mm / 2 + rng.uniform(
-            -spec.center_jitter_mm, spec.center_jitter_mm, size=3
-        )
+        center = extent_mm / 2 + rng.uniform(-_CENTER_JITTER_MM, _CENTER_JITTER_MM, size=3)
         candidate = (pts * scale) @ rot.T + center
         diff = candidate[:, None, :] - candidate[None, :, :]
         pairwise = np.linalg.norm(diff, axis=-1) + np.eye(NUM_LANDMARKS) * 1e9
         if (
             np.all(candidate >= margin)
             and np.all(candidate <= extent_mm - margin)
-            and pairwise.min() >= spec.min_joint_separation_mm
+            and pairwise.min() >= _MIN_JOINT_SEPARATION_MM
         ):
             pose_mm = candidate
             provenance = {
@@ -300,7 +292,7 @@ def sample_case(spec: PhantomSpec, seed: int) -> PhantomCase:
     if pose_mm is None:
         raise PhantomError(
             f"could not place the skeleton inside {spec.shape} within "
-            f"{spec.max_rejections} rejection samples"
+            f"{_MAX_REJECTIONS} rejection samples"
         )
 
     vol = _render_clean(spec, pose_mm)
@@ -382,7 +374,6 @@ def make_dataset(
     cases_dir = out_dir / "cases"
     cases_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    names = set()
     for split, count, offset in (("train", n_train, 0), ("test", n_test, n_train)):
         for i in range(count):
             case_seed = seed + offset + i
@@ -390,9 +381,6 @@ def make_dataset(
             case = sample_case(spec, case_seed)
             vol_path = cases_dir / case_id
             pose_path = cases_dir / f"{case_id}_pose.json"
-            if case_id in names:
-                raise PhantomError(f"output path collision for '{case_id}'")
-            names.add(case_id)
             fileio.save_volume(vol_path, case.volume, case.spacing_mm, extra=stamp)
             fileio.save_pose(
                 pose_path, case.pose, spacing=np.repeat(case.spacing_mm, 3), extra=stamp

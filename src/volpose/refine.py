@@ -20,7 +20,7 @@ import numpy as np
 from volpose import fileio, ops
 from volpose.anatomy import NUM_LANDMARKS
 from volpose.graph import Graph, GraphError, NonFiniteValue
-from volpose.heatmap import DecodedPose, check_window
+from volpose.heatmap import CONFIDENCE_FLOOR, WINDOW, DecodedPose, check_window
 from volpose.model import DetectorConfig, decode_prediction, output_node, prepare_volume
 from volpose.optim import Adam
 from volpose.registration import (
@@ -37,12 +37,8 @@ class RefineConfig:
     iterations: int = 6
     lr: float = 5e-4
     k_support: int = 10
-    beta1: float = 0.5
-    beta2: float = 0.999
-    eps: float = 1e-8
-    window: int = 5
-    confidence_floor: float = 0.1
-    snapshot_each_iter: bool = False   # hashed into the run stamp; out_dir gates snapshots
+    window: int = WINDOW
+    confidence_floor: float = CONFIDENCE_FLOOR
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -106,9 +102,7 @@ def refine(
     graph = base_graph.clone()
     net_in, frame = prepare_volume(volume, spacing, detector_cfg)
     out_id = output_node(graph)
-    adam = Adam(
-        graph.parameters(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps
-    )
+    adam = Adam(graph.parameters(), lr=cfg.lr)
 
     zero_target = np.zeros((NUM_LANDMARKS,) + net_in.shape[1:], dtype=np.float32)
     graph.forward({"volume": net_in, "target": zero_target})

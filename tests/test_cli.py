@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from volpose.cli import main
+from volpose import heatmap, metrics
+from volpose.cli import build_parser, main
 from volpose.fileio import load_pose, load_volume
+from volpose.model import DetectorConfig, TrainConfig
+from volpose.phantom import PhantomSpec
+from volpose.refine import RefineConfig
 
 
 def digest(path: Path) -> str:
@@ -38,6 +43,49 @@ def model(tmp_path_factory, dataset):
     out = tmp_path_factory.mktemp("model")
     assert main(TRAIN_ARGS + ["--data", str(dataset), "--out", str(out)]) == 0
     return out / "model"
+
+
+REQUIRED_ARGS = {
+    "phantom-gen": ["--out", "o"],
+    "train": ["--data", "d", "--out", "o"],
+    "infer": ["--model", "m", "--out", "o"],
+    "refine": ["--model", "m", "--library", "l", "--out", "o"],
+    "eval": ["--pred", "p", "--gt", "g", "--out", "o"],
+}
+
+
+def declared_defaults(command: str) -> dict:
+    """Each option's default as the config class or library constant it
+    maps onto declares it, by argparse destination."""
+    spec, det, tc, rc = PhantomSpec(), DetectorConfig(), TrainConfig(), RefineConfig()
+    return {
+        "phantom-gen": {
+            "size": spec.shape[0], "spacing": spec.spacing_mm,
+            "left_offset": spec.left_intensity_offset,
+            "noise_mult": spec.noise_multiplicative, "noise_add": spec.noise_additive,
+            "shadow_prob": spec.shadow_probability,
+        },
+        "train": {
+            "epochs": tc.epochs, "lr": tc.lr, "beta1": tc.beta1,
+            "batch_size": tc.batch_size, "seed": tc.seed,
+            "depth": det.depth, "base_channels": det.base_channels,
+            "convs_per_block": det.convs_per_block, "input_scale": det.input_scale,
+            "sigma": det.sigma_vox,
+        },
+        "infer": {"window": heatmap.WINDOW, "floor": heatmap.CONFIDENCE_FLOOR},
+        "refine": {
+            "iterations": rc.iterations, "lr": rc.lr, "k": rc.k_support,
+            "window": rc.window, "floor": rc.confidence_floor,
+        },
+        "eval": {"grid_max": metrics.GRID_MAX_MM, "grid_step": metrics.GRID_STEP_MM},
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_cli_defaults_are_the_declared_ones(command):
+    args = build_parser().parse_args([command] + REQUIRED_ARGS[command])
+    expected = declared_defaults(command)
+    assert {dest: getattr(args, dest) for dest in expected} == expected
 
 
 def test_phantom_gen_counts_and_manifest(dataset):
@@ -118,6 +166,24 @@ def test_infer_even_window_exits_2(dataset, model, tmp_path, capsys):
     ])
     assert rc == 2
     assert "window must be an odd integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("bn_eps", 1e-5), ("padding_mode", "zeros")])
+def test_infer_unknown_detector_config_key_exits_1(dataset, model, tmp_path, capsys, key, value):
+    # a model directory whose detector config holds a key that no setting
+    # declares: one of a retired constant, or one never declared
+    copy = tmp_path / "model"
+    shutil.copytree(model, copy)
+    path = copy / "detector_config.json"
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "pred"
+    rc = main(["infer", "--model", str(copy), "--data", str(dataset), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ") and key in err
     assert not out.exists()
 
 

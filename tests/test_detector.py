@@ -209,11 +209,17 @@ def test_gcp_training_matches_plain_training_bitwise():
     cases = [random_case(rng, (8, 8, 8), margin=2.0) for _ in range(2)]
     finals = []
     curves = []
-    for policy in ("off", "block_boundary"):
+    peaks = []
+    for checkpointed in (False, True):
         g = build_detector(cfg, seed=16)
-        res = train(g, cases, TrainConfig(epochs=2, seed=2), cfg, ckpt_policy=policy)
+        if checkpointed:
+            g.set_checkpoints(select_checkpoints(g, "block_boundary"))
+        res = train(g, cases, TrainConfig(epochs=2, seed=2), cfg)
         curves.append([loss for _, _, loss in res.loss_curve])
         finals.append({k: v.copy() for k, v in g.parameters().items()})
+        peaks.append(g.meter.peak)
+    # the checkpoint set alone made training discard, and that changed no bit
+    assert peaks[1] < peaks[0]
     assert curves[0] == curves[1]
     for key in finals[0]:
         np.testing.assert_array_equal(finals[0][key], finals[1][key])

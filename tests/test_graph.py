@@ -244,11 +244,13 @@ def test_select_checkpoints_every_k_chain():
     assert a not in picked
 
 
-def test_select_checkpoints_manual_validates_ids():
+def test_set_checkpoints_validates_ids():
     g, _ = tiny_conv_graph()
-    with pytest.raises(GraphError, match="unknown node ids"):
-        select_checkpoints(g, "manual", manual=[999])
-    assert 2 in select_checkpoints(g, "manual", manual=[2])
+    with pytest.raises(GraphError, match="checkpoint id 999 not in graph"):
+        g.set_checkpoints({999})
+    assert g.checkpoint_set == set()
+    g.set_checkpoints({2})
+    assert g.checkpoint_set == {2}
 
 
 def test_sqrt_n_checkpoints_bound_peak_liveness():

@@ -8,9 +8,13 @@ from volpose.memplan import node_shapes, plan_memory
 from volpose.model import DetectorConfig, build_detector
 
 POLICIES = [
-    pytest.param("block_boundary", {}, id="block_boundary"),
-    *[pytest.param("every_k", {"k": k}, id=f"every_{k}") for k in (1, 2, 3, 5)],
-    pytest.param("manual", {"manual": []}, id="manual_empty"),
+    pytest.param(lambda g: select_checkpoints(g, "block_boundary"), id="block_boundary"),
+    *[
+        pytest.param(lambda g, k=k: select_checkpoints(g, "every_k", k=k), id=f"every_{k}")
+        for k in (1, 2, 3, 5)
+    ],
+    # inputs and loss only: the smallest set a discarding forward accepts
+    pytest.param(lambda g: set(g.inputs.values()) | {g.loss_id}, id="manual_empty"),
 ]
 
 
@@ -32,12 +36,12 @@ def measured_peaks(graph, shape, checkpoints):
 
 
 @pytest.mark.parametrize("depth", [2, 3])
-@pytest.mark.parametrize("policy, kw", POLICIES)
-def test_plan_matches_live_meter(depth, policy, kw):
+@pytest.mark.parametrize("choose", POLICIES)
+def test_plan_matches_live_meter(depth, choose):
     cfg = DetectorConfig(depth=depth, base_channels=4, input_scale=1.0)
     graph = build_detector(cfg, seed=depth - 1)
     shape = (16, 16, 16)
-    checkpoints = select_checkpoints(graph, policy, **kw)
+    checkpoints = choose(graph)
     plain, fwd, step = measured_peaks(graph, shape, checkpoints)
     plan = plan_memory(graph, {"volume": (1, *shape), "target": (16, *shape)})
     assert (plan.plain_step_peak, plan.forward_discard_peak, plan.checkpointed_step_peak) == (

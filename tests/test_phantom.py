@@ -196,3 +196,10 @@ def test_dataset_regenerates_bit_identical(tmp_path):
 def test_spec_round_trips_through_dict():
     spec = PhantomSpec(shape=(48, 48, 48), left_intensity_offset=0.25)
     assert PhantomSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_spec_from_dict_names_unknown_keys():
+    # a manifest written before the generator's constants left the spec
+    doc = {**PhantomSpec().to_dict(), "arm_radius_mm": 2.2, "max_rejections": 100}
+    with pytest.raises(PhantomError, match=r"\['arm_radius_mm', 'max_rejections'\]"):
+        PhantomSpec.from_dict(doc)
