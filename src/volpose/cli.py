@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ def _load_manifest_cases(data_dir: Path, split: str) -> list[dict]:
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"dataset manifest not found: {manifest_path}")
-    manifest = fileio.load_manifest(manifest_path)
+    manifest = json.loads(manifest_path.read_text())
     cases = [c for c in manifest["cases"] if c["split"] == split]
     if not cases:
         raise UsageError(f"manifest has no '{split}' cases")
@@ -84,7 +85,7 @@ def _configured(make, **fields):
     the validation rejects is a usage error."""
     try:
         return make(**fields)
-    except (GraphError, HeatmapError) as e:
+    except (GraphError, HeatmapError, PhantomError) as e:
         raise UsageError(str(e)) from e
 
 
@@ -107,7 +108,8 @@ def cmd_phantom_gen(args) -> int:
         raise UsageError(
             f"--n-train and --n-test must be >= 1, got {args.n_train} and {args.n_test}"
         )
-    spec = PhantomSpec(
+    spec = _configured(
+        PhantomSpec,
         shape=(args.size, args.size, args.size),
         spacing_mm=args.spacing,
         left_intensity_offset=args.left_offset,
@@ -126,7 +128,7 @@ def cmd_phantom_gen(args) -> int:
     )
     out = Path(args.out)
     manifest = make_dataset(
-        spec, args.n_train, args.n_test, out, seed=args.seed, stamp=cfg.note()
+        spec, args.n_train, args.n_test, out, seed=args.seed, stamp=cfg.stamp()
     )
     cfg.save(out / "run_config.json")
     log.info("wrote %d cases under %s", len(manifest["cases"]), out)
@@ -152,8 +154,7 @@ def cmd_build_library(args) -> int:
         ids.append(case["id"])
         poses.append(pose)
         sources.append(args.split)
-    library = PoseLibrary(ids, poses, sources)
-    library.save(args.out, stamp=cfg.note())
+    fileio.save_library(args.out, PoseLibrary(ids, poses, sources), stamp=cfg.stamp())
     log.info("library of %d poses -> %s", len(ids), args.out)
     return 0
 
@@ -232,18 +233,18 @@ def cmd_train(args) -> int:
         train_cfg,
         det_cfg,
         out_dir=out / "epochs" if args.save_epochs else None,
-        save_note=run_cfg.note(),
+        stamp=run_cfg.stamp(),
     )
     save_model(
         out / "model",
         graph,
         extras={
             "detector_config.json": det_cfg.to_dict(),
-            "train_config.json": {**train_cfg.to_dict(), **run_cfg.note()},
+            "train_config.json": {**train_cfg.to_dict(), **run_cfg.stamp()},
         },
-        note=run_cfg.note(),
+        stamp=run_cfg.stamp(),
     )
-    write_loss_curve(out / "loss_curve.csv", result, header_comment=json.dumps(run_cfg.note(), sort_keys=True))
+    write_loss_curve(out / "loss_curve.csv", result, stamp=run_cfg.stamp())
     run_cfg.save(out / "run_config.json")
     log.info(
         "trained %d epochs on %d cases; final epoch mean loss %.3e",
@@ -303,10 +304,8 @@ def cmd_infer(args) -> int:
             out / f"{case_id}_pose.json",
             _decoded_to_pose(dec),
             spacing=spacing,
-            extra={
-                **run_cfg.note(),
-                "confidence": [float(v) for v in dec.confidence],
-            },
+            stamp=run_cfg.stamp(),
+            confidence=dec.confidence,
         )
         if args.dump_heatmaps:
             for j in range(stack.shape[0]):
@@ -314,7 +313,7 @@ def cmd_infer(args) -> int:
                     out / f"{case_id}_ch{j:02d}",
                     stack[j],
                     frame.net_spacing,
-                    extra=run_cfg.note(),
+                    stamp=run_cfg.stamp(),
                 )
         log.info("inferred %s", case_id)
     run_cfg.save(out / "run_config.json")
@@ -330,7 +329,7 @@ def cmd_refine(args) -> int:
     graph, det_cfg = _load_detector(model_dir)
     if not Path(args.library).exists():
         raise UsageError(f"pose library not found: {args.library}")
-    library = PoseLibrary.load(args.library)
+    library = fileio.load_library(args.library)
     if args.k > len(library):
         raise UsageError(f"--k {args.k} exceeds library size {len(library)}")
     refine_cfg = _configured(
@@ -365,28 +364,19 @@ def cmd_refine(args) -> int:
     results, summary = refine_batch(
         graph, cases, library, det_cfg, refine_cfg,
         out_dir=out if args.snapshot_each_iter else None,
-        stamp=run_cfg.note(),
+        stamp=run_cfg.stamp(),
     )
     for case_id, res in results.items():
         fileio.save_pose(
             out / f"{case_id}_pose.json",
             _decoded_to_pose(res.pose),
-            extra={
-                **run_cfg.note(),
-                "declined": res.declined,
-                "aborted": res.aborted,
-                "note": res.note,
-                "confidence": [float(v) for v in res.pose.confidence],
-            },
+            stamp=run_cfg.stamp(),
+            declined=res.declined,
+            aborted=res.aborted,
+            note=res.note,
+            confidence=res.pose.confidence,
         )
-    summary_doc = {
-        **run_cfg.note(),
-        "n_cases": summary.n_cases,
-        "n_declined": summary.n_declined,
-        "n_aborted": summary.n_aborted,
-        "mean_final_proxy_loss": summary.mean_final_proxy_loss,
-    }
-    (out / "refine_summary.json").write_text(json.dumps(summary_doc, sort_keys=True, indent=1))
+    fileio.write_json(out / "refine_summary.json", asdict(summary), run_cfg.stamp())
     run_cfg.save(out / "run_config.json")
     log.info("refined %d cases (%d declined)", summary.n_cases, summary.n_declined)
     return 0
@@ -440,7 +430,7 @@ def cmd_eval(args) -> int:
         {cid: gts[cid][0] for cid in common},
         thresholds,
     )
-    write_report(report, args.out, config_note=run_cfg.note())
+    write_report(report, args.out, stamp=run_cfg.stamp())
     run_cfg.save(Path(args.out) / "run_config.json")
     log.info(
         "evaluated %d cases: mean %.3f mm, AUC %.2f%%, coverage %.3f",

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from volpose.fileio import write_json
+
 CONFIG_VERSION = 3
 
 
@@ -60,7 +62,7 @@ class RunConfig:
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
-    def note(self) -> dict:
+    def stamp(self) -> dict:
         """The stamp embedded into every artifact."""
         return {"config_version": self.version, "config_hash": self.hash()}
 
@@ -73,4 +75,4 @@ class RunConfig:
             "paths": self.paths,
             "hash": self.hash(),
         }
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
+        write_json(path, doc)

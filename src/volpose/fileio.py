@@ -1,47 +1,74 @@
-"""File formats: raw volumes with JSON sidecars, pose JSON, dataset manifests.
+"""File formats: every JSON and CSV artifact, raw volumes, poses, libraries.
+
+Text artifacts go through ``write_json`` and ``write_csv`` and nothing else:
+JSON has sorted keys and a one-space indent, with the run stamp
+(``config_version``, ``config_hash``) merged in at the top level; a CSV
+starts with a ``# {stamp}`` line, then its rows.
 
 Volume format: raw little-endian float32, x-fastest order (exactly the bytes
 of a C-order (z, y, x) array), with a sidecar ``<stem>.json`` holding
 ``{dims: [nx, ny, nz], spacing_mm: [sx, sy, sz], dtype, version}``.
-Pose format: JSON with 16 named landmarks in mm and validity flags.
+Pose format: JSON with 16 named landmarks in mm and validity flags. A pose
+library holds one such landmark record per pose, flagged ``present``.
 All writers are pure functions of their inputs; nothing embeds timestamps.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
 from volpose.anatomy import NUM_LANDMARKS, landmark_names
-from volpose.registration import Pose
+from volpose.registration import Pose, PoseLibrary
 
 VOLUME_FORMAT_VERSION = 1
 POSE_FORMAT_VERSION = 1
+LIBRARY_FORMAT_VERSION = 1
 
 
 class FileFormatError(ValueError):
     pass
 
 
-def save_volume(path: str | Path, volume: np.ndarray, spacing, extra: dict | None = None) -> None:
+def _plain(value):
+    """numpy scalars and arrays as plain numbers and lists; nothing else."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def write_json(path: str | Path, doc: dict, stamp: dict | None = None) -> None:
+    """Write ``doc`` with the stamp merged in at the top level."""
+    text = json.dumps({**(stamp or {}), **doc}, sort_keys=True, indent=1, default=_plain)
+    Path(path).write_text(text)
+
+
+def write_csv(path: str | Path, rows, stamp: dict | None = None) -> None:
+    """Write a ``# {stamp}`` line (when stamped), then the rows."""
+    with open(path, "w", newline="") as f:
+        if stamp:
+            f.write(f"# {json.dumps(stamp, sort_keys=True)}\n")
+        csv.writer(f).writerows(rows)
+
+
+def save_volume(path: str | Path, volume: np.ndarray, spacing, stamp: dict | None = None) -> None:
     """Write <path>.raw plus <path>.json; volume is (z, y, x) float32."""
     path = Path(path)
     if volume.ndim != 3:
         raise FileFormatError(f"volume must be 3-D (z, y, x), got shape {volume.shape}")
-    s = np.broadcast_to(np.asarray(spacing, dtype=np.float64), (3,))
     arr = np.ascontiguousarray(volume, dtype="<f4")
     path.with_suffix(".raw").write_bytes(arr.tobytes())
     nz, ny, nx = volume.shape
     header = {
         "version": VOLUME_FORMAT_VERSION,
         "dims": [nx, ny, nz],
-        "spacing_mm": [float(v) for v in s],
+        "spacing_mm": np.broadcast_to(np.asarray(spacing, dtype=np.float64), (3,)),
         "dtype": "float32",
     }
-    header.update(extra or {})
-    path.with_suffix(".json").write_text(json.dumps(header, sort_keys=True, indent=1))
+    write_json(path.with_suffix(".json"), header, stamp)
 
 
 def load_volume(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -62,45 +89,65 @@ def load_volume(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return raw.reshape(nz, ny, nx).copy(), spacing
 
 
+def _landmark_records(pose: Pose, flag: str) -> list[dict]:
+    """One record per landmark; ``flag`` names the presence key."""
+    return [
+        {"index": j + 1, "name": name, "xyz_mm": pose.xyz_mm[j], flag: pose.present[j]}
+        for j, name in enumerate(landmark_names())
+    ]
+
+
+def _read_landmarks(records: list[dict], flag: str) -> Pose:
+    xyz = np.zeros((NUM_LANDMARKS, 3))
+    present = np.zeros(NUM_LANDMARKS, dtype=bool)
+    for lm in records:
+        j = lm["index"] - 1
+        xyz[j] = lm["xyz_mm"]
+        present[j] = lm[flag]
+    return Pose(xyz, present)
+
+
 def save_pose(
     path: str | Path,
     pose: Pose,
     spacing=None,
-    extra: dict | None = None,
+    stamp: dict | None = None,
+    **fields,
 ) -> None:
+    """Write one pose; ``fields`` (e.g. per-landmark confidence) join the
+    top level next to the stamp."""
     doc = {
         "version": POSE_FORMAT_VERSION,
-        "spacing_mm": None if spacing is None else [float(v) for v in np.broadcast_to(spacing, (3,))],
-        "landmarks": [
-            {
-                "index": j + 1,
-                "name": landmark_names()[j],
-                "xyz_mm": [float(v) for v in pose.xyz_mm[j]],
-                "valid": bool(pose.present[j]),
-            }
-            for j in range(NUM_LANDMARKS)
-        ],
+        "spacing_mm": None if spacing is None else np.broadcast_to(
+            np.asarray(spacing, dtype=np.float64), (3,)
+        ),
+        "landmarks": _landmark_records(pose, "valid"),
+        **fields,
     }
-    doc.update(extra or {})
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
+    write_json(path, doc, stamp)
 
 
 def load_pose(path: str | Path) -> tuple[Pose, dict]:
     doc = json.loads(Path(path).read_text())
     if doc.get("version") != POSE_FORMAT_VERSION:
         raise FileFormatError(f"unsupported pose format version {doc.get('version')}")
-    xyz = np.zeros((NUM_LANDMARKS, 3))
-    present = np.zeros(NUM_LANDMARKS, dtype=bool)
-    for lm in doc["landmarks"]:
-        j = lm["index"] - 1
-        xyz[j] = lm["xyz_mm"]
-        present[j] = lm["valid"]
-    return Pose(xyz, present), doc
+    return _read_landmarks(doc["landmarks"], "valid"), doc
 
 
-def save_manifest(path: str | Path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=1))
+def save_library(path: str | Path, library: PoseLibrary, stamp: dict | None = None) -> None:
+    records = [
+        {"id": pid, "source": src, "landmarks": _landmark_records(pose, "present")}
+        for pid, pose, src in zip(library.ids, library.poses, library.sources)
+    ]
+    write_json(path, {"version": LIBRARY_FORMAT_VERSION, "poses": records}, stamp)
 
 
-def load_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+def load_library(path: str | Path) -> PoseLibrary:
+    doc = json.loads(Path(path).read_text())
+    if doc.get("version") != LIBRARY_FORMAT_VERSION:
+        raise FileFormatError(f"unsupported library format version {doc.get('version')}")
+    return PoseLibrary(
+        [rec["id"] for rec in doc["poses"]],
+        [_read_landmarks(rec["landmarks"], "present") for rec in doc["poses"]],
+        [rec.get("source", "") for rec in doc["poses"]],
+    )

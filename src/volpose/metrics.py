@@ -12,8 +12,6 @@ recorded in every report.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from volpose.anatomy import NUM_LANDMARKS, SEGMENTS, landmark_names
+from volpose.fileio import write_csv, write_json
 from volpose.registration import Pose
 
 
@@ -133,7 +132,7 @@ def build_report(
     per_auc = np.array(
         [auc(curve["per_landmark"][:, j], thresholds) for j in range(rows.shape[1])]
     )
-    seg = {i: [float(v) for v in segment_lengths(preds[i])] for i in ids}
+    seg = {i: segment_lengths(preds[i]).tolist() for i in ids}
     return EvalReport(
         per_landmark_mean_mm=per_mean,
         per_landmark_auc=per_auc,
@@ -151,7 +150,7 @@ def _mm_or_null(v: float) -> float | None:
     return float(v) if np.isfinite(v) else None
 
 
-def write_report(report: EvalReport, out_dir: str | Path, config_note: dict | None = None) -> None:
+def write_report(report: EvalReport, out_dir: str | Path, stamp: dict | None = None) -> None:
     """Emit report.json plus the landmark-table and PCK-curve CSVs.
 
     Table CSVs carry one column per landmark (L1..L16) plus a mean column;
@@ -161,55 +160,42 @@ def write_report(report: EvalReport, out_dir: str | Path, config_note: dict | No
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    note = config_note or {}
     doc = {
-        **note,
         "case_count": report.case_count,
         "case_ids": report.case_ids,
         "mean_distance_mm": _mm_or_null(report.mean_mm),
         "mean_auc_percent": report.mean_auc,
         "coverage": report.coverage,
         "per_landmark_mean_mm": [_mm_or_null(v) for v in report.per_landmark_mean_mm],
-        "per_landmark_auc_percent": [float(v) for v in report.per_landmark_auc],
+        "per_landmark_auc_percent": report.per_landmark_auc,
         "landmark_names": landmark_names(),
-        "threshold_grid_mm": [float(v) for v in report.thresholds],
+        "threshold_grid_mm": report.thresholds,
         "segment_lengths_mm": {
             cid: [_mm_or_null(v) for v in lengths]
             for cid, lengths in report.segment_lengths_mm.items()
         },
     }
-    (out_dir / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
+    write_json(out_dir / "report.json", doc, stamp)
 
     header = [f"L{j}" for j in range(1, NUM_LANDMARKS + 1)] + ["mean"]
-    note_line = "# " + json.dumps(note, sort_keys=True) if note else None
-
-    with open(out_dir / "distance_table.csv", "w", newline="") as f:
-        if note_line:
-            f.write(note_line + "\n")
-        w = csv.writer(f)
-        w.writerow(["metric"] + header)
-        w.writerow(
+    tables = {
+        "distance_table.csv": [
+            ["metric"] + header,
             ["euclidean_mm"]
             + [f"{v:.4f}" for v in report.per_landmark_mean_mm]
-            + [f"{report.mean_mm:.4f}"]
-        )
-    with open(out_dir / "auc_table.csv", "w", newline="") as f:
-        if note_line:
-            f.write(note_line + "\n")
-        w = csv.writer(f)
-        w.writerow(["metric"] + header)
-        w.writerow(
+            + [f"{report.mean_mm:.4f}"],
+        ],
+        "auc_table.csv": [
+            ["metric"] + header,
             ["auc_percent"]
             + [f"{v:.4f}" for v in report.per_landmark_auc]
-            + [f"{report.mean_auc:.4f}"]
-        )
-    with open(out_dir / "pck_curve.csv", "w", newline="") as f:
-        if note_line:
-            f.write(note_line + "\n")
-        w = csv.writer(f)
-        w.writerow(["threshold_mm", "pooled"] + header[:-1])
-        for ti, thr in enumerate(report.thresholds):
-            w.writerow(
-                [f"{thr:.3f}", f"{report.pck['pooled'][ti]:.6f}"]
-                + [f"{report.pck['per_landmark'][ti, j]:.6f}" for j in range(NUM_LANDMARKS)]
-            )
+            + [f"{report.mean_auc:.4f}"],
+        ],
+        "pck_curve.csv": [["threshold_mm", "pooled"] + header[:-1]] + [
+            [f"{thr:.3f}", f"{report.pck['pooled'][ti]:.6f}"]
+            + [f"{report.pck['per_landmark'][ti, j]:.6f}" for j in range(NUM_LANDMARKS)]
+            for ti, thr in enumerate(report.thresholds)
+        ],
+    }
+    for name, rows in tables.items():
+        write_csv(out_dir / name, rows, stamp)

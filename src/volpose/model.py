@@ -27,7 +27,6 @@ coordinates map back to original-frame mm exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 from typing import ClassVar
@@ -36,6 +35,7 @@ import numpy as np
 
 from volpose import heatmap, ops
 from volpose.anatomy import NUM_LANDMARKS
+from volpose.fileio import write_csv
 from volpose.graph import Graph, GraphError
 from volpose.optim import BETA1, BETA2, EPS, Adam
 from volpose.registration import Pose
@@ -192,16 +192,6 @@ def output_node(graph: Graph) -> int:
     return graph.nodes[graph.loss_id].inputs[0]
 
 
-def validate_input_shape(cfg: DetectorConfig, shape: tuple[int, int, int]) -> None:
-    m = 2**cfg.depth
-    bad = [n for n in shape if n % m != 0]
-    if bad:
-        req = [(-n) % m for n in shape]
-        raise GraphError(
-            f"input extents {shape} not divisible by 2^depth={m}; pad by {req} voxels"
-        )
-
-
 # ---------------------------------------------------------------------------
 # preprocessing and the coordinate frame
 # ---------------------------------------------------------------------------
@@ -303,7 +293,6 @@ def prepare_volume(
 def infer(graph: Graph, volume: np.ndarray, spacing, cfg: DetectorConfig) -> tuple[np.ndarray, NetFrame]:
     """Predicted 16-channel heatmap stack in the network frame."""
     net_in, frame = prepare_volume(volume, spacing, cfg)
-    validate_input_shape(cfg, net_in.shape[1:])
     out = output_node(graph)
     graph.forward({"volume": net_in}, to_node=out)
     return graph.value(out).copy(), frame
@@ -343,7 +332,6 @@ def _prepare_dataset(dataset, cfg: DetectorConfig):
     prepared = []
     for idx, (volume, pose, spacing) in enumerate(dataset):
         net_in, frame = prepare_volume(volume, spacing, cfg)
-        validate_input_shape(cfg, net_in.shape[1:])
         try:
             # ground-truth heatmaps in the network frame, in net-voxel units
             target = heatmap.encode(
@@ -362,7 +350,7 @@ def train(
     train_cfg: TrainConfig,
     detector_cfg: DetectorConfig,
     out_dir: str | Path | None = None,
-    save_note: dict | None = None,
+    stamp: dict | None = None,
 ) -> TrainResult:
     """Optimize the detector on (volume, pose, spacing) cases.
 
@@ -405,16 +393,11 @@ def train(
                 Path(out_dir) / f"epoch_{epoch:03d}",
                 graph,
                 extras={"detector_config.json": detector_cfg.to_dict()},
-                note=save_note,
+                stamp=stamp,
             )
     return result
 
 
-def write_loss_curve(path: str | Path, result: TrainResult, header_comment: str = "") -> None:
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "step", "loss"])
-        for epoch, step, loss in result.loss_curve:
-            writer.writerow([epoch, step, f"{loss:.9e}"])
+def write_loss_curve(path: str | Path, result: TrainResult, stamp: dict | None = None) -> None:
+    rows = [[epoch, step, f"{loss:.9e}"] for epoch, step, loss in result.loss_curve]
+    write_csv(path, [["epoch", "step", "loss"]] + rows, stamp)

@@ -92,6 +92,24 @@ class PhantomSpec:
     noise_additive: float = 0.02
     shadow_probability: float = 0.08
 
+    def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "shape"}
+        if not np.all(np.isfinite(list(values.values()))):
+            raise PhantomError(f"phantom spec values must be finite, got {values}")
+        if min(self.shape) < 1 or self.spacing_mm <= 0:
+            raise PhantomError(
+                f"shape and spacing must be positive, got {tuple(self.shape)} and {self.spacing_mm}"
+            )
+        if not 0.0 <= self.shadow_probability <= 1.0:
+            raise PhantomError(
+                f"shadow probability must be in [0, 1], got {self.shadow_probability}"
+            )
+        if min(self.noise_multiplicative, self.noise_additive) < 0:
+            raise PhantomError(
+                f"noise levels must be >= 0, got {self.noise_multiplicative} "
+                f"and {self.noise_additive}"
+            )
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["shape"] = list(self.shape)
@@ -253,8 +271,8 @@ def _apply_shadow(spec: PhantomSpec, vol: np.ndarray, rng: np.random.Generator) 
         cosang = np.tensordot(rel, axis, axes=([-1], [0])) / np.maximum(dist, 1e-9)
     vol[cosang > np.cos(half_angle)] = 0.0
     return {
-        "apex_mm": [float(v) for v in apex],
-        "axis": [float(v) for v in axis],
+        "apex_mm": apex.tolist(),
+        "axis": axis.tolist(),
         "half_angle_deg": float(np.rad2deg(half_angle)),
     }
 
@@ -286,7 +304,7 @@ def sample_case(spec: PhantomSpec, seed: int) -> PhantomCase:
                 "seed": int(seed),
                 "scale": float(scale),
                 "attempt": attempt,
-                "center_mm": [float(v) for v in center],
+                "center_mm": center.tolist(),
             }
             break
     if pose_mm is None:
@@ -381,10 +399,8 @@ def make_dataset(
             case = sample_case(spec, case_seed)
             vol_path = cases_dir / case_id
             pose_path = cases_dir / f"{case_id}_pose.json"
-            fileio.save_volume(vol_path, case.volume, case.spacing_mm, extra=stamp)
-            fileio.save_pose(
-                pose_path, case.pose, spacing=np.repeat(case.spacing_mm, 3), extra=stamp
-            )
+            fileio.save_volume(vol_path, case.volume, case.spacing_mm, stamp=stamp)
+            fileio.save_pose(pose_path, case.pose, spacing=case.spacing_mm, stamp=stamp)
             entries.append(
                 {
                     "id": case_id,
@@ -402,7 +418,6 @@ def make_dataset(
         "n_train": n_train,
         "n_test": n_test,
         "cases": entries,
-        **(stamp or {}),
     }
-    fileio.save_manifest(out_dir / "manifest.json", manifest)
+    fileio.write_json(out_dir / "manifest.json", manifest, stamp)
     return manifest

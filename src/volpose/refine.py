@@ -11,7 +11,6 @@ Batch norm always normalizes with the volume's own statistics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -62,16 +61,6 @@ class IterationRecord:
     support_ids: list[str]
     mean_support_error: float
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "loss_pre": self.loss_pre,
-            "loss_post": self.loss_post,
-            "pose_mm": [[float(v) for v in row] for row in self.pose_mm],
-            "support_ids": self.support_ids,
-            "mean_support_error": self.mean_support_error,
-        }
-
 
 @dataclass
 class RefineResult:
@@ -86,7 +75,7 @@ class RefineResult:
             "declined": self.declined,
             "aborted": self.aborted,
             "note": self.note,
-            "iterations": [rec.to_dict() for rec in self.trace],
+            "iterations": [asdict(rec) for rec in self.trace],
         }
 
 
@@ -185,13 +174,12 @@ def refine_batch(
             res = RefineResult(dummy, [], aborted=True, note=f"error: {e}")
         results[case_id] = res
         if out_dir is not None:
-            doc = {**(stamp or {}), **res.trace_dict()}
-            (out_dir / f"{case_id}_trace.json").write_text(json.dumps(doc, indent=1))
+            fileio.write_json(out_dir / f"{case_id}_trace.json", res.trace_dict(), stamp)
             for rec in res.trace:
                 fileio.save_pose(
                     out_dir / f"{case_id}_iter{rec.iteration:02d}_pose.json",
                     Pose(rec.pose_mm),
-                    extra=stamp,
+                    stamp=stamp,
                 )
     final_losses = [
         res.trace[-1].loss_post for res in results.values() if res.trace and not res.aborted

@@ -13,14 +13,12 @@ grid, so the caller chooses the frame.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from volpose import heatmap
-from volpose.anatomy import NUM_LANDMARKS, REGISTRATION_SUBSET, landmark_names
+from volpose.anatomy import NUM_LANDMARKS, REGISTRATION_SUBSET
 
 
 class RegistrationError(ValueError):
@@ -72,10 +70,6 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         return points @ self.rotation.mT + self.translation[..., None, :]
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
 
 
 def fit_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[RigidTransform, float | np.ndarray]:
@@ -137,45 +131,6 @@ class PoseLibrary:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def save(self, path: str | Path, stamp: dict | None = None) -> None:
-        """Write the library as JSON; ``stamp`` (e.g. a run-config hash) is
-        merged into the top-level object."""
-        records = []
-        for pid, pose, src in zip(self.ids, self.poses, self.sources):
-            records.append(
-                {
-                    "id": pid,
-                    "source": src,
-                    "landmarks": [
-                        {
-                            "index": j + 1,
-                            "name": landmark_names()[j],
-                            "xyz_mm": [float(v) for v in pose.xyz_mm[j]],
-                            "present": bool(pose.present[j]),
-                        }
-                        for j in range(NUM_LANDMARKS)
-                    ],
-                }
-            )
-        doc = {"version": 1, "poses": records, **(stamp or {})}
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
-
-    @staticmethod
-    def load(path: str | Path) -> "PoseLibrary":
-        doc = json.loads(Path(path).read_text())
-        ids, poses, sources = [], [], []
-        for rec in doc["poses"]:
-            xyz = np.zeros((NUM_LANDMARKS, 3))
-            present = np.zeros(NUM_LANDMARKS, dtype=bool)
-            for lm in rec["landmarks"]:
-                j = lm["index"] - 1
-                xyz[j] = lm["xyz_mm"]
-                present[j] = lm["present"]
-            ids.append(rec["id"])
-            poses.append(Pose(xyz, present))
-            sources.append(rec.get("source", ""))
-        return PoseLibrary(ids, poses, sources)
 
 
 @dataclass

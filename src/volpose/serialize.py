@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from volpose.fileio import write_json
 from volpose.graph import Graph, GraphError
 
 FORMAT_VERSION = 2
@@ -67,17 +68,16 @@ def save_model(
     model_dir: str | Path,
     graph: Graph,
     extras: dict[str, dict] | None = None,
-    note: dict | None = None,
+    stamp: dict | None = None,
 ) -> None:
     """Write graph.json, params.bin, manifest.json (+ extra JSON docs).
 
-    ``note`` (e.g. the run-config stamp) is merged into graph.json and
+    ``stamp`` (the run-config stamp) is merged into graph.json and
     manifest.json so the whole model directory is traceable.
     """
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
-    graph_doc = {**(note or {}), **graph_to_dict(graph)}
-    (model_dir / "graph.json").write_text(json.dumps(graph_doc, sort_keys=True, indent=1))
+    write_json(model_dir / "graph.json", graph_to_dict(graph), stamp)
 
     entries = {}
     chunks = []
@@ -90,15 +90,14 @@ def save_model(
         offset += arr.size
     (model_dir / "params.bin").write_bytes(b"".join(chunks))
     manifest = {
-        **(note or {}),
         "version": FORMAT_VERSION,
         "dtype": "<f4",
         "total_elements": offset,
         "entries": entries,
     }
-    (model_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    write_json(model_dir / "manifest.json", manifest, stamp)
     for name, doc in (extras or {}).items():
-        (model_dir / name).write_text(json.dumps(doc, sort_keys=True, indent=1))
+        write_json(model_dir / name, doc)
 
 
 def load_model(model_dir: str | Path) -> Graph:

@@ -101,6 +101,19 @@ def test_phantom_gen_empty_split_exits_2(tmp_path, counts):
     assert main(args + ["--out", str(tmp_path / "d")]) == 2
 
 
+@pytest.mark.parametrize("flag", [
+    ["--spacing", "0"], ["--spacing", "-1"], ["--size", "0"], ["--shadow-prob", "2"],
+    ["--noise-mult", "-1"], ["--noise-add", "-1"], ["--noise-mult", "nan"],
+    ["--left-offset", "nan"],
+])
+def test_phantom_gen_invalid_spec_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "d"
+    rc = main(["phantom-gen", "--n-train", "1", "--n-test", "1", "--out", str(out)] + flag)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()
+
+
 def test_phantom_gen_unplaceable_skeleton_exits_1(tmp_path, capsys):
     # the figure does not fit a 32-voxel grid: a runtime failure, not a traceback
     rc = main(["phantom-gen", "--n-train", "1", "--n-test", "1", "--size", "32",
@@ -366,6 +379,31 @@ def test_pipeline_rerun_under_another_root_is_byte_identical(tmp_path):
         assert paths("eval_refined") == {
             "pred": str(root / "refined"), "gt": str(root / "data" / "cases"),
         }
+
+
+def test_every_artifact_is_canonical(tmp_path):
+    # every JSON file is sorted, one-space indented JSON; every CSV starts
+    # with the stamp of the run that wrote it (that run's run_config.json)
+    run_tiny_pipeline(tmp_path)
+    data, model = tmp_path / "data", tmp_path / "train" / "model"
+    assert main([
+        "refine", "--model", str(model), "--data", str(data), "--split", "test",
+        "--library", str(tmp_path / "library.json"), "--out", str(tmp_path / "snapshots"),
+        "--iterations", "2", "--floor", "0.0", "--k", "3", "--snapshot-each-iter",
+    ]) == 0
+    assert len(list((tmp_path / "snapshots").glob("*_trace.json"))) == 2
+    json_files = sorted(tmp_path.rglob("*.json"))
+    assert [
+        str(p.relative_to(tmp_path)) for p in json_files
+        if p.read_text() != json.dumps(json.loads(p.read_text()), sort_keys=True, indent=1)
+    ] == []
+    csv_files = sorted(tmp_path.rglob("*.csv"))
+    assert len(csv_files) == 7  # the loss curve and two evals' three tables
+    for path in csv_files:
+        run = json.loads((path.parent / "run_config.json").read_text())
+        stamp = {"config_version": run["version"], "config_hash": run["hash"]}
+        first = path.read_text().splitlines()[0]
+        assert first == "# " + json.dumps(stamp, sort_keys=True), path
 
 
 def test_config_hash_follows_input_content(dataset, model, tmp_path):

@@ -7,14 +7,16 @@ import pytest
 
 from volpose.fileio import (
     FileFormatError,
-    load_manifest,
+    load_library,
     load_pose,
     load_volume,
-    save_manifest,
+    save_library,
     save_pose,
     save_volume,
+    write_csv,
+    write_json,
 )
-from volpose.registration import Pose
+from volpose.registration import Pose, PoseLibrary
 
 
 def test_raw_volume_is_little_endian_x_fastest(tmp_path):
@@ -68,11 +70,12 @@ def test_pose_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     pose = Pose(rng.normal(scale=20, size=(16, 3)))
     pose.present[5] = False
-    save_pose(tmp_path / "p.json", pose, spacing=1.0, extra={"config_hash": "abc"})
+    save_pose(tmp_path / "p.json", pose, spacing=1.0, stamp={"config_hash": "abc"}, note="x")
     loaded, doc = load_pose(tmp_path / "p.json")
     np.testing.assert_allclose(loaded.xyz_mm, pose.xyz_mm)
     np.testing.assert_array_equal(loaded.present, pose.present)
     assert doc["config_hash"] == "abc"
+    assert doc["note"] == "x"
     assert doc["landmarks"][0]["name"] == "head_top"
     assert doc["spacing_mm"] == [1.0, 1.0, 1.0]
 
@@ -87,7 +90,56 @@ def test_pose_version_check(tmp_path):
         load_pose(tmp_path / "p.json")
 
 
-def test_manifest_round_trip(tmp_path):
-    doc = {"version": 1, "cases": [{"id": "a", "seed": 3}]}
-    save_manifest(tmp_path / "m.json", doc)
-    assert load_manifest(tmp_path / "m.json") == doc
+def test_library_version_check(tmp_path):
+    lib = PoseLibrary(["a"], [Pose(np.zeros((16, 3)))], ["train"])
+    save_library(tmp_path / "l.json", lib)
+    doc = json.loads((tmp_path / "l.json").read_text())
+    doc["version"] = 42
+    (tmp_path / "l.json").write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match="version"):
+        load_library(tmp_path / "l.json")
+
+
+def test_write_json_numpy_values_match_plain_numbers(tmp_path):
+    # numpy values are written as the numbers float(v), int(v) or bool(v)
+    # give, arrays as nested lists of them
+    values = np.array([0.1, 1.0 / 3.0, -2.5e-7])
+    doc = {
+        "f32": np.float32(0.1),
+        "f64": np.float64(1.0 / 3.0),
+        "i64": np.int64(-3),
+        "b": np.bool_(True),
+        "f32_arr": values.astype(np.float32),
+        "f64_arr": values.reshape(3, 1),
+        "b_arr": np.array([True, False]),
+        "i_arr": np.arange(3, dtype=np.int32),
+    }
+    plain = {
+        "f32": float(np.float32(0.1)),
+        "f64": float(np.float64(1.0 / 3.0)),
+        "i64": -3,
+        "b": True,
+        "f32_arr": [float(v) for v in values.astype(np.float32)],
+        "f64_arr": [[float(v)] for v in values],
+        "b_arr": [True, False],
+        "i_arr": [0, 1, 2],
+    }
+    write_json(tmp_path / "a.json", doc, stamp={"config_hash": "abc", "config_version": 3})
+    text = (tmp_path / "a.json").read_text()
+    expected = {**plain, "config_hash": "abc", "config_version": 3}
+    assert text == json.dumps(expected, sort_keys=True, indent=1)
+    assert json.loads(text) == expected
+
+
+def test_write_json_rejects_other_objects(tmp_path):
+    with pytest.raises(TypeError, match="set"):
+        write_json(tmp_path / "a.json", {"ids": {1, 2}})
+
+
+def test_write_csv_stamp_line_then_rows(tmp_path):
+    stamp = {"config_version": 3, "config_hash": "abc"}
+    write_csv(tmp_path / "t.csv", [["a", "b"], [1, "x"]], stamp)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines == ['# {"config_hash": "abc", "config_version": 3}', "a,b", "1,x"]
+    write_csv(tmp_path / "u.csv", [["a"]])
+    assert (tmp_path / "u.csv").read_text().splitlines() == ["a"]

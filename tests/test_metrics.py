@@ -256,7 +256,7 @@ def test_report_perfect_predictions(tmp_path):
     report = build_report(preds, gts)
     assert report.mean_mm == 0.0
     assert report.mean_auc == 100.0
-    write_report(report, tmp_path, config_note={"config_hash": "xyz"})
+    write_report(report, tmp_path, stamp={"config_hash": "xyz"})
     header = (tmp_path / "distance_table.csv").read_text().splitlines()
     assert header[0].startswith("# ")
     cols = header[1].split(",")

@@ -193,6 +193,17 @@ def test_dataset_regenerates_bit_identical(tmp_path):
         np.testing.assert_array_equal(vol, regen.volume)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shape", (0, 48, 48)), ("spacing_mm", 0.0), ("spacing_mm", -1.0),
+    ("shadow_probability", -0.1), ("shadow_probability", 1.5),
+    ("noise_multiplicative", -0.01), ("noise_additive", -0.01),
+    ("spacing_mm", float("nan")), ("left_intensity_offset", float("inf")),
+])
+def test_spec_rejects_out_of_range_values(field, value):
+    with pytest.raises(PhantomError, match=field.split("_")[0] + "|finite"):
+        PhantomSpec(**{field: value})
+
+
 def test_spec_round_trips_through_dict():
     spec = PhantomSpec(shape=(48, 48, 48), left_intensity_offset=0.25)
     assert PhantomSpec.from_dict(spec.to_dict()) == spec

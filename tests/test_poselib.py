@@ -6,11 +6,14 @@ optimum, so the two must agree to numerical precision. Retrieval is checked
 against a brute-force ranking built on the oracle fit.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from volpose import heatmap
 from volpose.anatomy import NUM_LANDMARKS, REGISTRATION_SUBSET
+from volpose.fileio import load_library, save_library
 from volpose.registration import (
     Pose,
     PoseLibrary,
@@ -382,13 +385,21 @@ def test_proxy_values_in_unit_interval():
 
 def test_library_round_trip(tmp_path):
     rng = np.random.default_rng(61)
-    lib = make_library(rng, 7)
+    base = make_library(rng, 7)
+    # landmark 6 lies outside the registration subset, so it may be absent
+    base.poses[2].present[5] = False
+    lib = PoseLibrary(base.ids, base.poses, [f"split_{i % 3}" for i in range(7)])
     path = tmp_path / "library.json"
-    lib.save(path)
-    loaded = PoseLibrary.load(path)
+    save_library(path, lib, stamp={"config_hash": "abc"})
+    loaded = load_library(path)
     assert loaded.ids == lib.ids
+    assert loaded.sources == lib.sources
     for a, b in zip(loaded.poses, lib.poses):
-        np.testing.assert_allclose(a.xyz_mm, b.xyz_mm)
+        np.testing.assert_array_equal(a.xyz_mm, b.xyz_mm)
+        np.testing.assert_array_equal(a.present, b.present)
+    doc = json.loads(path.read_text())
+    assert doc["config_hash"] == "abc"
+    assert doc["poses"][2]["landmarks"][5]["present"] is False
 
 
 def test_library_requires_subset_landmarks():
