@@ -18,7 +18,6 @@ from volpose.model import (
     build_detector,
     train,
     infer,
-    predict_pose,
 )
 from volpose.heatmap import encode, decode, DecodedPose
 from volpose.registration import (

@@ -36,7 +36,14 @@ from volpose.model import (
     train,
     write_loss_curve,
 )
-from volpose.phantom import PhantomError, PhantomSpec, augment, make_dataset
+from volpose.phantom import (
+    AUGMENT_POLICIES,
+    PhantomCase,
+    PhantomError,
+    PhantomSpec,
+    augment,
+    make_dataset,
+)
 from volpose.refine import RefineConfig, refine_batch
 from volpose.registration import Pose, PoseLibrary
 from volpose.serialize import load_model, save_model
@@ -57,6 +64,10 @@ def _load_manifest_cases(data_dir: Path, split: str) -> list[dict]:
     if not manifest_path.exists():
         raise UsageError(f"dataset manifest not found: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
+    if manifest.get("version") != fileio.MANIFEST_FORMAT_VERSION:
+        raise fileio.FileFormatError(
+            f"unsupported dataset manifest version {manifest.get('version')}"
+        )
     cases = [c for c in manifest["cases"] if c["split"] == split]
     if not cases:
         raise UsageError(f"manifest has no '{split}' cases")
@@ -74,10 +85,6 @@ def _model_id(model_dir: Path) -> str:
 
 def _pose_files(directory: Path) -> list[Path]:
     return sorted(directory.glob("*_pose.json"))
-
-
-def _decoded_to_pose(dec: DecodedPose) -> Pose:
-    return Pose(dec.xyz_mm, dec.valid.copy())
 
 
 def _configured(make, **fields):
@@ -192,32 +199,24 @@ def cmd_train(args) -> int:
         inputs={"data": _dataset_id(data_dir)},
         paths={"data": str(data_dir)},
     )
+    chains = AUGMENT_POLICIES[args.augment]
     dataset = []
     for case in cases:
         volume, spacing = fileio.load_volume(data_dir / case["volume"])
+        if chains and np.any(spacing != spacing[0]):
+            # augment mirrors coordinates with one spacing for all three axes
+            raise UsageError(
+                f"--augment {args.augment} needs isotropic voxels, but case {case['id']} "
+                f"has spacing {spacing.tolist()} mm"
+            )
         pose, _ = fileio.load_pose(data_dir / case["pose"])
         dataset.append((volume, pose, spacing))
-    aug_chains = {
-        "none": (),
-        "flips": (("flip_x",),),
-        # mirrors the reference protocol's flip/rotation expansion (x8)
-        "flips-rotations": (
-            ("flip_x",), ("flip_y",), ("flip_z",),
-            ("rot90_x",), ("rot90_y",), ("rot90_z",),
-            ("rot90_z", "rot90_z"),
-        ),
-    }[args.augment]
-    if aug_chains:
-        from volpose.phantom import PhantomCase
-
-        extra = []
-        for chain in aug_chains:
-            for volume, pose, spacing in dataset[: len(cases)]:
-                case = PhantomCase(volume, pose, float(spacing[0]))
-                for op in chain:
-                    case = augment(case, op)
-                extra.append((case.volume, case.pose, spacing))
-        dataset.extend(extra)
+    for chain in chains:
+        for volume, pose, spacing in dataset[: len(cases)]:
+            augmented = PhantomCase(volume, pose, float(spacing[0]))
+            for op in chain:
+                augmented = augment(augmented, op)
+            dataset.append((augmented.volume, augmented.pose, spacing))
 
     graph = build_detector(det_cfg, seed=args.model_seed)
     if args.gcp != "off":
@@ -254,36 +253,44 @@ def cmd_train(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# infer
+# infer and refine: one prediction path
 # ---------------------------------------------------------------------------
 
-def _input_volumes(args) -> tuple[list[tuple[str, Path]], dict, dict]:
-    """The (case id, volume stem) pairs to read, with the content ids and the
-    paths of where they come from: a dataset split, or explicit volumes."""
+def _prediction_inputs(args) -> tuple:
+    """What infer and refine read: the detector and its config, the
+    (case id, volume stem) pairs, and the content ids and paths of the model
+    and of the volumes, which come from a dataset split or are given
+    explicitly."""
+    model_dir = Path(args.model)
+    graph, det_cfg = _load_detector(model_dir)
+    inputs, paths = {"model": _model_id(model_dir)}, {"model": str(model_dir)}
     if args.volumes:
         stems = [Path(v).with_suffix("") for v in args.volumes]
-        files = [stem.with_suffix(ext) for stem in stems for ext in (".json", ".raw")]
-        return (
-            [(stem.name, stem) for stem in stems],
-            {"volumes": digest_files(files)},
-            {"volumes": [str(v) for v in args.volumes]},
+        volumes = [(stem.name, stem) for stem in stems]
+        inputs["volumes"] = digest_files(
+            stem.with_suffix(ext) for stem in stems for ext in (".json", ".raw")
         )
-    if not args.data:
+        paths["volumes"] = [str(v) for v in args.volumes]
+    elif args.data:
+        data_dir = Path(args.data)
+        cases = _load_manifest_cases(data_dir, args.split)
+        volumes = [(c["id"], data_dir / c["volume"]) for c in cases]
+        inputs |= {"data": _dataset_id(data_dir), "split": args.split}
+        paths["data"] = str(data_dir)
+    else:
         raise UsageError("provide either --data with --split, or --volumes")
-    data_dir = Path(args.data)
-    cases = _load_manifest_cases(data_dir, args.split)
-    return (
-        [(c["id"], data_dir / c["volume"]) for c in cases],
-        {"data": _dataset_id(data_dir), "split": args.split},
-        {"data": str(data_dir)},
-    )
+    return graph, det_cfg, volumes, inputs, paths
+
+
+def _save_prediction(path: Path, dec: DecodedPose, spacing, stamp: dict, **fields) -> None:
+    """A predicted pose file: the decode as it is, the volume's spacing and
+    the peak confidences, plus ``fields``."""
+    fileio.save_pose(path, dec, spacing=spacing, stamp=stamp, confidence=dec.confidence, **fields)
 
 
 def cmd_infer(args) -> int:
     _configured(check_window, window=args.window)
-    model_dir = Path(args.model)
-    graph, det_cfg = _load_detector(model_dir)
-    volumes, volume_ids, volume_paths = _input_volumes(args)
+    graph, det_cfg, volumes, inputs, paths = _prediction_inputs(args)
     run_cfg = RunConfig(
         "infer",
         {
@@ -291,8 +298,8 @@ def cmd_infer(args) -> int:
             "confidence_floor": args.floor,
             "detector": det_cfg.to_dict(),
         },
-        inputs={"model": _model_id(model_dir), **volume_ids},
-        paths={"model": str(model_dir), **volume_paths},
+        inputs=inputs,
+        paths=paths,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,13 +307,7 @@ def cmd_infer(args) -> int:
         volume, spacing = fileio.load_volume(vol_path)
         stack, frame = infer(graph, volume, spacing, det_cfg)
         dec = decode_prediction(stack, frame, window=args.window, confidence_floor=args.floor)
-        fileio.save_pose(
-            out / f"{case_id}_pose.json",
-            _decoded_to_pose(dec),
-            spacing=spacing,
-            stamp=run_cfg.stamp(),
-            confidence=dec.confidence,
-        )
+        _save_prediction(out / f"{case_id}_pose.json", dec, spacing, run_cfg.stamp())
         if args.dump_heatmaps:
             for j in range(stack.shape[0]):
                 fileio.save_volume(
@@ -320,13 +321,7 @@ def cmd_infer(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# refine
-# ---------------------------------------------------------------------------
-
 def cmd_refine(args) -> int:
-    model_dir = Path(args.model)
-    graph, det_cfg = _load_detector(model_dir)
     if not Path(args.library).exists():
         raise UsageError(f"pose library not found: {args.library}")
     library = fileio.load_library(args.library)
@@ -340,7 +335,7 @@ def cmd_refine(args) -> int:
         window=args.window,
         confidence_floor=args.floor,
     )
-    volumes, volume_ids, volume_paths = _input_volumes(args)
+    graph, det_cfg, volumes, inputs, paths = _prediction_inputs(args)
     run_cfg = RunConfig(
         "refine",
         {
@@ -348,35 +343,29 @@ def cmd_refine(args) -> int:
             "snapshot_each_iter": args.snapshot_each_iter,
             "detector": det_cfg.to_dict(),
         },
-        inputs={
-            "model": _model_id(model_dir),
-            "library": digest_files([args.library]),
-            **volume_ids,
-        },
-        paths={"model": str(model_dir), "library": str(args.library), **volume_paths},
+        inputs={**inputs, "library": digest_files([args.library])},
+        paths={**paths, "library": str(args.library)},
     )
+    cases = [(case_id, *fileio.load_volume(vol_path)) for case_id, vol_path in volumes]
+    results, summary = refine_batch(graph, cases, library, det_cfg, refine_cfg)
+    # the layout of a refine directory: per case the final pose and, with
+    # --snapshot-each-iter, the trace and the pose after each iteration
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cases = []
-    for case_id, vol_path in volumes:
-        volume, spacing = fileio.load_volume(vol_path)
-        cases.append((case_id, volume, spacing))
-    results, summary = refine_batch(
-        graph, cases, library, det_cfg, refine_cfg,
-        out_dir=out if args.snapshot_each_iter else None,
-        stamp=run_cfg.stamp(),
-    )
-    for case_id, res in results.items():
-        fileio.save_pose(
-            out / f"{case_id}_pose.json",
-            _decoded_to_pose(res.pose),
-            stamp=run_cfg.stamp(),
-            declined=res.declined,
-            aborted=res.aborted,
-            note=res.note,
-            confidence=res.pose.confidence,
+    stamp = run_cfg.stamp()
+    for case_id, _, spacing in cases:
+        res = results[case_id]
+        _save_prediction(
+            out / f"{case_id}_pose.json", res.pose, spacing, stamp,
+            declined=res.declined, aborted=res.aborted, note=res.note,
         )
-    fileio.write_json(out / "refine_summary.json", asdict(summary), run_cfg.stamp())
+        if args.snapshot_each_iter:
+            fileio.write_json(out / f"{case_id}_trace.json", res.trace_dict(), stamp)
+            for rec in res.trace:
+                _save_prediction(
+                    out / f"{case_id}_iter{rec.iteration:02d}_pose.json", rec.pose, spacing, stamp
+                )
+    fileio.write_json(out / "refine_summary.json", asdict(summary), stamp)
     run_cfg.save(out / "run_config.json")
     log.info("refined %d cases (%d declined)", summary.n_cases, summary.n_declined)
     return 0
@@ -502,36 +491,35 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--sigma", type=float, default=DetectorConfig.sigma_vox)
     t.add_argument("--gcp", choices=("off", "block_boundary", "every_k"), default="off")
     t.add_argument("--every-k", type=int, default=8)
-    t.add_argument("--augment", choices=("none", "flips", "flips-rotations"),
+    t.add_argument("--augment", choices=tuple(AUGMENT_POLICIES),
                    default="none", help="expand the training set with label-consistent"
                    " flips and quarter rotations")
     t.add_argument("--save-epochs", action="store_true", default=True)
     t.add_argument("--no-save-epochs", dest="save_epochs", action="store_false")
     t.set_defaults(func=cmd_train)
 
-    i = sub.add_parser("infer", help="predict poses for volumes")
-    i.add_argument("--model", required=True)
-    i.add_argument("--data")
-    i.add_argument("--split", default="test")
-    i.add_argument("--volumes", nargs="*")
-    i.add_argument("--out", required=True)
-    i.add_argument("--window", type=int, default=WINDOW)
-    i.add_argument("--floor", type=float, default=CONFIDENCE_FLOOR)
+    # the flags infer and refine share: what they read, where they write,
+    # and how a heatmap stack is decoded
+    predict = argparse.ArgumentParser(add_help=False)
+    predict.add_argument("--model", required=True)
+    predict.add_argument("--data")
+    predict.add_argument("--split", default="test")
+    predict.add_argument("--volumes", nargs="*")
+    predict.add_argument("--out", required=True)
+    predict.add_argument("--window", type=int, default=WINDOW)
+    predict.add_argument("--floor", type=float, default=CONFIDENCE_FLOOR)
+
+    i = sub.add_parser("infer", parents=[predict], help="predict poses for volumes")
     i.add_argument("--dump-heatmaps", action="store_true")
     i.set_defaults(func=cmd_infer)
 
-    r = sub.add_parser("refine", help="test-time refinement against a pose library")
-    r.add_argument("--model", required=True)
-    r.add_argument("--data")
-    r.add_argument("--split", default="test")
-    r.add_argument("--volumes", nargs="*")
+    r = sub.add_parser(
+        "refine", parents=[predict], help="test-time refinement against a pose library"
+    )
     r.add_argument("--library", required=True)
-    r.add_argument("--out", required=True)
     r.add_argument("--iterations", type=int, default=RefineConfig.iterations)
     r.add_argument("--lr", type=float, default=RefineConfig.lr)
     r.add_argument("--k", type=int, default=RefineConfig.k_support)
-    r.add_argument("--window", type=int, default=RefineConfig.window)
-    r.add_argument("--floor", type=float, default=RefineConfig.confidence_floor)
     r.add_argument("--snapshot-each-iter", action="store_true")
     r.set_defaults(func=cmd_refine)
 

@@ -27,6 +27,7 @@ from volpose.registration import Pose, PoseLibrary
 VOLUME_FORMAT_VERSION = 1
 POSE_FORMAT_VERSION = 1
 LIBRARY_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 1
 
 
 class FileFormatError(ValueError):
@@ -114,8 +115,9 @@ def save_pose(
     stamp: dict | None = None,
     **fields,
 ) -> None:
-    """Write one pose; ``fields`` (e.g. per-landmark confidence) join the
-    top level next to the stamp."""
+    """Write one pose: a ``Pose`` or a ``heatmap.DecodedPose``, whose
+    ``present`` mask becomes the ``valid`` flags. ``fields`` (e.g.
+    per-landmark confidence) join the top level next to the stamp."""
     doc = {
         "version": POSE_FORMAT_VERSION,
         "spacing_mm": None if spacing is None else np.broadcast_to(

@@ -36,7 +36,7 @@ class DecodedPose:
 
     xyz_mm: np.ndarray                 # (16, 3)
     confidence: np.ndarray             # (16,)
-    valid: np.ndarray                  # (16,) bool, peak >= confidence floor
+    present: np.ndarray                # (16,) bool, peak >= confidence floor
     voxels: np.ndarray = field(default=None, repr=False)  # (16, 3) float voxel coords
 
 
@@ -134,14 +134,14 @@ def decode_voxels(
     half = window // 2
     coords = np.zeros((c, 3), dtype=np.float64)
     conf = np.zeros(c, dtype=np.float64)
-    valid = np.zeros(c, dtype=bool)
+    present = np.zeros(c, dtype=bool)
     for j in range(c):
         chan = stack[j]
         flat_idx = int(np.argmax(chan))  # ties -> lowest linear index
         iz, iy, ix = np.unravel_index(flat_idx, chan.shape)
         peak = float(chan[iz, iy, ix])
         conf[j] = peak
-        valid[j] = peak >= confidence_floor
+        present[j] = peak >= confidence_floor
         zlo, zhi = max(0, iz - half), min(nz - 1, iz + half)
         ylo, yhi = max(0, iy - half), min(ny - 1, iy + half)
         xlo, xhi = max(0, ix - half), min(nx - 1, ix + half)
@@ -162,7 +162,7 @@ def decode_voxels(
             float((weights * ys).sum() / total),
             float((weights * zs).sum() / total),
         )
-    return DecodedPose(coords, conf, valid, voxels=coords.copy())
+    return DecodedPose(coords, conf, present, voxels=coords.copy())
 
 
 def decode(

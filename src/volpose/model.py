@@ -310,14 +310,6 @@ def decode_prediction(
     return dec
 
 
-def predict_pose(
-    graph: Graph, volume: np.ndarray, spacing, cfg: DetectorConfig,
-    window: int = heatmap.WINDOW, confidence_floor: float = heatmap.CONFIDENCE_FLOOR,
-) -> heatmap.DecodedPose:
-    stack, frame = infer(graph, volume, spacing, cfg)
-    return decode_prediction(stack, frame, window, confidence_floor)
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

@@ -334,6 +334,18 @@ _FLIP_AXES = {"flip_x": 2, "flip_y": 1, "flip_z": 0}
 # op -> the volume axes of the quarter turn, in np.rot90's order
 _ROT90_AXES = {"rot90_x": (0, 1), "rot90_y": (2, 0), "rot90_z": (1, 2)}
 AUGMENT_OPS = (*_FLIP_AXES, *_ROT90_AXES)
+# augmentation policy -> the op chains, each of which adds one transformed
+# copy of every case
+AUGMENT_POLICIES = {
+    "none": (),
+    "flips": (("flip_x",),),
+    # mirrors the reference protocol's flip/rotation expansion (x8)
+    "flips-rotations": (
+        ("flip_x",), ("flip_y",), ("flip_z",),
+        ("rot90_x",), ("rot90_y",), ("rot90_z",),
+        ("rot90_z", "rot90_z"),
+    ),
+}
 
 
 def augment(case: PhantomCase, op: str) -> PhantomCase:
@@ -412,7 +424,7 @@ def make_dataset(
                 }
             )
     manifest = {
-        "version": 1,
+        "version": fileio.MANIFEST_FORMAT_VERSION,
         "phantom_spec": spec.to_dict(),
         "base_seed": seed,
         "n_train": n_train,

@@ -6,17 +6,17 @@ map the K aligned poses from mm into the network's voxel frame, average
 their Gaussian maps there into a label proxy, and take one Adam step toward
 the proxy. Support set and proxy are rebuilt every iteration, so the
 supervision evolves with the prediction. The base model is never mutated.
-Batch norm always normalizes with the volume's own statistics.
+Batch norm always normalizes with the volume's own statistics. Nothing here
+reads or writes files: results and traces go back to the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from volpose import fileio, ops
+from volpose import ops
 from volpose.anatomy import NUM_LANDMARKS
 from volpose.graph import Graph, GraphError, NonFiniteValue
 from volpose.heatmap import CONFIDENCE_FLOOR, WINDOW, DecodedPose, check_window
@@ -24,7 +24,6 @@ from volpose.model import DetectorConfig, decode_prediction, output_node, prepar
 from volpose.optim import Adam
 from volpose.registration import (
     PoseLibrary,
-    Pose,
     RetrievalDeclined,
     build_label_proxy,
     retrieve_support,
@@ -57,7 +56,7 @@ class IterationRecord:
     iteration: int
     loss_pre: float               # L2 vs this iteration's proxy, before the step
     loss_post: float              # same proxy, after the step
-    pose_mm: np.ndarray           # the decoded intermediate pose (16, 3)
+    pose: DecodedPose             # the decode after the step
     support_ids: list[str]
     mean_support_error: float
 
@@ -75,7 +74,10 @@ class RefineResult:
             "declined": self.declined,
             "aborted": self.aborted,
             "note": self.note,
-            "iterations": [asdict(rec) for rec in self.trace],
+            "iterations": [
+                {k: v for k, v in vars(rec).items() if k != "pose"} | {"pose_mm": rec.pose.xyz_mm}
+                for rec in self.trace
+            ],
         }
 
 
@@ -104,7 +106,7 @@ def refine(
     for it in range(cfg.iterations):
         try:
             support = retrieve_support(
-                current.xyz_mm, current.valid, library, k=cfg.k_support
+                current.xyz_mm, current.present, library, k=cfg.k_support
             )
         except RetrievalDeclined as e:
             return RefineResult(current, trace, declined=True, note=str(e))
@@ -130,7 +132,7 @@ def refine(
                 iteration=it,
                 loss_pre=loss_pre,
                 loss_post=float(loss_post),
-                pose_mm=current.xyz_mm.copy(),
+                pose=current,
                 support_ids=support.ids(),
                 mean_support_error=float(np.mean(support.errors_mm)),
             )
@@ -152,18 +154,9 @@ def refine_batch(
     library: PoseLibrary,
     detector_cfg: DetectorConfig,
     cfg: RefineConfig,
-    out_dir: str | Path | None = None,
-    stamp: dict | None = None,
 ) -> tuple[dict[str, RefineResult], BatchSummary]:
-    """Independent per-case refinement; one failing case never aborts the rest.
-
-    With ``out_dir``, each case's trace and per-iteration poses are written
-    there.
-    """
+    """Independent per-case refinement; one failing case never aborts the rest."""
     results: dict[str, RefineResult] = {}
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
     for case_id, volume, spacing in cases:
         try:
             res = refine(base_graph, volume, spacing, library, detector_cfg, cfg)
@@ -173,14 +166,6 @@ def refine_batch(
             )
             res = RefineResult(dummy, [], aborted=True, note=f"error: {e}")
         results[case_id] = res
-        if out_dir is not None:
-            fileio.write_json(out_dir / f"{case_id}_trace.json", res.trace_dict(), stamp)
-            for rec in res.trace:
-                fileio.save_pose(
-                    out_dir / f"{case_id}_iter{rec.iteration:02d}_pose.json",
-                    Pose(rec.pose_mm),
-                    stamp=stamp,
-                )
     final_losses = [
         res.trace[-1].loss_post for res in results.values() if res.trace and not res.aborted
     ]

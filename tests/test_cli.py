@@ -45,6 +45,18 @@ def model(tmp_path_factory, dataset):
     return out / "model"
 
 
+@pytest.fixture(scope="module")
+def library(tmp_path_factory, dataset):
+    out = tmp_path_factory.mktemp("library") / "library.json"
+    assert main(["build-library", "--data", str(dataset), "--out", str(out)]) == 0
+    return out
+
+
+def predicted_record(doc: dict) -> dict:
+    """What every predicted pose file carries."""
+    return {key: doc[key] for key in ("landmarks", "spacing_mm", "confidence")}
+
+
 REQUIRED_ARGS = {
     "phantom-gen": ["--out", "o"],
     "train": ["--data", "d", "--out", "o"],
@@ -158,6 +170,41 @@ def test_train_invalid_config_exits_2(dataset, tmp_path, capsys, flag):
     assert not (tmp_path / "m").exists()
 
 
+def test_train_augment_flips_doubles_the_steps(dataset, tmp_path):
+    out = tmp_path / "m"
+    assert main(TRAIN_ARGS + ["--data", str(dataset), "--out", str(out), "--augment", "flips"]) == 0
+    curve = (out / "loss_curve.csv").read_text().splitlines()
+    assert len(curve) == 2 + 2 * 3  # three train cases and their flipped copies, one epoch
+
+
+def test_train_augment_rejects_anisotropic_case(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    sidecar = data / "cases" / "train_0001.json"
+    doc = json.loads(sidecar.read_text())
+    doc["spacing_mm"] = [1.0, 1.0, 2.0]
+    sidecar.write_text(json.dumps(doc))
+    out = tmp_path / "m"
+    rc = main(TRAIN_ARGS + ["--data", str(data), "--out", str(out), "--augment", "flips"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train_0001" in err
+    assert not out.exists()
+
+
+def test_manifest_version_check(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    manifest["version"] = 99
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "m"
+    assert main(TRAIN_ARGS + ["--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ") and "manifest version 99" in err
+    assert not out.exists()
+
+
 def test_infer_emits_pose_per_volume(dataset, model, tmp_path):
     out = tmp_path / "pred"
     assert main([
@@ -212,25 +259,96 @@ def test_infer_dump_heatmaps(dataset, model, tmp_path):
     assert vol.shape == (48, 48, 48)
 
 
-def test_refine_zero_iterations_matches_infer(dataset, model, tmp_path):
-    lib = tmp_path / "library.json"
-    assert main(["build-library", "--data", str(dataset), "--out", str(lib)]) == 0
+def test_infer_explicit_volumes(dataset, model, tmp_path):
+    # explicit volumes, given with and without ".raw", are read like the
+    # dataset's and named after their stems; the hash follows their bytes
+    vols = tmp_path / "vols"
+    vols.mkdir()
+    for case, stem in (("test_0000", "alpha"), ("test_0001", "beta")):
+        for ext in (".raw", ".json"):
+            shutil.copy(dataset / "cases" / f"{case}{ext}", vols / f"{stem}{ext}")
+    argv = ["infer", "--model", str(model), "--floor", "0.0",
+            "--volumes", str(vols / "alpha.raw"), str(vols / "beta")]
+    assert main(argv + ["--out", str(tmp_path / "v1")]) == 0
+    assert main(["infer", "--model", str(model), "--data", str(dataset), "--floor", "0.0",
+                 "--out", str(tmp_path / "split")]) == 0
+    assert sorted(p.name for p in (tmp_path / "v1").glob("*_pose.json")) == [
+        "alpha_pose.json", "beta_pose.json",
+    ]
+    for stem, case in (("alpha", "test_0000"), ("beta", "test_0001")):
+        _, doc = load_pose(tmp_path / "v1" / f"{stem}_pose.json")
+        _, expected = load_pose(tmp_path / "split" / f"{case}_pose.json")
+        assert predicted_record(doc) == predicted_record(expected)
+    raw = np.fromfile(vols / "beta.raw", dtype="<f4")
+    raw[0] += 1.0
+    raw.tofile(vols / "beta.raw")
+    assert main(argv + ["--out", str(tmp_path / "v2")]) == 0
+    hashes = [json.loads((tmp_path / name / "run_config.json").read_text())["hash"]
+              for name in ("v1", "v2")]
+    assert hashes[0] != hashes[1]
+
+
+@pytest.fixture(scope="module")
+def refined0(tmp_path_factory, dataset, model, library):
+    """refine with no iterations: the plain prediction, in refine's files."""
+    out = tmp_path_factory.mktemp("refined0")
+    assert main([
+        "refine", "--model", str(model), "--data", str(dataset), "--split", "test",
+        "--library", str(library), "--out", str(out),
+        "--iterations", "0", "--floor", "0.0", "--k", "3",
+    ]) == 0
+    return out
+
+
+def test_refine_zero_iterations_matches_infer(dataset, model, refined0, tmp_path):
     infer_out = tmp_path / "plain"
-    refine_out = tmp_path / "refined0"
     assert main([
         "infer", "--model", str(model), "--data", str(dataset),
         "--split", "test", "--out", str(infer_out), "--floor", "0.0",
     ]) == 0
+    pose_files = sorted(infer_out.glob("*_pose.json"))
+    assert len(pose_files) == 2
+    for pose_file in pose_files:
+        _, plain = load_pose(pose_file)
+        _, doc = load_pose(refined0 / pose_file.name)
+        assert predicted_record(doc) == predicted_record(plain)
+        assert doc["declined"] is False and doc["aborted"] is False
+
+
+def test_eval_of_refined_poses_checks_spacing(dataset, refined0, tmp_path):
+    # refined pose files carry the volume's spacing, so eval's agreement
+    # guard sees them
+    gt_dir = tmp_path / "gt"
+    gt_dir.mkdir()
+    for path in (dataset / "cases").glob("test_*_pose.json"):
+        doc = json.loads(path.read_text())
+        doc["spacing_mm"] = [2.0 * v for v in doc["spacing_mm"]]
+        (gt_dir / path.name).write_text(json.dumps(doc))
+    out = tmp_path / "eval"
+    rc = main(["eval", "--pred", str(refined0), "--gt", str(gt_dir), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_snapshot_traces_written(dataset, model, library, tmp_path):
+    # one iteration at a floor that the refined peaks partly fall below: the
+    # snapshot holds the final decode, with the same validity flags
+    out = tmp_path / "snapshots"
     assert main([
         "refine", "--model", str(model), "--data", str(dataset), "--split", "test",
-        "--library", str(lib), "--out", str(refine_out),
-        "--iterations", "0", "--floor", "0.0", "--k", "3",
+        "--library", str(library), "--out", str(out),
+        "--iterations", "1", "--floor", "0.01", "--k", "3", "--snapshot-each-iter",
     ]) == 0
-    for pose_file in infer_out.glob("*_pose.json"):
-        a, _ = load_pose(pose_file)
-        b, doc = load_pose(refine_out / pose_file.name)
-        np.testing.assert_allclose(a.xyz_mm, b.xyz_mm, atol=1e-9)
-        assert doc["declined"] is False
+    invalid = 0
+    for case in ("test_0000", "test_0001"):
+        trace = json.loads((out / f"{case}_trace.json").read_text())
+        assert len(trace["iterations"]) == 1 and not trace["declined"]
+        _, final = load_pose(out / f"{case}_pose.json")
+        _, snapshot = load_pose(out / f"{case}_iter00_pose.json")
+        assert predicted_record(snapshot) == predicted_record(final)
+        assert final["spacing_mm"] == [1.0, 1.0, 1.0]
+        invalid += sum(not lm["valid"] for lm in final["landmarks"])
+    assert invalid > 0
 
 
 def test_refine_flags_declined_cases(dataset, model, tmp_path):

@@ -85,7 +85,7 @@ def test_decode_single_voxel_impulse():
     stack[0, 5, 4, 3] = 1.0  # (z, y, x) = (5, 4, 3)
     dec = heatmap.decode_voxels(stack, window=1)
     np.testing.assert_array_equal(dec.voxels[0], [3.0, 4.0, 5.0])
-    assert dec.valid[0]
+    assert dec.present[0]
 
 
 def test_decode_subvoxel_gaussian_centroid():
@@ -109,9 +109,9 @@ def test_decode_all_zero_channel_flagged():
     stack = np.zeros((2, 8, 8, 8), dtype=np.float32)
     stack[1, 2, 2, 2] = 1.0
     dec = heatmap.decode_voxels(stack, window=3)
-    assert not dec.valid[0]
+    assert not dec.present[0]
     np.testing.assert_array_equal(dec.voxels[0], [0.0, 0.0, 0.0])
-    assert dec.valid[1]
+    assert dec.present[1]
 
 
 def test_decode_window_must_be_odd():

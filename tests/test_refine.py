@@ -9,7 +9,7 @@ from volpose.model import (
     DetectorConfig,
     build_detector,
     decode_prediction,
-    predict_pose,
+    infer,
     prepare_volume,
 )
 from volpose.refine import RefineConfig, refine, refine_batch
@@ -21,6 +21,10 @@ CFG = DetectorConfig(depth=1, base_channels=4, input_scale=1.0, sigma_vox=2.0)
 
 def detector():
     return build_detector(CFG, seed=0)
+
+
+def plain_pose(graph, vol, confidence_floor):
+    return decode_prediction(*infer(graph, vol, 1.0, CFG), confidence_floor=confidence_floor)
 
 
 def library(rng, n=12, shape=(16, 16, 16), margin=5.0):
@@ -41,7 +45,7 @@ def test_zero_iterations_equals_plain_inference():
     lib = library(rng)
     cfg = RefineConfig(iterations=0, confidence_floor=0.0)
     res = refine(g, vol, 1.0, lib, CFG, cfg)
-    plain = predict_pose(g, vol, 1.0, CFG, confidence_floor=0.0)
+    plain = plain_pose(g, vol, confidence_floor=0.0)
     np.testing.assert_array_equal(res.pose.xyz_mm, plain.xyz_mm)
     assert res.trace == []
     assert not res.declined
@@ -85,7 +89,7 @@ def test_declined_when_too_few_valid_landmarks():
     res = refine(g, vol, 1.0, library(rng), CFG, cfg)
     assert res.declined
     assert res.trace == []
-    plain = predict_pose(g, vol, 1.0, CFG, confidence_floor=1e9)
+    plain = plain_pose(g, vol, confidence_floor=1e9)
     np.testing.assert_array_equal(res.pose.xyz_mm, plain.xyz_mm)
 
 
@@ -138,18 +142,6 @@ def test_batch_summary_mean_of_final_losses():
     results, summary = refine_batch(g, cases, lib, CFG, cfg)
     finals = [results[f"c{i}"].trace[-1].loss_post for i in range(4)]
     assert summary.mean_final_proxy_loss == pytest.approx(np.mean(finals))
-
-
-def test_snapshot_traces_written(tmp_path):
-    rng = np.random.default_rng(8)
-    g = detector()
-    lib = library(rng)
-    cfg = RefineConfig(iterations=2, confidence_floor=0.0)  # out_dir alone asks for snapshots
-    cases = [("case_x", volume(rng), np.ones(3))]
-    refine_batch(g, cases, lib, CFG, cfg, out_dir=tmp_path)
-    assert (tmp_path / "case_x_trace.json").exists()
-    assert (tmp_path / "case_x_iter00_pose.json").exists()
-    assert (tmp_path / "case_x_iter01_pose.json").exists()
 
 
 def test_proxy_lands_in_the_network_frame(monkeypatch):
