@@ -267,6 +267,13 @@ def _prediction_inputs(args) -> tuple:
     if args.volumes:
         stems = [Path(v).with_suffix("") for v in args.volumes]
         volumes = [(stem.name, stem) for stem in stems]
+        first = {}
+        for given, (case_id, _) in zip(args.volumes, volumes):
+            if case_id in first:
+                raise UsageError(
+                    f"--volumes {first[case_id]} and {given} both write {case_id}_pose.json"
+                )
+            first[case_id] = given
         inputs["volumes"] = digest_files(
             stem.with_suffix(ext) for stem in stems for ext in (".json", ".raw")
         )

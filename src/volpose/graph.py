@@ -447,7 +447,7 @@ class Graph:
                 except ShapeMismatch as e:
                     raise ShapeMismatch(f"node {nid} ({node.op}): {e}") from e
             self._set_value(nid, val)
-            if not np.all(np.isfinite(val)):
+            if val.size and not (np.isfinite(val.min()) and np.isfinite(val.max())):
                 raise NonFiniteValue(nid, node.op, f" tag={node.attrs.get('tag', '')}")
             for i in frees:
                 self._free_value(i)

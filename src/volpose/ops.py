@@ -17,7 +17,17 @@ input gradient is the forward conv of ``grad_out`` with the flipped,
 channel-swapped kernel, so the forward and ``gx`` share one tap kernel,
 and the weight gradient is k^2 GEMMs of that stack against the padded
 input, one GEMM entry per weight. These fixed orders are what keep conv3d
-and its backward deterministic.
+and its backward deterministic. Above two blocks of ``CONV_BLOCK`` output
+columns, the tap kernel runs its k^2 GEMMs one column block at a time, so a
+block's operand slices stay in cache; each column keeps its (a, b) order.
+``gw`` is not blocked: splitting its inner dimension would change its sums.
+
+max_pool3d works on the 8 strided views of x, one per window position: the
+forward is a running maximum over them in window-linear order, and the
+backward hands each window's gradient to the first view that holds its max.
+ReLU's and max-pool's backward keep or zero gradient entries through one
+helper that ANDs the gradient's bits with an all-ones or all-zeros mask,
+which writes exactly +0.0 and costs no branch per element.
 
 Conventions baked in here:
   * ReLU gradient at exactly 0 is 0.
@@ -44,6 +54,11 @@ def _require(cond: bool, msg: str) -> None:
 # ---------------------------------------------------------------------------
 # conv3d: cubic odd kernel, stride 1, "same" zero padding
 # ---------------------------------------------------------------------------
+
+# output columns per block of the tap GEMMs. A block's k*k operand slices
+# span about 4096 + 2*Hp*Wp columns of k*Cin rows, 0.6 MB for 8 float32
+# channels at 32^3, which stays in a 1-2 MB per-core L2
+CONV_BLOCK = 4096
 
 def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     _require(x.ndim == 4, f"conv3d: input must be (C,D,H,W), got {x.shape}")
@@ -114,17 +129,27 @@ def _tap_conv(s: np.ndarray, wk: np.ndarray, shape: tuple) -> np.ndarray:
     """Same-padded conv of the (C, D, H, W) input stacked in ``s``.
 
     Runs one GEMM per (a, b) tap pair, with the k column taps c inside its
-    inner dimension, and accumulates the k*k products in (a, b) order.
-    Returns a (Cout, D, H, W) view of the accumulator.
+    inner dimension, and accumulates the k*k products in (a, b) order. Above
+    two blocks of output columns it does so one block of ``CONV_BLOCK``
+    columns at a time. Each column keeps its (a, b) sum order, so the bits
+    equal one block's wherever the BLAS computes a column the same way at
+    every GEMM width; OpenBLAS does so for the detector's float32 layers,
+    but its small-GEMM kernel and its float64 kernels round a few columns
+    of some shapes differently. Returns a (Cout, D, H, W) view of the
+    accumulator.
     """
     cin, d, h, w = shape
     hp, wp, n, offsets = _grid(shape, s.shape[0] // cin)
+    step = CONV_BLOCK if n > 2 * CONV_BLOCK else n
     acc = np.empty((wk.shape[1], d * hp * wp), dtype=s.dtype)
-    tmp = np.empty((wk.shape[1], n), dtype=s.dtype)
-    np.matmul(wk[0], s[:, :n], out=acc[:, :n])  # tap pair (0, 0) is at offset 0
-    for wt, off in zip(wk[1:], offsets[1:]):
-        np.matmul(wt, s[:, off : off + n], out=tmp)
-        acc[:, :n] += tmp
+    tmp = np.empty((wk.shape[1], step), dtype=s.dtype)
+    for j in range(0, n, step):
+        e = min(j + step, n)
+        t = tmp[:, : e - j]
+        np.matmul(wk[0], s[:, j:e], out=acc[:, j:e])  # tap pair (0, 0) is at offset 0
+        for wt, off in zip(wk[1:], offsets[1:]):
+            np.matmul(wt, s[:, off + j : off + e], out=t)
+            acc[:, j:e] += t
     return acc.reshape(-1, d, hp, wp)[:, :, :h, :w]
 
 
@@ -201,36 +226,60 @@ def deconv3d_backward(
 # max_pool3d: 2x2x2, stride 2; odd trailing extents are dropped
 # ---------------------------------------------------------------------------
 
-def _pool_windows(x: np.ndarray) -> np.ndarray:
+def _pool_views(x: np.ndarray) -> list[np.ndarray]:
+    """The 8 strided views of x, one per 2x2x2 window position, in
+    window-linear order: view a*4 + b*2 + c holds element (a, b, c) of every
+    window."""
     c, d, h, w = x.shape
     _require(d >= 2 and h >= 2 and w >= 2, f"max_pool3d: extents must be >= 2, got {x.shape}")
     d2, h2, w2 = d // 2, h // 2, w // 2
-    xc = x[:, : 2 * d2, : 2 * h2, : 2 * w2]
-    return (
-        xc.reshape(c, d2, 2, h2, 2, w2, 2)
-        .transpose(0, 1, 3, 5, 2, 4, 6)
-        .reshape(c, d2, h2, w2, 8)
-    )
+    return [
+        x[:, a : 2 * d2 : 2, b : 2 * h2 : 2, e : 2 * w2 : 2]
+        for a in (0, 1) for b in (0, 1) for e in (0, 1)
+    ]
+
+
+def _pool_max(views: list[np.ndarray]) -> np.ndarray:
+    m = np.maximum(views[0], views[1])
+    for v in views[2:]:
+        np.maximum(m, v, out=m)
+    return m
 
 
 def max_pool3d_forward(x: np.ndarray) -> np.ndarray:
-    return _pool_windows(x).max(axis=-1)
+    return _pool_max(_pool_views(x))
 
 
 def max_pool3d_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    c, d, h, w = x.shape
-    d2, h2, w2 = d // 2, h // 2, w // 2
-    win = _pool_windows(x)
-    idx = win.argmax(axis=-1)  # first max = lowest window-linear index
-    gwin = np.zeros_like(win)
-    np.put_along_axis(gwin, idx[..., None], grad_out[..., None], axis=-1)
+    """Each window's gradient goes to the first view, in window-linear
+    order, that holds the window's max; dropped trailing rows get 0. x is
+    finite: the graph rejects a non-finite value before its backward."""
+    views = _pool_views(x)
+    m = _pool_max(views)
     gx = np.zeros_like(x)
-    gx[:, : 2 * d2, : 2 * h2, : 2 * w2] = (
-        gwin.reshape(c, d2, h2, w2, 2, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3, 6)
-        .reshape(c, 2 * d2, 2 * h2, 2 * w2)
-    )
+    free = np.ones(m.shape, dtype=bool)  # windows no earlier view has taken
+    hit = np.empty(m.shape, dtype=bool)
+    for v, gv in zip(views, _pool_views(gx)):
+        np.equal(v, m, out=hit)
+        hit &= free
+        _keep(grad_out, hit, out=gv)
+        free ^= hit
     return gx
+
+
+def _keep(g: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``g`` where ``mask``, else +0.0, written to ``out`` or a new array.
+
+    ANDs the bits of ``g`` with all-ones or all-zeros, so the result is
+    byte-equal to ``np.where(mask, g, 0)`` without a branch per element.
+    """
+    u = np.dtype(f"u{g.itemsize}")
+    bits = mask.astype(u)
+    np.negative(bits, out=bits)  # True -> all ones
+    if out is None:
+        return np.bitwise_and(bits, g.view(u), out=bits).view(g.dtype)
+    np.bitwise_and(bits, g.view(u), out=out.view(u))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +328,7 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, grad_out, np.asarray(0, dtype=grad_out.dtype))
+    return _keep(grad_out, x > 0)
 
 
 def concat_forward(values: list[np.ndarray]) -> np.ndarray:

@@ -288,6 +288,24 @@ def test_infer_explicit_volumes(dataset, model, tmp_path):
     assert hashes[0] != hashes[1]
 
 
+@pytest.mark.parametrize("command", ["infer", "refine"])
+def test_volumes_with_one_stem_exit_2(dataset, model, library, tmp_path, capsys, command):
+    # a/test_0000 and b/test_0000 would both write test_0000_pose.json
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        for ext in (".raw", ".json"):
+            shutil.copy(dataset / "cases" / f"test_0000{ext}", tmp_path / sub / f"test_0000{ext}")
+    first, second = str(tmp_path / "a" / "test_0000"), str(tmp_path / "b" / "test_0000.raw")
+    extra = ["--library", str(library), "--k", "3"] if command == "refine" else []
+    out = tmp_path / "pred"
+    rc = main([command, "--model", str(model), "--out", str(out),
+               "--volumes", first, second] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert first in err and second in err and "test_0000_pose.json" in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def refined0(tmp_path_factory, dataset, model, library):
     """refine with no iterations: the plain prediction, in refine's files."""

@@ -11,6 +11,7 @@ from volpose.graph import (
     NonFiniteValue,
     select_checkpoints,
 )
+from volpose import ops
 from volpose.ops import ShapeMismatch
 
 
@@ -103,6 +104,32 @@ def test_non_finite_value_reports_first_node():
     with pytest.raises(NonFiniteValue) as exc:
         g.forward(feeds)
     assert exc.value.node_id == 0  # the input itself is the first offender
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_interior_value_names_its_node(monkeypatch, bad):
+    g, feeds = tiny_conv_graph()
+    relu = ops.relu_forward
+
+    def planted(x):
+        out = relu(x)
+        out[0, 2, 3, 1] = bad  # one voxel of an otherwise finite value
+        return out
+
+    monkeypatch.setattr(ops, "relu_forward", planted)
+    with pytest.raises(NonFiniteValue) as exc:
+        g.forward(feeds)
+    assert (exc.value.node_id, exc.value.op) == (4, "relu")
+
+
+def test_empty_value_passes_the_finite_check():
+    # an empty input holds no non-finite entry; the empty mean squared
+    # error downstream is the first non-finite value
+    g, _ = relu_chain(2)
+    empty = np.zeros((1, 0, 8, 8))
+    with pytest.raises(NonFiniteValue) as exc, np.errstate(invalid="ignore"):
+        g.forward({"x": empty, "target": empty})
+    assert (exc.value.node_id, exc.value.op) == (4, "l2_loss")
 
 
 def test_shape_error_names_node():

@@ -118,6 +118,31 @@ def test_conv3d_workspace_stays_near_operand_size():
     assert backward_peak <= 6 * operands, backward_peak / operands
 
 
+@pytest.mark.parametrize("cin, cout, extent", [(8, 8, 36), (16, 8, 32)])
+def test_blocked_conv3d_is_byte_equal_to_one_block(monkeypatch, cin, cout, extent):
+    # 8 -> 8 at 36^3 runs 12 blocks and a ragged tail; 16 -> 8 at 32^3 is
+    # the detector's widest 32^3 layer, with a 58-column tail. float32 is
+    # the detector's dtype: in float64, OpenBLAS rounds the last columns of
+    # a large GEMM apart from a small one's, so there the final voxels'
+    # bits follow the BLAS's kernel choice
+    shape = (cin, extent, extent, extent)
+    n = ops._grid(shape, 3)[2]
+    assert n > 3 * ops.CONV_BLOCK and n % ops.CONV_BLOCK
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=shape).astype(np.float32)
+    w = rng.normal(size=(cout, cin, 3, 3, 3)).astype(np.float32)
+    b = rng.normal(size=cout).astype(np.float32)
+    g = rng.normal(size=(cout, *shape[1:])).astype(np.float32)
+
+    def run():
+        return ops.conv3d_forward(x, w, b), *ops.conv3d_backward(x, w, g)
+
+    blocked = run()
+    monkeypatch.setattr(ops, "CONV_BLOCK", n)  # one block
+    for got, want in zip(run(), blocked):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_conv3d_channel_mismatch_rejected():
     x = np.zeros((2, 4, 4, 4))
     w = np.zeros((4, 3, 3, 3, 3))
@@ -182,6 +207,112 @@ def test_max_pool_tie_goes_to_lowest_linear_index():
     # all eight window entries tie at 7; the gradient must land on (0,0,0)
     assert gx[0, 0, 0, 0] == 1.0
     assert gx.sum() == 1.0
+
+
+# Oracles: the window-copy max-pool and np.where ReLU gradient that the
+# strided and bit-mask kernels replaced. The kernels must match them byte
+# for byte, signed zeros included.
+
+def pool_windows_oracle(x):
+    c, d, h, w = x.shape
+    d2, h2, w2 = d // 2, h // 2, w // 2
+    xc = x[:, : 2 * d2, : 2 * h2, : 2 * w2]
+    return (
+        xc.reshape(c, d2, 2, h2, 2, w2, 2)
+        .transpose(0, 1, 3, 5, 2, 4, 6)
+        .reshape(c, d2, h2, w2, 8)
+    )
+
+
+def max_pool_forward_oracle(x):
+    return pool_windows_oracle(x).max(axis=-1)
+
+
+def max_pool_backward_oracle(x, grad_out):
+    c, d, h, w = x.shape
+    d2, h2, w2 = d // 2, h // 2, w // 2
+    win = pool_windows_oracle(x)
+    idx = win.argmax(axis=-1)  # first max = lowest window-linear index
+    gwin = np.zeros_like(win)
+    np.put_along_axis(gwin, idx[..., None], grad_out[..., None], axis=-1)
+    gx = np.zeros_like(x)
+    gx[:, : 2 * d2, : 2 * h2, : 2 * w2] = (
+        gwin.reshape(c, d2, h2, w2, 2, 2, 2)
+        .transpose(0, 1, 4, 2, 5, 3, 6)
+        .reshape(c, 2 * d2, 2 * h2, 2 * w2)
+    )
+    return gx
+
+
+def relu_backward_oracle(x, grad_out):
+    return np.where(x > 0, grad_out, np.asarray(0, dtype=grad_out.dtype))
+
+
+def signed_zeros(rng, a, share=0.3):
+    """a with about ``share`` of its entries set to -0.0 or +0.0."""
+    a = a.copy()
+    hit = rng.random(a.shape) < share
+    a[hit] = np.where(rng.random(int(hit.sum())) < 0.5, -0.0, 0.0)
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 7, 6, 9), (2, 4, 5, 4), (1, 2, 3, 2), (4, 16, 16, 16)])
+def test_max_pool_matches_window_oracle_bytes(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    # small integers tie often; signed zeros mix -0.0 and +0.0 in windows
+    x = signed_zeros(rng, rng.integers(-2, 3, size=shape).astype(dtype))
+    c, d, h, w = shape
+    d2, h2, w2 = d // 2, h // 2, w // 2
+    # planted partial ties at non-zero window positions: (0, 1, 1) and
+    # (1, 0, 1) share the max of the first window, (1, 1, 0) and (1, 1, 1)
+    # that of the last window
+    x[:, 0:2, 0:2, 0:2] = -1
+    x[:, 0, 1, 1] = x[:, 1, 0, 1] = 3
+    ld, lh, lw = 2 * d2 - 2, 2 * h2 - 2, 2 * w2 - 2
+    if (d2, h2, w2) != (1, 1, 1):
+        x[:, ld : ld + 2, lh : lh + 2, lw : lw + 2] = -1
+        x[:, ld + 1, lh + 1, lw] = x[:, ld + 1, lh + 1, lw + 1] = 4
+    # odd trailing rows hold the largest values, which no window contains
+    x[:, 2 * d2 :] = x[:, :, 2 * h2 :] = x[:, :, :, 2 * w2 :] = 9
+    g = signed_zeros(rng, rng.normal(size=(c, d2, h2, w2)).astype(dtype))
+    out = ops.max_pool3d_forward(x)
+    assert out.dtype == dtype
+    assert out.tobytes() == max_pool_forward_oracle(x).tobytes()
+    gx = ops.max_pool3d_backward(x, g)
+    assert gx.dtype == dtype
+    assert gx.tobytes() == max_pool_backward_oracle(x, g).tobytes()
+    assert gx[:, 0, 1, 1].tobytes() == g[:, 0, 0, 0].tobytes()
+    assert not gx[:, 1, 0, 1].any()
+    if (d2, h2, w2) != (1, 1, 1):
+        assert gx[:, ld + 1, lh + 1, lw].tobytes() == g[:, -1, -1, -1].tobytes()
+        assert not gx[:, ld + 1, lh + 1, lw + 1].any()
+    for dropped in (gx[:, 2 * d2 :], gx[:, :, 2 * h2 :], gx[:, :, :, 2 * w2 :]):
+        assert not np.signbit(dropped).any() and not dropped.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_windows_of_signed_zeros_match_oracle_bytes(dtype):
+    rng = np.random.default_rng(11)
+    x = np.where(rng.random((2, 6, 6, 6)) < 0.5, -0.0, 0.0).astype(dtype)
+    x[0, 0, 0, 0], x[0, 0, 0, 1] = -0.0, 0.0
+    x[1, 0, 0, 0], x[1, 0, 0, 1] = 0.0, -0.0
+    g = rng.normal(size=(2, 3, 3, 3)).astype(dtype)
+    assert ops.max_pool3d_forward(x).tobytes() == max_pool_forward_oracle(x).tobytes()
+    assert ops.max_pool3d_backward(x, g).tobytes() == max_pool_backward_oracle(x, g).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_matches_where_oracle_bytes(dtype):
+    rng = np.random.default_rng(12)
+    x = signed_zeros(rng, rng.normal(size=(3, 7, 6, 5)).astype(dtype))
+    # negative and -0.0 gradients everywhere, also where x <= 0
+    g = signed_zeros(rng, -np.abs(rng.normal(size=x.shape)).astype(dtype))
+    gx = ops.relu_backward(x, g)
+    assert gx.dtype == dtype and gx.shape == x.shape
+    assert gx.tobytes() == relu_backward_oracle(x, g).tobytes()
+    blocked = gx[x <= 0]
+    assert blocked.size and not blocked.any() and not np.signbit(blocked).any()
 
 
 def test_batch_norm_normalizes_per_channel():
