@@ -181,18 +181,15 @@ def cmd_train(args) -> int:
         input_scale=args.input_scale,
         sigma_vox=args.sigma,
     )
-    train_cfg = _configured(
-        TrainConfig,
-        lr=args.lr, beta1=args.beta1, epochs=args.epochs, seed=args.seed,
-        batch_size=args.batch_size,
-    )
+    train_cfg = _configured(TrainConfig, lr=args.lr, epochs=args.epochs, seed=args.seed)
     run_cfg = RunConfig(
         "train",
         {
             "detector": det_cfg.to_dict(),
             "train": train_cfg.to_dict(),
             "gcp": args.gcp,
-            "every_k": args.every_k,
+            # k is a setting of the every_k policy only; no other run reads it
+            **({"every_k": args.every_k} if args.gcp == "every_k" else {}),
             "augment": args.augment,
             "model_seed": args.model_seed,
         },
@@ -487,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True)
     t.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     t.add_argument("--lr", type=float, default=TrainConfig.lr)
-    t.add_argument("--beta1", type=float, default=TrainConfig.beta1)
-    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     t.add_argument("--seed", type=int, default=TrainConfig.seed)
     t.add_argument("--model-seed", type=int, default=0)
     t.add_argument("--depth", type=int, default=DetectorConfig.depth)
@@ -501,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--augment", choices=tuple(AUGMENT_POLICIES),
                    default="none", help="expand the training set with label-consistent"
                    " flips and quarter rotations")
-    t.add_argument("--save-epochs", action="store_true", default=True)
     t.add_argument("--no-save-epochs", dest="save_epochs", action="store_false")
     t.set_defaults(func=cmd_train)
 

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from volpose.fileio import write_json
 
-CONFIG_VERSION = 3
+CONFIG_VERSION = 4
 
 
 def digest_files(paths: Iterable[str | Path]) -> str:

@@ -398,16 +398,6 @@ class Graph:
                 self.meter.free(n.value.nbytes)
                 n.value = None
 
-    def feed(self, name: str, value: np.ndarray) -> None:
-        """Replace one named input's stored value in place (after a forward).
-
-        Downstream values are not recomputed; callers re-running only the
-        backward pass use this to swap supervision targets cheaply.
-        """
-        if name not in self.inputs:
-            raise GraphError(f"unknown input '{name}'")
-        self._set_value(self.inputs[name], np.ascontiguousarray(value, dtype=self.dtype))
-
     # -- forward ---------------------------------------------------------------
 
     def forward(
@@ -470,8 +460,13 @@ class Graph:
         for name, gp in gparams.items():
             gradmap[f"{node.nid}.{name}"] = gp
 
-    def backward_checkpointed(self) -> dict[str, np.ndarray]:
+    def backward_checkpointed(self, grad_out: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Gradients of the loss w.r.t. every reachable learnable parameter.
+
+        Without ``grad_out`` the seed is 1 at the loss node, so the last
+        forward must have run to it. With ``grad_out``, it is the gradient at
+        the last forward's target node, whatever that was (refinement seeds
+        the heatmap head with its own loss's gradient).
 
         One walk over the last forward's :class:`Schedule`, in reverse. Each
         step first recomputes the discarded values it reads by re-running
@@ -483,10 +478,14 @@ class Graph:
         forward discarded values or not.
         """
         schedule = self.schedule
-        if schedule is None or schedule.target != self.loss_id:
+        if schedule is None or (grad_out is None and schedule.target != self.loss_id):
             raise MissingValue("backward: run forward to the loss node first")
         schedule.check()
-        grads: dict[int, np.ndarray] = {self.loss_id: np.asarray(1.0, dtype=self.dtype)}
+        seed = np.asarray(1.0, dtype=self.dtype) if grad_out is None else grad_out
+        if seed.shape != self.nodes[schedule.target].value.shape:
+            raise ShapeMismatch(f"backward: grad_out shape {seed.shape} is not node "
+                                f"{schedule.target}'s {self.nodes[schedule.target].value.shape}")
+        grads: dict[int, np.ndarray] = {schedule.target: seed}
         gradmap: dict[str, np.ndarray] = {}
         for nid, recompute, frees in schedule.backward:
             for m in recompute:

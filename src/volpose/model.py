@@ -74,19 +74,16 @@ class DetectorConfig:
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = BETA1
-    batch_size: int = 1
     epochs: int = 20
     seed: int = 0
-    # Adam's own defaults, not settings: training leaves them to the optimizer
+    # Adam's own constants, not settings: training leaves them to the optimizer
+    beta1: ClassVar[float] = BETA1
     beta2: ClassVar[float] = BETA2
     eps: ClassVar[float] = EPS
 
     def __post_init__(self):
         if self.lr <= 0:
             raise GraphError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise GraphError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise GraphError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -348,17 +345,18 @@ def train(
 
     A graph with a checkpoint set trains with a discarding forward and
     segment recompute, which gives the plain gradients bit for bit.
-    Per-epoch parameter checkpoints land in ``out_dir`` when given. The loss
-    curve records every step; training aborts on a non-finite loss.
+    Each case is one Adam step (batch size 1). Per-epoch parameter
+    checkpoints land in ``out_dir`` when given. The loss curve records every
+    step; a non-finite value at any node aborts training with an error that
+    names the epoch, the step and the node.
     """
     if not dataset:
         raise GraphError("training dataset is empty")
     prepared = _prepare_dataset(dataset, detector_cfg)
     discard = bool(graph.checkpoint_set)
-    adam = Adam(graph.parameters(), lr=train_cfg.lr, beta1=train_cfg.beta1)
+    adam = Adam(graph.parameters(), lr=train_cfg.lr)
     rng = np.random.default_rng(train_cfg.seed)
     result = TrainResult()
-    accum: dict[str, np.ndarray] | None = None
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(len(prepared))
         epoch_losses = []
@@ -370,13 +368,7 @@ def train(
                 grads = graph.backward_checkpointed()
             except GraphError as e:
                 raise GraphError(f"epoch {epoch} step {step}: {e}") from e
-            if not np.isfinite(loss):
-                raise GraphError(f"epoch {epoch} step {step}: non-finite loss {loss}")
-            accum = grads if accum is None else {k: accum[k] + g for k, g in grads.items()}
-            if (step + 1) % train_cfg.batch_size == 0 or step == len(order) - 1:
-                count = (step % train_cfg.batch_size) + 1
-                adam.step({k: g / count for k, g in accum.items()})
-                accum = None
+            adam.step(grads)
             result.loss_curve.append((epoch, step, float(loss)))
             epoch_losses.append(loss)
         result.epoch_means.append(float(np.mean(epoch_losses)))

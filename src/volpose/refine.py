@@ -17,7 +17,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from volpose import ops
-from volpose.anatomy import NUM_LANDMARKS
 from volpose.graph import Graph, GraphError, NonFiniteValue
 from volpose.heatmap import CONFIDENCE_FLOOR, WINDOW, DecodedPose, check_window
 from volpose.model import DetectorConfig, decode_prediction, output_node, prepare_volume
@@ -95,8 +94,7 @@ def refine(
     out_id = output_node(graph)
     adam = Adam(graph.parameters(), lr=cfg.lr)
 
-    zero_target = np.zeros((NUM_LANDMARKS,) + net_in.shape[1:], dtype=np.float32)
-    graph.forward({"volume": net_in, "target": zero_target})
+    graph.forward({"volume": net_in}, to_node=out_id)
     initial = decode_prediction(
         graph.value(out_id), frame, cfg.window, cfg.confidence_floor
     )
@@ -115,13 +113,16 @@ def refine(
             frame.net_shape, detector_cfg.sigma_vox,
         )
         try:
-            # the prediction is already on the graph from the last forward;
-            # swap in the fresh proxy as the loss target and backpropagate
-            graph.feed("target", proxy)
-            loss_pre = float(ops.l2_loss_forward(graph.value(out_id), proxy))
-            grads = graph.backward_plain()
-            adam.step(grads)
-            loss_post = graph.forward({"volume": net_in, "target": proxy})
+            # the prediction is on the graph from the last forward to the
+            # head: the proxy loss's gradient there seeds the backward
+            pred = graph.value(out_id)
+            loss_pre = float(ops.l2_loss_forward(pred, proxy))
+            grad_head, _ = ops.l2_loss_backward(
+                pred, proxy, np.asarray(1.0, dtype=pred.dtype), target_grad=False
+            )
+            adam.step(graph.backward_plain(grad_head))
+            graph.forward({"volume": net_in}, to_node=out_id)
+            loss_post = float(ops.l2_loss_forward(graph.value(out_id), proxy))
         except NonFiniteValue as e:
             return RefineResult(initial, trace, aborted=True, note=f"non-finite value: {e}")
         current = decode_prediction(
@@ -131,7 +132,7 @@ def refine(
             IterationRecord(
                 iteration=it,
                 loss_pre=loss_pre,
-                loss_post=float(loss_post),
+                loss_post=loss_post,
                 pose=current,
                 support_ids=support.ids(),
                 mean_support_error=float(np.mean(support.errors_mm)),

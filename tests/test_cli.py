@@ -14,6 +14,7 @@ from volpose.fileio import load_pose, load_volume
 from volpose.model import DetectorConfig, TrainConfig
 from volpose.phantom import PhantomSpec
 from volpose.refine import RefineConfig
+from volpose.serialize import load_model
 
 
 def digest(path: Path) -> str:
@@ -78,8 +79,7 @@ def declared_defaults(command: str) -> dict:
             "shadow_prob": spec.shadow_probability,
         },
         "train": {
-            "epochs": tc.epochs, "lr": tc.lr, "beta1": tc.beta1,
-            "batch_size": tc.batch_size, "seed": tc.seed,
+            "epochs": tc.epochs, "lr": tc.lr, "seed": tc.seed,
             "depth": det.depth, "base_channels": det.base_channels,
             "convs_per_block": det.convs_per_block, "input_scale": det.input_scale,
             "sigma": det.sigma_vox,
@@ -152,6 +152,41 @@ def test_train_writes_model_and_curve(dataset, model):
     assert curve[0].startswith("# ")
     assert curve[1] == "epoch,step,loss"
     assert len(curve) == 2 + 3  # three train cases, one epoch
+
+
+def test_train_saves_every_epoch_by_default(dataset, tmp_path):
+    out = tmp_path / "m"
+    args = [a for a in TRAIN_ARGS if a != "--no-save-epochs"]
+    assert main(args + ["--data", str(dataset), "--out", str(out), "--epochs", "2"]) == 0
+    epochs = out / "epochs"
+    assert sorted(p.name for p in epochs.iterdir()) == ["epoch_000", "epoch_001"]
+    for path in epochs.iterdir():
+        load_model(path)
+    assert digest(epochs / "epoch_001" / "params.bin") == digest(out / "model" / "params.bin")
+
+
+@pytest.mark.parametrize("flag", [["--beta1", "0.9"], ["--batch-size", "2"], ["--save-epochs"]])
+def test_train_retired_flags_exit_2(flag):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["train"] + REQUIRED_ARGS["train"] + flag)
+    assert exc.value.code == 2
+
+
+def test_every_k_is_recorded_only_under_its_policy(dataset, tmp_path):
+    # --every-k without --gcp every_k trains the same bytes, so it must not
+    # change the recorded settings or the config hash
+    runs = {}
+    for name, flags in (
+        ("off", []),
+        ("off_k3", ["--every-k", "3"]),
+        ("every_k3", ["--gcp", "every_k", "--every-k", "3"]),
+    ):
+        out = tmp_path / name
+        assert main(TRAIN_ARGS + ["--data", str(dataset), "--out", str(out)] + flags) == 0
+        runs[name] = json.loads((out / "run_config.json").read_text())
+    assert "every_k" not in runs["off"]["settings"]
+    assert runs["off_k3"]["hash"] == runs["off"]["hash"]
+    assert runs["every_k3"]["settings"]["every_k"] == 3
 
 
 def test_train_missing_dataset_exits_2(tmp_path):

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from volpose import heatmap
-from volpose.graph import Graph, GraphError, select_checkpoints
+from volpose import heatmap, ops
+from volpose.graph import Graph, GraphError, MissingValue, select_checkpoints
 from volpose.model import (
     DetectorConfig,
     TrainConfig,
@@ -219,33 +219,40 @@ def test_gcp_training_matches_plain_training_bitwise():
         np.testing.assert_array_equal(finals[0][key], finals[1][key])
 
 
-def test_batch_accumulation_of_equal_gradients_equals_one_step():
-    # the same gradient twice, summed and halved, is exact: one batch of two
-    # copies of a case must step exactly like that case alone
-    cfg = small_cfg(depth=1, base_channels=2)
-    case = random_case(np.random.default_rng(22), (8, 8, 8), margin=2.0)
-    finals = []
-    for cases, batch_size in (([case, case], 2), ([case], 1)):
-        g = build_detector(cfg, seed=23)
-        train(g, cases, TrainConfig(epochs=1, batch_size=batch_size), cfg)
-        finals.append(g.parameters())
-    for key in finals[0]:
-        np.testing.assert_array_equal(finals[0][key], finals[1][key])
+@pytest.mark.parametrize("discard", [False, True], ids=["plain", "block_boundary"])
+def test_head_seeded_backward_equals_loss_seeded_backward(discard):
+    # refinement's step: a forward to the head, then the proxy loss's head
+    # gradient as the seed, gives the fed-target backward's gradients exactly
+    cfg = small_cfg(depth=2, base_channels=2)
+    g = build_detector(cfg, seed=26)
+    if discard:
+        g.set_checkpoints(select_checkpoints(g, "block_boundary"))
+    rng = np.random.default_rng(27)
+    volume = rng.normal(size=(1, 8, 8, 8)).astype(np.float32)
+    target = rng.uniform(size=(16, 8, 8, 8)).astype(np.float32)
+    g.forward({"volume": volume, "target": target}, discard=discard)
+    fed = g.backward_plain()
+    head = output_node(g)
+    g.forward({"volume": volume}, discard=discard, to_node=head)
+    with pytest.raises(MissingValue):
+        g.backward_plain()  # the seed 1 belongs to the loss node, not the head
+    pred = g.value(head)
+    grad_head, _ = ops.l2_loss_backward(
+        pred, target, np.asarray(1.0, dtype=pred.dtype), target_grad=False
+    )
+    seeded = g.backward_plain(grad_head)
+    assert seeded.keys() == fed.keys()
+    for key in fed:
+        np.testing.assert_array_equal(seeded[key], fed[key])
 
 
-def test_partial_tail_batch_steps_on_its_own_gradient():
-    # three equal cases at batch size 2: the first batch averages two equal
-    # gradients exactly and the tail batch of one divides by 1, so this must
-    # step exactly like two cases at batch size 1
-    cfg = small_cfg(depth=1, base_channels=2)
-    case = random_case(np.random.default_rng(24), (8, 8, 8), margin=2.0)
-    finals = []
-    for cases, batch_size in (([case] * 3, 2), ([case] * 2, 1)):
-        g = build_detector(cfg, seed=25)
-        train(g, cases, TrainConfig(epochs=1, batch_size=batch_size), cfg)
-        finals.append(g.parameters())
-    for key in finals[0]:
-        np.testing.assert_array_equal(finals[0][key], finals[1][key])
+def test_non_finite_voxel_aborts_training_naming_epoch_step_and_node():
+    cfg = small_cfg()
+    volume, pose, spacing = random_case(np.random.default_rng(28), (8, 8, 8), margin=2.0)
+    volume[3, 4, 5] = np.nan
+    g = build_detector(cfg, seed=29)
+    with pytest.raises(GraphError, match=r"^epoch 0 step 0: non-finite value at node 0 \(input\)"):
+        train(g, [(volume, pose, spacing)], TrainConfig(epochs=1), cfg)
 
 
 def test_block_boundary_memory_reduction_on_reference_detector():
@@ -329,4 +336,3 @@ def test_train_defaults_match_protocol():
     tc = TrainConfig()
     assert tc.lr == 1e-3
     assert tc.beta1 == 0.5
-    assert tc.batch_size == 1

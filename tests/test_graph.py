@@ -146,6 +146,13 @@ def test_backward_requires_forward():
         g.backward_plain()
 
 
+def test_backward_rejects_grad_out_of_another_shape():
+    g, feeds = tiny_conv_graph()
+    g.forward(feeds, to_node=5)
+    with pytest.raises(ShapeMismatch, match="grad_out shape"):
+        g.backward_plain(np.ones((2, 6, 6, 5)))
+
+
 def test_backward_plain_after_discard_recomputes_bitwise():
     # both names are the one schedule walk: after a discarding forward it
     # recomputes what was freed and yields the plain step's exact gradients
