@@ -29,11 +29,22 @@ ReLU's and max-pool's backward keep or zero gradient entries through one
 helper that ANDs the gradient's bits with an all-ones or all-zeros mask,
 which writes exactly +0.0 and costs no branch per element.
 
+batch_norm takes its per-channel statistics in two passes: the mean, then
+the centred copy x - mean, whose row dot products give the variance. The
+forward scales and shifts that copy in place and returns it. The backward
+recomputes it, takes two per-channel sums of the gradient, and writes the
+closed-form input gradient into it (Ioffe & Szegedy, arXiv:1502.03167), so
+each direction holds one temporary of the input's size. Its sums run in
+another order than a normalize-then-reduce form's, about 1e-6 relative
+apart in float32, so trained bits depend on this order; plain and
+recomputed values run the same kernel and stay bitwise equal.
+
 Conventions baked in here:
   * ReLU gradient at exactly 0 is 0.
   * Max-pool ties resolve to the lowest linear index inside the 2x2x2 window.
   * batch_norm normalizes each channel over its spatial extent (batch size
-    is always 1), biased variance, configurable epsilon.
+    is always 1), biased variance from the centred input (never
+    E[x^2] - E[x]^2), configurable epsilon.
   * l2_loss is the mean squared error over all elements.
 """
 
@@ -255,6 +266,8 @@ def max_pool3d_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     order, that holds the window's max; dropped trailing rows get 0. x is
     finite: the graph rejects a non-finite value before its backward."""
     views = _pool_views(x)
+    _require(grad_out.shape == views[0].shape,
+             f"max_pool3d: grad_out must be {views[0].shape}, got {grad_out.shape}")
     m = _pool_max(views)
     gx = np.zeros_like(x)
     free = np.ones(m.shape, dtype=bool)  # windows no earlier view has taken
@@ -288,11 +301,17 @@ def _keep(g: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.
 
 BN_EPS = 1e-5
 
-def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel normalized input and inverse std over the spatial axes."""
-    mean, var = x.mean(axis=(1, 2, 3)), x.var(axis=(1, 2, 3))
-    istd = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    return (x - mean[:, None, None, None]) * istd[:, None, None, None], istd
+def _centred(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The centred input ``x - mean`` as a new (C, N) array, and 1/std.
+
+    Two passes for the statistics: the per-channel mean, then the centred
+    copy, whose sum of squares is a dot product of each row with itself and
+    needs no further temporary. Biased variance, never E[x^2] - E[x]^2.
+    """
+    x2 = x.reshape(x.shape[0], -1)
+    xc = np.subtract(x2, x2.mean(axis=1)[:, None])
+    var = np.einsum("ij,ij->i", xc, xc) / xc.shape[1]
+    return xc, 1.0 / np.sqrt(var + np.asarray(eps, dtype=xc.dtype))
 
 
 def batch_norm_forward(
@@ -302,21 +321,36 @@ def batch_norm_forward(
     c = x.shape[0]
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"batch_norm: affine params must be ({c},), got {gamma.shape}/{beta.shape}")
-    xhat, _ = _normalize(x, eps)
-    return gamma[:, None, None, None] * xhat + beta[:, None, None, None]
+    out, istd = _centred(x, eps)
+    out *= (gamma * istd)[:, None]
+    out += beta[:, None]
+    return out.reshape(x.shape)
 
 
 def batch_norm_backward(
     x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray, eps: float = BN_EPS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xhat, istd = _normalize(x, eps)
-    ggamma = (grad_out * xhat).sum(axis=(1, 2, 3))
-    gbeta = grad_out.sum(axis=(1, 2, 3))
-    gscaled = grad_out * gamma[:, None, None, None]
-    m1 = gscaled.mean(axis=(1, 2, 3), keepdims=True)
-    m2 = (gscaled * xhat).mean(axis=(1, 2, 3), keepdims=True)
-    gx = istd[:, None, None, None] * (gscaled - m1 - xhat * m2)
-    return gx, ggamma, gbeta
+    """(gx, ggamma, gbeta) in closed form (Ioffe & Szegedy, arXiv:1502.03167).
+
+    With xc the centred input, g the output gradient and N voxels per
+    channel, gbeta = sum(g) and ggamma = istd * sum(g * xc), and
+    gx = gamma * istd * (g - istd^2 * sum(g * xc) / N * xc - sum(g) / N),
+    written into the centred copy in place.
+    """
+    c = x.shape[0]
+    _require(gamma.shape == (c,), f"batch_norm: gamma must be ({c},), got {gamma.shape}")
+    _require(grad_out.shape == x.shape,
+             f"batch_norm: grad_out must be {x.shape}, got {grad_out.shape}")
+    gx, istd = _centred(x, eps)
+    g = grad_out.reshape(gx.shape)
+    gbeta = g.sum(axis=1)
+    gdot = np.einsum("ij,ij->i", g, gx)
+    n = gx.shape[1]
+    gx *= (-istd * istd * gdot / n)[:, None]
+    gx += g
+    gx -= (gbeta / n)[:, None]
+    gx *= (gamma * istd)[:, None]
+    return gx.reshape(x.shape), gdot * istd, gbeta
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +362,7 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    _require(grad_out.shape == x.shape, f"relu: grad_out must be {x.shape}, got {grad_out.shape}")
     return _keep(grad_out, x > 0)
 
 
@@ -362,5 +397,7 @@ def l2_loss_backward(
     pred: np.ndarray, target: np.ndarray, grad_out: np.ndarray, target_grad: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(gpred, gtarget); gtarget is None when ``target_grad`` is False."""
+    _require(pred.shape == target.shape, f"l2_loss: target must be {pred.shape}, got {target.shape}")
+    _require(np.shape(grad_out) == (), f"l2_loss: grad_out must be (), got {np.shape(grad_out)}")
     g = (2.0 / pred.size) * grad_out * (pred - target)
     return g, (-g if target_grad else None)

@@ -166,6 +166,42 @@ def test_deconv3d_backward_rejects_mismatched_grad_out(go_shape):
         ops.deconv3d_backward(x, w, np.zeros(go_shape))
 
 
+BACKWARD_ON_X = {
+    "batch_norm": lambda x, g: ops.batch_norm_backward(x, np.ones(2), g),
+    "relu": ops.relu_backward,
+    "max_pool3d": ops.max_pool3d_backward,
+    "l2_loss": lambda x, g: ops.l2_loss_backward(x, g, np.asarray(1.0)),  # g is the target
+}
+
+
+@pytest.mark.parametrize(
+    "name, go_shape",
+    [
+        ("batch_norm", (2, 1, 1, 1)),
+        ("batch_norm", (1, 4, 6, 8)),
+        ("relu", (2, 1, 1, 1)),
+        ("relu", (1, 4, 6, 8)),
+        ("max_pool3d", (2, 1, 1, 1)),
+        ("max_pool3d", (1, 2, 3, 4)),
+        ("max_pool3d", (2, 4, 6, 8)),
+        ("l2_loss", (2, 1, 1, 1)),
+        ("l2_loss", (1, 4, 6, 8)),
+    ],
+)
+def test_backward_rejects_broadcastable_grad_out(name, go_shape):
+    # each shape broadcasts against x (2, 4, 6, 8) or the pooled (2, 2, 3, 4),
+    # so without the check the kernel would return a gradient of wrong values
+    x = np.random.default_rng(4).normal(size=(2, 4, 6, 8))
+    with pytest.raises(ShapeMismatch, match=rf"{name}: \w+ must be \("):
+        BACKWARD_ON_X[name](x, np.ones(go_shape))
+
+
+def test_l2_loss_backward_rejects_non_scalar_grad_out():
+    x = np.zeros((2, 4, 6, 8))
+    with pytest.raises(ShapeMismatch, match=r"l2_loss: grad_out must be \(\)"):
+        ops.l2_loss_backward(x, x, np.ones(x.shape))
+
+
 def test_deconv3d_doubles_extents():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 3, 4, 5))
@@ -321,6 +357,90 @@ def test_batch_norm_normalizes_per_channel():
     out = ops.batch_norm_forward(x, np.ones(2), np.zeros(2))
     np.testing.assert_allclose(out.mean(axis=(1, 2, 3)), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.std(axis=(1, 2, 3)), 1.0, atol=1e-4)
+
+
+# allowed error of batch-norm in float32, in ulps of the channel's scale:
+# the float32 sums here (pairwise means, the einsum's lane-wise dot
+# products) err by single-digit ulps at these sizes. A one-pass
+# E[x^2] - E[x]^2 variance loses hundreds on a channel whose mean is 1e3 std
+BN_TOL_ULPS = 16
+
+
+def batch_norm_float64(x, gamma, beta, g, eps=ops.BN_EPS):
+    """Forward, gx, ggamma, gbeta in float64 by the textbook formulas, and
+    the scale that each output's error is measured against."""
+    x, gamma, beta, g = (a.astype(np.float64) for a in (x, gamma, beta, g))
+    axes, n = (1, 2, 3), x[0].size
+    mean = x.mean(axis=axes, keepdims=True)
+    std = np.sqrt(((x - mean) ** 2).mean(axis=axes, keepdims=True) + eps)
+    xhat = (x - mean) / std
+    gm = gamma[:, None, None, None]
+    gsum, ghx = g.sum(axis=axes), (g * xhat).sum(axis=axes)
+    gx = gm / std * (g - gsum[:, None, None, None] / n - xhat * ghx[:, None, None, None] / n)
+    y = gm * xhat + beta[:, None, None, None]
+    # centring a channel costs its rounding at |mean| relative to std
+    cond = 1 + np.abs(mean.ravel()) / std.ravel()
+    scales = (
+        np.abs(y).max(axis=axes) * cond,
+        np.abs(gx).max(axis=axes) * cond,
+        np.abs(g * xhat).sum(axis=axes) * cond,
+        np.abs(g).sum(axis=axes),
+    )
+    return (y, gx, ghx, gsum), scales
+
+
+@pytest.mark.parametrize("shape", [(4, 16, 16, 16), (8, 32, 32, 32)])
+def test_batch_norm_matches_float64_reference(shape):
+    rng = np.random.default_rng(13)
+    c = shape[0]
+    loc, scale = rng.normal(size=c), np.exp(rng.normal(size=c))
+    loc[1] = 1e3 * scale[1]
+    x = (loc[:, None, None, None] + scale[:, None, None, None] * rng.normal(size=shape))
+    x = x.astype(np.float32)
+    gamma, beta = rng.normal(size=(2, c)).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+    got = (ops.batch_norm_forward(x, gamma, beta), *ops.batch_norm_backward(x, gamma, g))
+    want, scales = batch_norm_float64(x, gamma, beta, g)
+    eps = np.finfo(np.float32).eps
+    for name, a, b, sc in zip(("y", "gx", "ggamma", "gbeta"), got, want, scales):
+        assert a.dtype == np.float32 and a.shape == b.shape, name
+        err = np.abs(a - b).reshape(c, -1).max(axis=1) / (sc * eps)
+        assert err.max() <= BN_TOL_ULPS, (name, err)
+
+
+def test_batch_norm_bytes_hold_across_views_and_workspace_stays_one_temporary():
+    rng = np.random.default_rng(14)
+    shape = (8, 32, 32, 32)
+    x = (3 + 2 * rng.normal(size=shape)).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+    gamma, beta = rng.normal(size=(2, 8)).astype(np.float32)
+
+    def run(x, gamma, beta, g):
+        return [ops.batch_norm_forward(x, gamma, beta), *ops.batch_norm_backward(x, gamma, g)]
+
+    def offset(a):  # a copy that starts one element past the allocation
+        buf = np.empty(a.size + 1, dtype=a.dtype)
+        view = buf[1:].reshape(a.shape)
+        view[...] = a
+        return view
+
+    want = run(x, gamma, beta, g)
+    for got, w in zip(run(offset(x), gamma, beta, offset(g)), want):
+        assert got.tobytes() == w.tobytes()
+    for got, w in zip(run(x[2:5], gamma[2:5], beta[2:5], g[2:5]), want):
+        assert got.tobytes() == w[2:5].tobytes()
+
+    tracemalloc.start()
+    try:
+        ops.batch_norm_forward(x, gamma, beta)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ops.batch_norm_backward(x, gamma, g)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak <= 2 * x.nbytes, forward_peak / x.nbytes
+    assert backward_peak <= 3 * x.nbytes, backward_peak / x.nbytes
 
 
 def test_concat_requires_equal_spatial_extents():
