@@ -25,7 +25,7 @@ from volpose import fileio
 from volpose.anatomy import LANDMARKS, REGISTRATION_SUBSET
 from volpose.config import RunConfig, digest_files
 from volpose.graph import GraphError, select_checkpoints
-from volpose.heatmap import CONFIDENCE_FLOOR, WINDOW, DecodedPose, HeatmapError, check_window
+from volpose.heatmap import CONFIDENCE_FLOOR, WINDOW, DecodedPose, HeatmapError, check_decode
 from volpose.metrics import GRID_MAX_MM, GRID_STEP_MM, build_report, threshold_grid, write_report
 from volpose.model import (
     DetectorConfig,
@@ -293,7 +293,7 @@ def _save_prediction(path: Path, dec: DecodedPose, spacing, stamp: dict, **field
 
 
 def cmd_infer(args) -> int:
-    _configured(check_window, window=args.window)
+    _configured(check_decode, window=args.window, confidence_floor=args.floor)
     graph, det_cfg, volumes, inputs, paths = _prediction_inputs(args)
     run_cfg = RunConfig(
         "infer",
@@ -388,9 +388,10 @@ def _collect_poses(directory: Path) -> dict[str, tuple[Pose, dict]]:
 
 
 def cmd_eval(args) -> int:
-    if args.grid_step <= 0 or args.grid_max <= 0:
+    if not 0 < args.grid_step <= args.grid_max < np.inf:
         raise UsageError(
-            f"--grid-step and --grid-max must be positive, got {args.grid_step} and {args.grid_max}"
+            f"--grid-step and --grid-max must be positive and finite, the step at most "
+            f"the max, got {args.grid_step} and {args.grid_max}"
         )
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
     if not pred_dir.is_dir():

@@ -11,10 +11,12 @@ gradients for every learnable parameter. Because every primitive has a fixed
 reduction order, the gradients after a discarding forward are bitwise
 identical to those after a plain one.
 
-Which value is live at which step is decided in one place: the
-:class:`Schedule` that ``forward`` builds from (graph, target, discard).
-The executor walks it here and ``memplan`` sums byte sizes along the same
-walk, so planned and metered peaks agree by construction.
+One account decides every walk: the :class:`Schedule` that ``forward``
+builds from (graph, target, discard, input shapes). It says which value is
+live at which step, sizes each value by the ``OP_TABLE`` shape rules, and
+gives the peak of the forward and of the whole step. The executor checks the
+meter's cap against that peak before each walk, then only stores and drops
+values; ``memplan`` builds the same schedule from shapes alone.
 
 Values that stay live during a discarding forward pass:
   * members of ``checkpoint_set``,
@@ -22,12 +24,13 @@ Values that stay live during a discarding forward pass:
   * direct inputs of any ``channel_concat`` node, which must survive across
     the skip connection until the consuming segment is recomputed.
 
-The memory meter counts node value buffers only (not parameters, not
+The account counts node value buffers only (not parameters, not
 gradients): those buffers are the quantity checkpointing manipulates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,27 +67,18 @@ class MemoryCapExceeded(GraphError):
 
 @dataclass
 class MemMeter:
-    """Tracks live and peak bytes of node value buffers."""
+    """The planned peak of node value bytes of the last walk, and a cap."""
 
-    live: int = 0
     peak: int = 0
     cap: int | None = None
 
-    def alloc(self, nbytes: int) -> None:
-        self.live += nbytes
-        if self.live > self.peak:
-            self.peak = self.live
-        if self.cap is not None and self.live > self.cap:
+    def plan(self, peak: int, walk: str) -> None:
+        """Admit a walk whose planned peak is ``peak``, or raise if it is over the cap."""
+        if self.cap is not None and peak > self.cap:
             raise MemoryCapExceeded(
-                f"live node bytes {self.live} exceed simulated cap {self.cap}"
+                f"planned {walk} peak of {peak} node bytes exceeds the simulated cap {self.cap}"
             )
-
-    def free(self, nbytes: int) -> None:
-        self.live -= nbytes
-
-    def reset(self) -> None:
-        self.live = 0
-        self.peak = 0
+        self.peak = peak
 
 
 @dataclass
@@ -186,9 +180,26 @@ OP_TABLE: dict[str, Op] = {
 }
 
 
+def value_shapes(graph: "Graph", nids, input_shapes: dict[str, tuple]) -> dict[int, tuple]:
+    """Value shape of each node in ``nids`` (ascending, closed under inputs)
+    from the named input shapes and the ``OP_TABLE`` shape rules."""
+    shapes: dict[int, tuple] = {}
+    for nid in nids:
+        node = graph.nodes[nid]
+        if node.op == "input":
+            name = node.attrs["name"]
+            if name not in input_shapes:
+                raise GraphError(f"missing feed for input '{name}' (node {nid})")
+            shapes[nid] = tuple(input_shapes[name])
+        else:
+            shapes[nid] = OP_TABLE[node.op].shape(node, [shapes[i] for i in node.inputs])
+    return shapes
+
+
 @dataclass
 class Schedule:
-    """The liveness walk of one training step, computed without any value.
+    """The liveness walk of one training step and its memory account,
+    computed from shapes alone.
 
     * ``need``: the target and its ancestors, in forward order;
     * ``requires_grad``: needed nodes whose gradient is read, those with a
@@ -201,6 +212,9 @@ class Schedule:
       the values no later step reads.
     * ``error``: why a checkpointed backward cannot run (an edge into a
       segment from a discarded node outside it), or None.
+    * ``nbytes``: the planned bytes of each needed value;
+    * ``forward_peak`` and ``step_peak``: the peak of live value bytes over
+      the forward walk, and over the forward and backward walks together.
     """
 
     target: int
@@ -210,9 +224,12 @@ class Schedule:
     forward_frees: list[list[int]]
     backward: list[tuple[int, list[int], list[int]]]
     error: str | None
+    nbytes: dict[int, int]
+    forward_peak: int
+    step_peak: int
 
     @classmethod
-    def build(cls, graph: "Graph", target: int, discard: bool) -> "Schedule":
+    def build(cls, graph: "Graph", target: int, discard: bool, input_shapes: dict) -> "Schedule":
         nodes = graph.nodes
         seen = {target}
         stack = [target]
@@ -288,7 +305,23 @@ class Schedule:
             freed = [i for i in dict.fromkeys(inputs + [nid]) if left[i] == 0 and i in alive]
             alive.difference_update(freed)
             backward.append((nid, recompute, freed))
-        return cls(target, need, requires_grad, retained, forward_frees, backward, error)
+
+        # the account: live value bytes along the same walk, a value counted
+        # from the step that stores it to the step that frees it
+        shapes = value_shapes(graph, need, input_shapes)
+        nbytes = {nid: math.prod(s) * graph.dtype.itemsize for nid, s in shapes.items()}
+        live = peak = 0
+        for nid, frees in zip(need, forward_frees):
+            live += nbytes[nid]
+            peak = max(peak, live)
+            live -= sum(nbytes[i] for i in frees)
+        forward_peak = peak
+        for _, recompute, frees in backward:
+            live += sum(nbytes[m] for m in recompute)
+            peak = max(peak, live)
+            live -= sum(nbytes[i] for i in frees)
+        return cls(target, need, requires_grad, retained, forward_frees, backward, error,
+                   nbytes, forward_peak, peak)
 
     def check(self) -> None:
         if self.error is not None:
@@ -369,18 +402,13 @@ class Graph:
 
     # -- value management -----------------------------------------------------
 
-    def _set_value(self, nid: int, value: np.ndarray) -> None:
-        node = self.nodes[nid]
-        if node.value is not None:
-            self.meter.free(node.value.nbytes)
+    def _store(self, node: Node, value: np.ndarray, nbytes: int) -> None:
+        if value.nbytes != nbytes:
+            raise ShapeMismatch(
+                f"node {node.nid} ({node.op}): value {value.dtype}{value.shape} has "
+                f"{value.nbytes} bytes, planned {nbytes}"
+            )
         node.value = value
-        self.meter.alloc(value.nbytes)
-
-    def _free_value(self, nid: int) -> None:
-        node = self.nodes[nid]
-        if node.value is not None:
-            self.meter.free(node.value.nbytes)
-            node.value = None
 
     def _input_values(self, node: Node) -> list[np.ndarray]:
         vals = [self.nodes[i].value for i in node.inputs]
@@ -391,12 +419,6 @@ class Graph:
 
     def _run(self, node: Node) -> np.ndarray:
         return OP_TABLE[node.op].forward(node, self._input_values(node))
-
-    def clear_values(self) -> None:
-        for n in self.nodes:
-            if n.value is not None:
-                self.meter.free(n.value.nbytes)
-                n.value = None
 
     # -- forward ---------------------------------------------------------------
 
@@ -412,7 +434,9 @@ class Graph:
         With ``discard=True``, values that are not retained (checkpoints,
         inputs, loss, concat inputs) are freed as soon as their last forward
         consumer has run. The loss value is identical either way.
-        ``update_stats`` is accepted for old callers and ignored.
+        ``update_stats`` is accepted for old callers and ignored. The walk's
+        planned forward peak goes to ``meter.peak``, or raises
+        :class:`MemoryCapExceeded` before any kernel runs.
         """
         target = self.loss_id if to_node is None else to_node
         if target is None:
@@ -420,27 +444,26 @@ class Graph:
         if discard and not self.checkpoint_set:
             raise GraphError("discarding forward requires a non-empty checkpoint_set")
 
-        schedule = Schedule.build(self, target, discard)
-        self.clear_values()
-        self.meter.reset()
+        self.schedule = None
+        for n in self.nodes:
+            n.value = None
+        schedule = Schedule.build(self, target, discard, {k: np.shape(v) for k, v in feeds.items()})
+        self.meter.plan(schedule.forward_peak, "forward")
 
         for nid, frees in zip(schedule.need, schedule.forward_frees):
             node = self.nodes[nid]
             if node.op == "input":
-                name = node.attrs["name"]
-                if name not in feeds:
-                    raise GraphError(f"missing feed for input '{name}' (node {nid})")
-                val = np.ascontiguousarray(feeds[name], dtype=self.dtype)
+                val = np.ascontiguousarray(feeds[node.attrs["name"]], dtype=self.dtype)
             else:
                 try:
                     val = self._run(node)
                 except ShapeMismatch as e:
                     raise ShapeMismatch(f"node {nid} ({node.op}): {e}") from e
-            self._set_value(nid, val)
+            self._store(node, val, schedule.nbytes[nid])
             if val.size and not (np.isfinite(val.min()) and np.isfinite(val.max())):
                 raise NonFiniteValue(nid, node.op, f" tag={node.attrs.get('tag', '')}")
             for i in frees:
-                self._free_value(i)
+                self.nodes[i].value = None
 
         self.schedule = schedule
         out = self.nodes[target].value
@@ -473,9 +496,10 @@ class Graph:
         their segment from still-live values (there are none to recompute
         after a plain forward), then backpropagates, then frees every value
         that no later step reads. After the walk the graph holds no value, so
-        the meter shows true liveness and a second call raises
-        :class:`MissingValue`. Gradients are bitwise identical whether the
-        forward discarded values or not.
+        a second call raises :class:`MissingValue`. Gradients are bitwise
+        identical whether the forward discarded values or not. The step's
+        planned peak goes to ``meter.peak``, or raises
+        :class:`MemoryCapExceeded` before the walk.
         """
         schedule = self.schedule
         if schedule is None or (grad_out is None and schedule.target != self.loss_id):
@@ -485,14 +509,15 @@ class Graph:
         if seed.shape != self.nodes[schedule.target].value.shape:
             raise ShapeMismatch(f"backward: grad_out shape {seed.shape} is not node "
                                 f"{schedule.target}'s {self.nodes[schedule.target].value.shape}")
+        self.meter.plan(schedule.step_peak, "step")
         grads: dict[int, np.ndarray] = {schedule.target: seed}
         gradmap: dict[str, np.ndarray] = {}
         for nid, recompute, frees in schedule.backward:
             for m in recompute:
-                self._set_value(m, self._run(self.nodes[m]))
+                self._store(self.nodes[m], self._run(self.nodes[m]), schedule.nbytes[m])
             self._backward_step(self.nodes[nid], schedule.requires_grad, grads, gradmap)
             for i in frees:
-                self._free_value(i)
+                self.nodes[i].value = None
         self.schedule = None
         return gradmap
 
@@ -504,36 +529,24 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 def select_checkpoints(graph: Graph, policy: str, k: int | None = None) -> set[int]:
-    """Choose the retained-node set for a discarding forward pass.
+    """The checkpoint set a policy picks for a discarding forward pass.
 
     Policies:
-      * ``block_boundary``: nodes tagged as block outputs by the detector
-        builder, minus any node that directly feeds a channel_concat (those
-        stay live through the runtime's skip-connection pinning instead).
-      * ``every_k``: every k-th node id, plus inputs and loss.
+      * ``block_boundary``: the nodes the detector builder tags as block
+        outputs;
+      * ``every_k``: every k-th node id.
 
-    Any other set goes through ``Graph.set_checkpoints``, which checks its ids.
+    Whatever the set, the :class:`Schedule` also keeps the inputs, the loss
+    and every direct input of a channel_concat. Any other set goes through
+    ``Graph.set_checkpoints``, which checks its ids.
     """
-    n = len(graph.nodes)
-    implicit = set(graph.inputs.values())
-    if graph.loss_id is not None:
-        implicit.add(graph.loss_id)
     if policy == "every_k":
         if not k or k < 1:
             raise GraphError("every_k policy requires k >= 1")
-        return {nid for nid in range(n) if nid % k == 0} | implicit
+        return set(range(0, len(graph.nodes), k))
     if policy == "block_boundary":
-        concat_inputs: set[int] = set()
-        for node in graph.nodes:
-            if node.op == "channel_concat":
-                concat_inputs.update(node.inputs)
-        marks = {
-            node.nid
-            for node in graph.nodes
-            if node.attrs.get("block_output", False) and node.nid not in concat_inputs
-        }
+        marks = {node.nid for node in graph.nodes if node.attrs.get("block_output", False)}
         if not marks:
             raise GraphError("block_boundary policy: graph has no tagged block outputs")
-        return marks | implicit
+        return marks
     raise GraphError(f"unknown checkpoint policy '{policy}'")
-

