@@ -1,5 +1,4 @@
-"""Symbolic memory planning: per-node value sizes and peak liveness without
-allocating anything.
+"""Symbolic memory planning: peak liveness without allocating anything.
 
 The plan is the executor's own account: the :class:`~volpose.graph.Schedule`
 built from input shapes alone, which sizes each value by its op's shape rule
@@ -13,18 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from volpose.graph import Graph, Schedule, value_shapes
-
-
-def node_shapes(graph: Graph, input_shapes: dict[str, tuple]) -> list[tuple]:
-    """Value shape of every node for the given named input shapes."""
-    return list(value_shapes(graph, range(len(graph.nodes)), input_shapes).values())
+from volpose.graph import Graph, Schedule
 
 
 @dataclass
 class MemoryPlan:
     parameter_count: int
-    node_bytes: list[int]      # of each value the loss needs, in node order
     plain_step_peak: int       # the forward's: it keeps everything, backward only frees
     forward_discard_peak: int
     checkpointed_step_peak: int
@@ -37,7 +30,6 @@ def plan_memory(graph: Graph, input_shapes: dict[str, tuple]) -> MemoryPlan:
     checkpointed.check()
     return MemoryPlan(
         parameter_count=int(sum(v.size for v in graph.parameters().values())),
-        node_bytes=list(plain.nbytes.values()),
         plain_step_peak=plain.step_peak,
         forward_discard_peak=checkpointed.forward_peak,
         checkpointed_step_peak=checkpointed.step_peak,

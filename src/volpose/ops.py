@@ -6,21 +6,25 @@ re-evaluating it on the same inputs reproduces the same bits. That property
 is what lets the checkpointed backward pass recompute discarded values and
 still match the plain backward pass exactly.
 
-conv3d pads its input straight into a stacked operand of k copies of the
-flattened padded input, copy c shifted by c columns, and runs k^2 GEMMs
-with inner dimension k*Cin over contiguous column slices of it (between
-im2col and MEC, Cho & Brand 2017; Vasudevan et al., arXiv:1704.04428). Its
-workspace is about k times the input instead of an im2col buffer k^3 times
-the input. Each output element is the sum of its k^2 GEMM products taken in
-one fixed (a, b) order. The backward stacks ``grad_out`` the same way: the
-input gradient is the forward conv of ``grad_out`` with the flipped,
-channel-swapped kernel, so the forward and ``gx`` share one tap kernel,
-and the weight gradient is k^2 GEMMs of that stack against the padded
-input, one GEMM entry per weight. These fixed orders are what keep conv3d
-and its backward deterministic. Above two blocks of ``CONV_BLOCK`` output
-columns, the tap kernel runs its k^2 GEMMs one column block at a time, so a
-block's operand slices stay in cache; each column keeps its (a, b) order.
-``gw`` is not blocked: splitting its inner dimension would change its sums.
+conv3d zero-pads its input once into a flat copy (a reshape when k = 1)
+and lowers the conv over its columns one block of ``CONV_BLOCK`` output
+columns at a time. For each block it writes the k copies of that block and
+of the (k-1)*(Hp*Wp + Wp) columns its taps reach past it, copy c shifted by
+c columns, into one buffer, and runs k^2 GEMMs with inner dimension k*Cin
+over contiguous column slices of it (between im2col and MEC, Cho & Brand
+2017; Vasudevan et al., arXiv:1704.04428). Its workspace is one padded copy
+and one cache-sized block instead of an im2col buffer k^3 times the input.
+Each output element is the sum of its k^2 GEMM products taken in one fixed
+(a, b) order. The backward pads ``grad_out`` the same way and stacks it per
+block: the input gradient is the forward conv of ``grad_out`` with the
+flipped, channel-swapped kernel, so the forward and ``gx`` share one tap
+kernel, and the weight gradient is k^2 GEMMs of each block of the stack
+against the padded input, one GEMM entry per weight, summed over the blocks
+in order. These fixed orders are what keep conv3d and its backward
+deterministic. A column of the forward or ``gx`` keeps its (a, b) order
+whatever the block width, so their bits do not depend on ``CONV_BLOCK``;
+``gw`` splits its inner dimension at the block edges, so its bits do,
+wherever a layer has more than two blocks of columns.
 
 max_pool3d works on the 8 strided views of x, one per window position: the
 forward is a running maximum over them in window-linear order, and the
@@ -66,9 +70,9 @@ def _require(cond: bool, msg: str) -> None:
 # conv3d: cubic odd kernel, stride 1, "same" zero padding
 # ---------------------------------------------------------------------------
 
-# output columns per block of the tap GEMMs. A block's k*k operand slices
-# span about 4096 + 2*Hp*Wp columns of k*Cin rows, 0.6 MB for 8 float32
-# channels at 32^3, which stays in a 1-2 MB per-core L2
+# output columns per block of the three conv loops. A block's stack spans
+# CONV_BLOCK + (k-1)*(Hp*Wp + Wp) columns of k*Cin rows, 1.2 MB for 16
+# float32 channels at 32^3, so the tap GEMMs read it from a 1-2 MB per-core L2
 CONV_BLOCK = 4096
 
 def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -79,7 +83,7 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
     cin = x.shape[0]
     _require(cin == cin_w, f"conv3d: expected {cin_w} input channels, got {cin}")
     _require(bias.shape == (cout,), f"conv3d: bias must be ({cout},), got {bias.shape}")
-    out = _tap_conv(_shifted_layout(x, kd), _tap_weights(weight), x.shape)
+    out = _tap_conv(_padded(x, kd), _tap_weights(weight), x.shape)
     return out + bias[:, None, None, None]
 
 
@@ -88,10 +92,11 @@ def conv3d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(gx, gw, gb) of conv3d; gx is None when ``input_grad`` is False.
 
-    Both gradients read one operand, ``grad_out`` stacked like a forward
-    input. ``gx`` is the forward conv of ``grad_out`` with the kernel
-    flipped in every axis and its channel axes swapped, run by the forward's
-    tap kernel. ``gw`` is k*k GEMMs of the stack against the padded input.
+    Both gradients read the k-shift stack of the padded ``grad_out``, built
+    one column block at a time. ``gw`` is k*k GEMMs of each block against
+    the padded input, summed over the blocks. ``gx`` is the forward conv of
+    ``grad_out`` with the kernel flipped in every axis and its channel axes
+    swapped, run by the forward's tap kernel.
     """
     cout, cin, k = weight.shape[:3]
     _require(
@@ -99,24 +104,34 @@ def conv3d_backward(
         f"conv3d: grad_out must be {(cout, *x.shape[1:])}, got {grad_out.shape}",
     )
     gb = grad_out.sum(axis=(1, 2, 3))
-    sg = _shifted_layout(grad_out, k)
+    gf = _padded(grad_out, k)
     hp, wp, n, offsets = _grid(x.shape, k)
-    # Read from column lo, row block r of sg is grad_out on the stride grid
-    # delayed by k-1-r columns, i.e. tap c = k-1-r of the weight gradient.
-    # The stride grid is zero in its wrap columns, and m = n + 2p columns
-    # cover every delay of its n columns.
+    # Read from column lo, row block r of the stack is grad_out on the
+    # stride grid delayed by k-1-r columns, i.e. tap c = k-1-r of the weight
+    # gradient. The stride grid is zero in its wrap columns, and m = n + 2p
+    # columns cover every delay of its n columns.
     p = k // 2
     lo, m = p * (hp * wp + wp + 1) - 2 * p, n + 2 * p
-    xf = np.pad(x, ((0, 0), (p, p), (p, p), (p, p))).reshape(cin, -1)
+    step = CONV_BLOCK if m > 2 * CONV_BLOCK else m
+    xf = _padded(x, k)
+    stack = np.empty((k * cout, step), dtype=grad_out.dtype)
     gw = np.empty((k * k, k * cout, cin), dtype=x.dtype)
-    for t, off in enumerate(offsets):
-        np.matmul(sg[:, lo : lo + m], xf[:, off : off + m].T, out=gw[t])
-    del xf  # before gx's accumulator exists, so the two are never held together
+    tmp = np.empty_like(gw[0])
+    for j in range(0, m, step):
+        e = min(j + step, m)
+        s = _stack_block(gf, k, lo + j, stack[:, : e - j])
+        for t, off in enumerate(offsets):
+            np.matmul(s, xf[:, off + j : off + e].T, out=gw[t] if j == 0 else tmp)
+            if j:
+                gw[t] += tmp
+    del xf, stack, s  # before gx's accumulator exists, so they are never held together
     gw = gw.reshape(k, k, k, cout, cin)[:, :, ::-1].transpose(3, 4, 0, 1, 2)
     gx = None
     if input_grad:
         flipped = weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-        gx = np.ascontiguousarray(_tap_conv(sg, _tap_weights(flipped), grad_out.shape))
+        gx = _tap_conv(gf, _tap_weights(flipped), grad_out.shape)
+        del gf  # before the contiguous copy of gx
+        gx = np.ascontiguousarray(gx)
     return gx, np.ascontiguousarray(gw), gb
 
 
@@ -136,58 +151,77 @@ def _tap_weights(weight: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(weight.transpose(2, 3, 0, 4, 1).reshape(k * k, cout, k * cin))
 
 
-def _tap_conv(s: np.ndarray, wk: np.ndarray, shape: tuple) -> np.ndarray:
-    """Same-padded conv of the (C, D, H, W) input stacked in ``s``.
-
-    Runs one GEMM per (a, b) tap pair, with the k column taps c inside its
-    inner dimension, and accumulates the k*k products in (a, b) order. Above
-    two blocks of output columns it does so one block of ``CONV_BLOCK``
-    columns at a time. Each column keeps its (a, b) sum order, so the bits
-    equal one block's wherever the BLAS computes a column the same way at
-    every GEMM width; OpenBLAS does so for the detector's float32 layers,
-    but its small-GEMM kernel and its float64 kernels round a few columns
-    of some shapes differently. Returns a (Cout, D, H, W) view of the
-    accumulator.
-    """
-    cin, d, h, w = shape
-    hp, wp, n, offsets = _grid(shape, s.shape[0] // cin)
-    step = CONV_BLOCK if n > 2 * CONV_BLOCK else n
-    acc = np.empty((wk.shape[1], d * hp * wp), dtype=s.dtype)
-    tmp = np.empty((wk.shape[1], step), dtype=s.dtype)
-    for j in range(0, n, step):
-        e = min(j + step, n)
-        t = tmp[:, : e - j]
-        np.matmul(wk[0], s[:, j:e], out=acc[:, j:e])  # tap pair (0, 0) is at offset 0
-        for wt, off in zip(wk[1:], offsets[1:]):
-            np.matmul(wt, s[:, off + j : off + e], out=t)
-            acc[:, j:e] += t
-    return acc.reshape(-1, d, hp, wp)[:, :, :h, :w]
+def _padded(x: np.ndarray, k: int) -> np.ndarray:
+    """x zero-padded by k//2 in each spatial axis, as a flat (C, Dp*Hp*Wp)
+    array; for k = 1 a reshape of x."""
+    c, d, h, w = x.shape
+    p = k // 2
+    if p == 0:
+        return x.reshape(c, -1)
+    f = np.zeros((c, d + 2 * p, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    f[:, p : p + d, p : p + h, p : p + w] = x
+    return f.reshape(c, -1)
 
 
-def _shifted_layout(x: np.ndarray, k: int) -> np.ndarray:
-    """Zero-pad x by k//2 straight into a (k*C, Dp*Hp*Wp) stacked operand.
+def _stack_block(f: np.ndarray, k: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Columns ``start`` to ``start`` + w of the k-shift stack of the flat
+    padded operand ``f``, written into ``out`` of shape (k*C, w); for k = 1
+    a view of f.
 
     Give output voxel (i, j, l) the flat index i*Hp*Wp + j*Wp + l of the
     padded (Dp, Hp, Wp) grid. Its kernel tap (a, b, c) reads the flat padded
     input at that index plus a*Hp*Wp + b*Wp + c. Row block c of the stack
     (rows c*C to c*C + C) is the flat padded input shifted left by c
-    columns, so the k taps (a, b, 0..k-1) over all output voxels are one
-    (k*C)-row slice of contiguous columns starting at a*Hp*Wp + b*Wp, and a
-    whole conv is k*k GEMMs with inner dimension k*C. Columns whose j >= H
-    or l >= W mix the end of one row with the start of the next; they are
-    computed and never read back. In a stacked ``grad_out`` they hold zero
-    padding, so the backward reads the stack as ``grad_out`` on the stride
-    grid without masking them.
+    columns, zero past its end, so the k taps (a, b, 0..k-1) over all output
+    voxels are one (k*C)-row slice of contiguous columns starting at
+    a*Hp*Wp + b*Wp, and a whole conv is k*k GEMMs with inner dimension k*C.
+    Columns whose j >= H or l >= W mix the end of one row with the start of
+    the next; they are computed and never read back. In a stacked
+    ``grad_out`` they hold zero padding, so the backward reads the stack as
+    ``grad_out`` on the stride grid without masking them.
     """
-    c, d, h, w = x.shape
-    p = k // 2
-    hp, wp = h + 2 * p, w + 2 * p
-    plane = hp * wp
-    s = np.zeros((k, c, (d + 2 * p) * plane), dtype=x.dtype)
+    c, length = f.shape
+    w = out.shape[1]
+    if k == 1 and start + w <= length:
+        return f[:, start : start + w]
     for r in range(k):
-        start = p * plane - r
-        s[r, :, start : start + d * plane].reshape(c, d, hp, wp)[:, :, p : p + h, p : p + w] = x
-    return s.reshape(k * c, -1)
+        v = max(0, min(w, length - start - r))
+        out[r * c : r * c + c, :v] = f[:, start + r : start + r + v]
+        out[r * c : r * c + c, v:] = 0
+    return out
+
+
+def _tap_conv(f: np.ndarray, wk: np.ndarray, shape: tuple) -> np.ndarray:
+    """Same-padded conv of the (C, D, H, W) input padded flat in ``f``.
+
+    Walks blocks of ``CONV_BLOCK`` output columns (one block up to twice
+    that). Each block's stack, with the (k-1)*(Hp*Wp + Wp) columns its taps
+    reach past it, goes into one buffer; one GEMM per (a, b) tap pair, with
+    the k column taps c inside its inner dimension, reads it, and the k*k
+    products accumulate in (a, b) order. Each column keeps that order, so
+    the bits equal one block's wherever the BLAS computes a column the same
+    way at every GEMM width; OpenBLAS does so for the detector's float32
+    layers, but its small-GEMM kernel and its float64 kernels round a few
+    columns of some shapes differently. Returns a (Cout, D, H, W) view of
+    the accumulator.
+    """
+    cin, d, h, w = shape
+    k = wk.shape[2] // cin
+    hp, wp, n, offsets = _grid(shape, k)
+    step = CONV_BLOCK if n > 2 * CONV_BLOCK else n
+    halo = offsets[-1]
+    stack = np.empty((k * cin, step + halo), dtype=f.dtype)
+    acc = np.empty((wk.shape[1], d * hp * wp), dtype=f.dtype)
+    tmp = np.empty((wk.shape[1], step), dtype=f.dtype)
+    for j in range(0, n, step):
+        e = min(j + step, n)
+        s = _stack_block(f, k, j, stack[:, : e - j + halo])
+        t = tmp[:, : e - j]
+        np.matmul(wk[0], s[:, : e - j], out=acc[:, j:e])  # tap pair (0, 0) is at offset 0
+        for wt, off in zip(wk[1:], offsets[1:]):
+            np.matmul(wt, s[:, off : off + e - j], out=t)
+            acc[:, j:e] += t
+    return acc.reshape(-1, d, hp, wp)[:, :, :h, :w]
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +430,13 @@ def l2_loss_forward(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 def l2_loss_backward(
     pred: np.ndarray, target: np.ndarray, grad_out: np.ndarray, target_grad: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(gpred, gtarget); gtarget is None when ``target_grad`` is False."""
+    """(gpred, gtarget); gtarget is None when ``target_grad`` is False.
+
+    gpred = 2/N * grad_out * (pred - target), scaled in place in the dtype
+    of ``pred - target``, so it holds one temporary of the input's size.
+    """
     _require(pred.shape == target.shape, f"l2_loss: target must be {pred.shape}, got {target.shape}")
     _require(np.shape(grad_out) == (), f"l2_loss: grad_out must be (), got {np.shape(grad_out)}")
-    g = (2.0 / pred.size) * grad_out * (pred - target)
+    g = np.subtract(pred, target)
+    g *= (2.0 / pred.size) * grad_out
     return g, (-g if target_grad else None)

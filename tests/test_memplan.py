@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from volpose.graph import select_checkpoints
-from volpose.memplan import node_shapes, plan_memory
+from volpose.graph import Schedule, select_checkpoints, value_shapes
+from volpose.memplan import plan_memory
 from volpose.model import DetectorConfig, build_detector
 
 POLICIES = [
@@ -71,7 +71,8 @@ def test_node_shapes_match_forward_values_on_reference_detector():
         "volume": rng.normal(size=(1, *shape)).astype(np.float32),
         "target": rng.normal(size=(16, *shape)).astype(np.float32),
     })
-    planned = node_shapes(graph, {"volume": (1, *shape), "target": (16, *shape)})
+    shapes = {"volume": (1, *shape), "target": (16, *shape)}
+    planned = list(value_shapes(graph, range(len(graph.nodes)), shapes).values())
     assert planned == [graph.value(n.nid).shape for n in graph.nodes]
 
 
@@ -82,9 +83,11 @@ def test_depth4_full_scale_report():
     graph = build_detector(cfg, seed=2)
     graph.set_checkpoints(select_checkpoints(graph, "block_boundary"))
     shape = (160, 160, 160)
-    plan = plan_memory(graph, {"volume": (1, *shape), "target": (16, *shape)})
+    shapes = {"volume": (1, *shape), "target": (16, *shape)}
+    plan = plan_memory(graph, shapes)
     assert plan.parameter_count > 0
-    assert all(b >= 0 for b in plan.node_bytes)
+    nbytes = Schedule.build(graph, graph.loss_id, False, shapes).nbytes
+    assert all(b >= 0 for b in nbytes.values())
     assert plan.checkpointed_step_peak < plan.plain_step_peak
     reduction = 1 - plan.checkpointed_step_peak / plan.plain_step_peak
     assert reduction > 0.25

@@ -56,6 +56,19 @@ def conv3d_direct(x, w, b):
     return out
 
 
+def conv3d_weight_grad_direct(x, g, k):
+    """float64 weight gradient of conv3d, one tap at a time: the output
+    gradient dotted with the padded input window the tap reads."""
+    p = k // 2
+    _, d, h, ww = x.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (p, p), (p, p), (p, p)))
+    gw = np.empty((g.shape[0], x.shape[0], k, k, k))
+    for a, bb, c in np.ndindex(k, k, k):
+        window = xp[:, a : a + d, bb : bb + h, c : c + ww]
+        gw[:, :, a, bb, c] = np.tensordot(g.astype(np.float64), window, axes=([1, 2, 3], [1, 2, 3]))
+    return gw
+
+
 @pytest.mark.parametrize("extents", [(5, 6, 7), (2, 3, 4), (1, 2, 1)])
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("cin", [1, 3])
@@ -114,8 +127,47 @@ def test_conv3d_workspace_stays_near_operand_size():
         backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert forward_peak <= 4 * operands, forward_peak / operands
-    assert backward_peak <= 6 * operands, backward_peak / operands
+    # one padded copy per operand and one block of the k-shift stack: the
+    # whole stack, k times its operand, would take either call past 2x
+    assert forward_peak <= 2 * operands, forward_peak / operands
+    assert backward_peak <= 2 * operands, backward_peak / operands
+
+
+def whole_stack(f, k, width):
+    """The k-shift stack of the flat padded operand f over ``width``
+    columns: row block r is f shifted left by r columns, zero past its end."""
+    c, length = f.shape
+    s = np.zeros((k, c, width), dtype=f.dtype)
+    for r in range(k):
+        v = min(width, length - r)
+        s[r, :, :v] = f[:, r : r + v]
+    return s.reshape(k * c, width)
+
+
+def test_conv3d_block_stacks_equal_the_whole_stack():
+    # 8 -> 8 at 36^3: every block of the forward's walk (n columns plus the
+    # halo its taps reach) and of the weight gradient's (m = n + 2 columns
+    # from lo), each at the width the conv uses and at the buffer's full
+    # width, which at the tail runs past the padded input into zero columns
+    k, shape = 3, (8, 36, 36, 36)
+    x = np.random.default_rng(21).normal(size=shape).astype(np.float32)
+    f = ops._padded(x, k)
+    assert f.tobytes() == np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1))).tobytes()
+    hp, wp, n, offsets = ops._grid(shape, k)
+    step, halo = ops.CONV_BLOCK, offsets[-1]
+    lo, m = hp * wp + wp + 1 - 2, n + 2
+    assert n > 3 * step and n % step
+    whole = whole_stack(f, k, f.shape[1] + step + halo)
+    buf = np.empty((k * shape[0], step + halo), dtype=f.dtype)
+    blocks = [(j, min(step, n - j) + halo) for j in range(0, n, step)]
+    blocks += [(lo + j, min(step, m - j)) for j in range(0, m, step)]
+    assert max(j for j, _ in blocks) + step + halo > f.shape[1]
+    for j, used in blocks:
+        for w in (used, step + halo):
+            buf.fill(np.nan)  # a column the block leaves unwritten shows
+            got = ops._stack_block(f, k, j, buf[:, :w])
+            assert got.shape == (k * shape[0], w)
+            assert got.tobytes() == whole[:, j : j + w].tobytes(), (j, w)
 
 
 @pytest.mark.parametrize("cin, cout, extent", [(8, 8, 36), (16, 8, 32)])
@@ -138,9 +190,27 @@ def test_blocked_conv3d_is_byte_equal_to_one_block(monkeypatch, cin, cout, exten
         return ops.conv3d_forward(x, w, b), *ops.conv3d_backward(x, w, g)
 
     blocked = run()
-    monkeypatch.setattr(ops, "CONV_BLOCK", n)  # one block
-    for got, want in zip(run(), blocked):
-        assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(ops, "CONV_BLOCK", n)  # one block, also of gw's n + 2 columns
+    one = run()
+    for i in (0, 1, 3):  # the forward, gx and gb
+        assert one[i].tobytes() == blocked[i].tobytes()
+    # gw adds its blocks' GEMMs one after another, so its bits follow
+    # CONV_BLOCK; equal bytes here would mean the patch did not reach it
+    assert one[2].tobytes() != blocked[2].tobytes()
+    # both stay within float32 rounding of a float64 reference. The bound
+    # is fixed at 20x eps*sqrt(m/6), the spread of a sequential float32 sum
+    # of m terms, about 5e-6 here; a block lost or added would be off by
+    # sqrt(CONV_BLOCK/m), above 0.25
+    reference = conv3d_weight_grad_direct(x, g, 3)
+    for gw in (blocked[2], one[2]):
+        assert np.linalg.norm(gw - reference) <= 1e-4 * np.linalg.norm(reference)
+    # in float64 the blocked gw is the adjoint of the forward: <w, gw> ==
+    # <conv(x, w), u> up to float64 rounding, as at the small shapes
+    monkeypatch.undo()
+    x, w, u = (a.astype(np.float64) for a in (x, w, g))
+    lhs = np.sum(ops.conv3d_forward(x, w, np.zeros(cout)) * u)
+    gw = ops.conv3d_backward(x, w, u, input_grad=False)[1]
+    np.testing.assert_allclose(np.sum(w * gw), lhs, rtol=1e-12)
 
 
 def test_conv3d_channel_mismatch_rejected():
@@ -200,6 +270,28 @@ def test_l2_loss_backward_rejects_non_scalar_grad_out():
     x = np.zeros((2, 4, 6, 8))
     with pytest.raises(ShapeMismatch, match=r"l2_loss: grad_out must be \(\)"):
         ops.l2_loss_backward(x, x, np.ones(x.shape))
+
+
+def test_l2_loss_backward_bytes_and_one_temporary():
+    rng = np.random.default_rng(8)
+    pred = rng.normal(size=(16, 32, 32, 32)).astype(np.float32)
+    target = rng.uniform(size=pred.shape).astype(np.float32)
+    for value in (1.0, 0.37):
+        grad_out = np.asarray(value, dtype=np.float32)
+        want = (2.0 / pred.size) * grad_out * (pred - target)
+        gp, gt = ops.l2_loss_backward(pred, target, grad_out)
+        assert gp.dtype == np.float32 and gp.tobytes() == want.tobytes()
+        assert gt.tobytes() == (-want).tobytes()
+    del want, gp, gt
+    tracemalloc.start()
+    try:
+        ops.l2_loss_backward(pred, target, np.asarray(1.0, dtype=np.float32), target_grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the returned gradient is the one temporary; a scaled copy of
+    # pred - target would make it two
+    assert peak <= 1.25 * pred.nbytes, peak / pred.nbytes
 
 
 def test_deconv3d_doubles_extents():
