@@ -98,13 +98,26 @@ def _landmark_records(pose: Pose, flag: str) -> list[dict]:
     ]
 
 
-def _read_landmarks(records: list[dict], flag: str) -> Pose:
+def _read_landmarks(records: list[dict], flag: str, where: str) -> Pose:
+    """Each index 1..16 exactly once, with ``xyz_mm`` and ``flag``; any other
+    record list raises, naming ``where``."""
     xyz = np.zeros((NUM_LANDMARKS, 3))
     present = np.zeros(NUM_LANDMARKS, dtype=bool)
+    seen: set[int] = set()
     for lm in records:
-        j = lm["index"] - 1
-        xyz[j] = lm["xyz_mm"]
-        present[j] = lm[flag]
+        j = lm.get("index")
+        if not (isinstance(j, int) and 1 <= j <= NUM_LANDMARKS) or j in seen:
+            raise FileFormatError(
+                f"{where}: landmark index {j!r} is out of 1..{NUM_LANDMARKS} or repeated"
+            )
+        if np.shape(lm.get("xyz_mm")) != (3,) or flag not in lm:
+            raise FileFormatError(f"{where}: landmark {j} needs 'xyz_mm' (3 numbers) and '{flag}'")
+        seen.add(j)
+        xyz[j - 1] = lm["xyz_mm"]
+        present[j - 1] = lm[flag]
+    if len(seen) != NUM_LANDMARKS:
+        missing = sorted(set(range(1, NUM_LANDMARKS + 1)) - seen)
+        raise FileFormatError(f"{where}: no record for landmark indices {missing}")
     return Pose(xyz, present)
 
 
@@ -132,8 +145,8 @@ def save_pose(
 def load_pose(path: str | Path) -> tuple[Pose, dict]:
     doc = json.loads(Path(path).read_text())
     if doc.get("version") != POSE_FORMAT_VERSION:
-        raise FileFormatError(f"unsupported pose format version {doc.get('version')}")
-    return _read_landmarks(doc["landmarks"], "valid"), doc
+        raise FileFormatError(f"{path}: unsupported pose format version {doc.get('version')}")
+    return _read_landmarks(doc["landmarks"], "valid", str(path)), doc
 
 
 def save_library(path: str | Path, library: PoseLibrary, stamp: dict | None = None) -> None:
@@ -147,9 +160,10 @@ def save_library(path: str | Path, library: PoseLibrary, stamp: dict | None = No
 def load_library(path: str | Path) -> PoseLibrary:
     doc = json.loads(Path(path).read_text())
     if doc.get("version") != LIBRARY_FORMAT_VERSION:
-        raise FileFormatError(f"unsupported library format version {doc.get('version')}")
+        raise FileFormatError(f"{path}: unsupported library format version {doc.get('version')}")
     return PoseLibrary(
         [rec["id"] for rec in doc["poses"]],
-        [_read_landmarks(rec["landmarks"], "present") for rec in doc["poses"]],
+        [_read_landmarks(rec["landmarks"], "present", f"{path}, pose {rec['id']}")
+         for rec in doc["poses"]],
         [rec.get("source", "") for rec in doc["poses"]],
     )

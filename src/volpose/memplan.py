@@ -27,7 +27,6 @@ def plan_memory(graph: Graph, input_shapes: dict[str, tuple]) -> MemoryPlan:
     """The plain and the discarding schedules of a step, on shapes only."""
     plain = Schedule.build(graph, graph.loss_id, False, input_shapes)
     checkpointed = Schedule.build(graph, graph.loss_id, True, input_shapes)
-    checkpointed.check()
     return MemoryPlan(
         parameter_count=int(sum(v.size for v in graph.parameters().values())),
         plain_step_peak=plain.step_peak,

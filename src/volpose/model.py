@@ -346,7 +346,7 @@ def train(
     """Optimize the detector on (volume, pose, spacing) cases.
 
     A graph with a checkpoint set trains with a discarding forward and
-    segment recompute, which gives the plain gradients bit for bit.
+    recompute on demand, which gives the plain gradients bit for bit.
     Each case is one Adam step (batch size 1). Per-epoch parameter
     checkpoints land in ``out_dir`` when given. The loss curve records every
     step; a non-finite value at any node aborts training with an error that

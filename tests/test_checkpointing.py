@@ -1,10 +1,12 @@
-"""Checkpointed backward: bitwise equivalence with the plain pass, segment
-recomputation on graphs with skip connections, and memory monotonicity."""
+"""Checkpointed backward: bitwise equivalence with the plain pass under
+policy and random checkpoint sets, recomputation on demand on graphs with
+skip connections, and memory monotonicity."""
 
 import numpy as np
 import pytest
 
-from volpose.graph import CheckpointInvariantError, Graph, Schedule, select_checkpoints
+from volpose.graph import Graph, Schedule, select_checkpoints
+from volpose.memplan import plan_memory
 from volpose.model import DetectorConfig, build_detector
 
 
@@ -185,13 +187,16 @@ def test_adding_checkpoints_never_increases_recompute_count():
         assert recompute_count(base | {extra}) <= count
 
 
-def test_cross_segment_edge_without_pin_is_rejected():
-    # a -> b -> c with an extra edge a -> add(c); if a is discarded it cannot
-    # serve the add in a later segment, and the invariant must abort.
+def test_discarded_value_read_across_a_checkpoint_is_recomputed():
+    # a -> b -> c with an extra edge a -> add(c): with only b kept, a is
+    # discarded and read on both sides of b. The loss step recomputes the add
+    # and all it reads, a included, in forward order.
     g = Graph(np.float64)
     x = g.add_input("x")
     t = g.add_input("target")
-    a = g.add("relu", [x])
+    rng = np.random.default_rng(0)
+    a = g.add("conv3d", [x], params={"weight": rng.normal(size=(1, 1, 3, 3, 3)),
+                                     "bias": np.zeros(1)})
     b = g.add("relu", [a])
     c = g.add("relu", [b])
     s = g.add("add", [c, a])
@@ -201,10 +206,48 @@ def test_cross_segment_edge_without_pin_is_rejected():
         "x": np.linspace(-1, 1, 8).reshape(1, 2, 2, 2),
         "target": np.zeros((1, 2, 2, 2)),
     }
-    g.set_checkpoints({b})  # splits {a} and {c, s': ...} into separate segments
+    g.forward(feeds)
+    plain = g.backward_plain()
+    assert set(plain) == {f"{a}.weight", f"{a}.bias"}
+    g.set_checkpoints({b})
     g.forward(feeds, discard=True)
-    with pytest.raises(CheckpointInvariantError, match="segment"):
-        g.backward_checkpointed()
+    nid, recompute, _ = g.schedule.backward[0]
+    assert (nid, recompute) == (loss, [a, c, s])
+    grads_equal_bitwise(plain, g.backward_checkpointed())
+
+
+def detector_graph():
+    graph = build_detector(DetectorConfig(depth=2, base_channels=8, input_scale=1.0), seed=0)
+    rng = np.random.default_rng(1)
+    feeds = {
+        "volume": rng.normal(size=(1, 16, 16, 16)).astype(np.float32),
+        "target": rng.normal(size=(16, 16, 16, 16)).astype(np.float32),
+    }
+    return graph, feeds
+
+
+@pytest.fixture(scope="module", params=[skip_graph, detector_graph])
+def plain_step(request):
+    g, feeds = request.param()
+    g.forward(feeds)
+    return g, feeds, g.backward_plain(), g.meter.peak
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_any_checkpoint_set_is_bitwise_and_metered_as_planned(plain_step, seed):
+    # any set runs: the checkpointed gradients are the plain ones, the meter
+    # reads the planner's peaks, and the step never peaks above the plain one
+    g, feeds, plain, plain_peak = plain_step
+    rng = np.random.default_rng(seed)
+    density = rng.uniform(0.02, 0.7)
+    picks = {nid for nid in range(len(g.nodes)) if rng.random() < density}
+    g.set_checkpoints(picks or {g.loss_id})
+    plan = plan_memory(g, {name: value.shape for name, value in feeds.items()})
+    g.forward(feeds, discard=True)
+    assert g.meter.peak == plan.forward_discard_peak
+    grads_equal_bitwise(plain, g.backward_checkpointed())
+    assert g.meter.peak == plan.checkpointed_step_peak
+    assert plan.checkpointed_step_peak <= plan.plain_step_peak == plain_peak
 
 
 def test_two_runs_same_seed_identical():

@@ -504,6 +504,23 @@ def test_eval_spacing_disagreement_exits_2(dataset, tmp_path):
     assert rc == 2
 
 
+def test_eval_malformed_landmark_record_exits_1(dataset, tmp_path, capsys):
+    # a copy of a ground-truth pose whose first landmark claims index 17
+    gt_dir = dataset / "cases"
+    gt_path = sorted(gt_dir.glob("*_pose.json"))[0]
+    doc = json.loads(gt_path.read_text())
+    doc["landmarks"][0]["index"] = 17
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    (pred_dir / gt_path.name).write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ") and str(pred_dir / gt_path.name) in err
+    assert not out.exists()
+
+
 def test_gcp_produces_identical_final_params(dataset, tmp_path):
     outs = {}
     for policy in ("off", "block_boundary"):

@@ -364,6 +364,7 @@ def test_sqrt_n_checkpoints_bound_peak_liveness():
     g.forward(feeds, discard=True)
     g.backward_checkpointed()
     ckpt_peak = g.meter.peak
-    # O(sqrt n) live tensors: checkpoints plus one segment plus transients
+    # O(sqrt n) live tensors: checkpoints plus one recomputed run between
+    # two of them, plus transients
     assert ckpt_peak <= 3.2 * np.sqrt(n) * unit
     assert ckpt_peak < 0.35 * plain_peak

@@ -80,24 +80,58 @@ def test_pose_round_trip(tmp_path):
     assert doc["spacing_mm"] == [1.0, 1.0, 1.0]
 
 
+def set_version(doc, records):
+    doc["version"] = 42
+
+
+def set_index(value):
+    def mutate(doc, records):
+        records[3]["index"] = value
+    return mutate
+
+
+def drop_last_record(doc, records):
+    del records[-1]
+
+
+def drop_key(key):
+    def mutate(doc, records):
+        del records[3][key]
+    return mutate
+
+
+# each makes a pose file or library unreadable: an unknown version, an index
+# out of range (0, 17), one repeated, a landmark without a record, or a record
+# without its position; with what the error says after naming the file
+MALFORMED = [
+    (set_version, "version"), (set_index(17), "index"), (set_index(0), "index"),
+    (set_index(1), "repeated"), (drop_last_record, "no record"),
+    (drop_key("xyz_mm"), "xyz_mm"),
+]
+
+
 def test_pose_version_check(tmp_path):
     pose = Pose(np.zeros((16, 3)))
     save_pose(tmp_path / "p.json", pose)
-    doc = json.loads((tmp_path / "p.json").read_text())
-    doc["version"] = 42
-    (tmp_path / "p.json").write_text(json.dumps(doc))
-    with pytest.raises(FileFormatError, match="version"):
-        load_pose(tmp_path / "p.json")
+    saved = (tmp_path / "p.json").read_text()
+    for mutate, says in MALFORMED + [(drop_key("valid"), "valid")]:
+        doc = json.loads(saved)
+        mutate(doc, doc["landmarks"])
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=rf"p\.json: .*{says}"):
+            load_pose(tmp_path / "p.json")
 
 
 def test_library_version_check(tmp_path):
     lib = PoseLibrary(["a"], [Pose(np.zeros((16, 3)))], ["train"])
     save_library(tmp_path / "l.json", lib)
-    doc = json.loads((tmp_path / "l.json").read_text())
-    doc["version"] = 42
-    (tmp_path / "l.json").write_text(json.dumps(doc))
-    with pytest.raises(FileFormatError, match="version"):
-        load_library(tmp_path / "l.json")
+    saved = (tmp_path / "l.json").read_text()
+    for mutate, says in MALFORMED + [(drop_key("present"), "present")]:
+        doc = json.loads(saved)
+        mutate(doc, doc["poses"][0]["landmarks"])
+        (tmp_path / "l.json").write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=rf"l\.json(, pose a)?: .*{says}"):
+            load_library(tmp_path / "l.json")
 
 
 def test_write_json_numpy_values_match_plain_numbers(tmp_path):
