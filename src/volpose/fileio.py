@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from volpose.anatomy import NUM_LANDMARKS, landmark_names
-from volpose.registration import Pose, PoseLibrary
+from volpose.registration import Pose, PoseLibrary, RegistrationError
 
 VOLUME_FORMAT_VERSION = 1
 POSE_FORMAT_VERSION = 1
@@ -99,8 +99,8 @@ def _landmark_records(pose: Pose, flag: str) -> list[dict]:
 
 
 def _read_landmarks(records: list[dict], flag: str, where: str) -> Pose:
-    """Each index 1..16 exactly once, with ``xyz_mm`` and ``flag``; any other
-    record list raises, naming ``where``."""
+    """Each index 1..16 exactly once, with ``xyz_mm`` and ``flag``, and finite
+    coordinates where flagged; any other record list raises, naming ``where``."""
     xyz = np.zeros((NUM_LANDMARKS, 3))
     present = np.zeros(NUM_LANDMARKS, dtype=bool)
     seen: set[int] = set()
@@ -118,7 +118,10 @@ def _read_landmarks(records: list[dict], flag: str, where: str) -> Pose:
     if len(seen) != NUM_LANDMARKS:
         missing = sorted(set(range(1, NUM_LANDMARKS + 1)) - seen)
         raise FileFormatError(f"{where}: no record for landmark indices {missing}")
-    return Pose(xyz, present)
+    try:
+        return Pose(xyz, present)
+    except RegistrationError as e:
+        raise FileFormatError(f"{where}: {e}") from e
 
 
 def save_pose(
@@ -161,9 +164,12 @@ def load_library(path: str | Path) -> PoseLibrary:
     doc = json.loads(Path(path).read_text())
     if doc.get("version") != LIBRARY_FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported library format version {doc.get('version')}")
-    return PoseLibrary(
-        [rec["id"] for rec in doc["poses"]],
-        [_read_landmarks(rec["landmarks"], "present", f"{path}, pose {rec['id']}")
-         for rec in doc["poses"]],
-        [rec.get("source", "") for rec in doc["poses"]],
-    )
+    try:
+        return PoseLibrary(
+            [rec["id"] for rec in doc["poses"]],
+            [_read_landmarks(rec["landmarks"], "present", f"{path}, pose {rec['id']}")
+             for rec in doc["poses"]],
+            [rec.get("source", "") for rec in doc["poses"]],
+        )
+    except RegistrationError as e:  # a pose missing a registration-subset landmark
+        raise FileFormatError(f"{path}: {e}") from e

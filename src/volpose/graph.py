@@ -144,13 +144,9 @@ OP_TABLE: dict[str, Op] = {
         lambda n, s: s[0][:1] + tuple(e // 2 for e in s[0][1:]),
     ),
     "batch_norm": Op(
-        lambda n, x: ops.batch_norm_forward(
-            x[0], n.params["gamma"], n.params["beta"], n.attrs.get("eps", ops.BN_EPS)
-        ),
+        lambda n, x: ops.batch_norm_forward(x[0], n.params["gamma"], n.params["beta"]),
         lambda n, x, g, want: _with_params(
-            ops.batch_norm_backward(x[0], n.params["gamma"], g, n.attrs.get("eps", ops.BN_EPS)),
-            "gamma",
-            "beta",
+            ops.batch_norm_backward(x[0], n.params["gamma"], g), "gamma", "beta"
         ),
         _same_shape,
     ),

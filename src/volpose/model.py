@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from volpose import heatmap, ops
+from volpose import heatmap
 from volpose.anatomy import NUM_LANDMARKS
 from volpose.fileio import write_csv
 from volpose.graph import Graph, GraphError
@@ -128,7 +128,7 @@ def build_detector(cfg: DetectorConfig, seed: int = 0) -> Graph:
             "batch_norm",
             [c],
             params={"gamma": np.ones(cout, dtype=g.dtype), "beta": np.zeros(cout, dtype=g.dtype)},
-            attrs={"eps": ops.BN_EPS, "tag": f"{tag}.bn"},
+            attrs={"tag": f"{tag}.bn"},
         )
         attrs = {"tag": f"{tag}.relu"}
         if block_output:

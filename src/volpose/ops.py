@@ -48,7 +48,7 @@ Conventions baked in here:
   * Max-pool ties resolve to the lowest linear index inside the 2x2x2 window.
   * batch_norm normalizes each channel over its spatial extent (batch size
     is always 1), biased variance from the centred input (never
-    E[x^2] - E[x]^2), configurable epsilon.
+    E[x^2] - E[x]^2), epsilon ``BN_EPS``.
   * l2_loss is the mean squared error over all elements.
 """
 
@@ -335,7 +335,7 @@ def _keep(g: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.
 
 BN_EPS = 1e-5
 
-def _centred(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The centred input ``x - mean`` as a new (C, N) array, and 1/std.
 
     Two passes for the statistics: the per-channel mean, then the centred
@@ -345,24 +345,22 @@ def _centred(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     x2 = x.reshape(x.shape[0], -1)
     xc = np.subtract(x2, x2.mean(axis=1)[:, None])
     var = np.einsum("ij,ij->i", xc, xc) / xc.shape[1]
-    return xc, 1.0 / np.sqrt(var + np.asarray(eps, dtype=xc.dtype))
+    return xc, 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=xc.dtype))
 
 
-def batch_norm_forward(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = BN_EPS
-) -> np.ndarray:
+def batch_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize each channel with the input's own spatial statistics."""
     c = x.shape[0]
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"batch_norm: affine params must be ({c},), got {gamma.shape}/{beta.shape}")
-    out, istd = _centred(x, eps)
+    out, istd = _centred(x)
     out *= (gamma * istd)[:, None]
     out += beta[:, None]
     return out.reshape(x.shape)
 
 
 def batch_norm_backward(
-    x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray, eps: float = BN_EPS
+    x: np.ndarray, gamma: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gx, ggamma, gbeta) in closed form (Ioffe & Szegedy, arXiv:1502.03167).
 
@@ -375,7 +373,7 @@ def batch_norm_backward(
     _require(gamma.shape == (c,), f"batch_norm: gamma must be ({c},), got {gamma.shape}")
     _require(grad_out.shape == x.shape,
              f"batch_norm: grad_out must be {x.shape}, got {grad_out.shape}")
-    gx, istd = _centred(x, eps)
+    gx, istd = _centred(x)
     g = grad_out.reshape(gx.shape)
     gbeta = g.sum(axis=1)
     gdot = np.einsum("ij,ij->i", g, gx)

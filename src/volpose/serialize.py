@@ -7,6 +7,9 @@ Layout of a model directory:
   manifest.json  maps each parameter key ('<node id>.<name>') to
                  (offset, shape); offsets are in elements
 Extra JSON documents (detector config, run config) sit next to these.
+The checkpoint set is not saved: a loaded model runs plain forwards, and
+the run config records the policy. So a checkpointed run saves the plain
+run's network. Batch-norm nodes carry no epsilon; it is ``ops.BN_EPS``.
 
 Version 1 also stored batch-norm running statistics, which nothing read;
 loading a version-1 directory raises ``GraphError``.
@@ -31,7 +34,6 @@ def graph_to_dict(graph: Graph) -> dict:
         "dtype": graph.dtype.name,
         "loss": graph.loss_id,
         "inputs": dict(graph.inputs),
-        "checkpoints": sorted(graph.checkpoint_set),
         "nodes": [
             {
                 "id": n.nid,
@@ -60,7 +62,6 @@ def graph_from_dict(doc: dict) -> Graph:
         )
     g.inputs = {k: int(v) for k, v in doc["inputs"].items()}
     g.loss_id = doc["loss"]
-    g.set_checkpoints(set(doc.get("checkpoints", [])))
     return g
 
 

@@ -1,13 +1,17 @@
 """CLI contracts on tiny configurations: exit codes, artifacts, determinism."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import shutil
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volpose
 from volpose import heatmap, metrics
 from volpose.cli import build_parser, main
 from volpose.fileio import load_pose, load_volume
@@ -30,6 +34,16 @@ TRAIN_ARGS = [
     "train", "--epochs", "1", "--depth", "1", "--base-channels", "2",
     "--input-scale", "1.0", "--sigma", "2.0", "--seed", "3", "--no-save-epochs",
 ]
+
+
+def test_package_attributes_are_its_modules():
+    # the package re-exports nothing, so no function shadows a module:
+    # `import volpose.refine as r` binds the module
+    names = [m.name for m in pkgutil.iter_modules(volpose.__path__) if m.name != "__main__"]
+    assert "refine" in names
+    for name in names:
+        module = importlib.import_module(f"volpose.{name}")
+        assert getattr(volpose, name) is module and isinstance(module, types.ModuleType)
 
 
 @pytest.fixture(scope="module")
@@ -505,31 +519,45 @@ def test_eval_spacing_disagreement_exits_2(dataset, tmp_path):
 
 
 def test_eval_malformed_landmark_record_exits_1(dataset, tmp_path, capsys):
-    # a copy of a ground-truth pose whose first landmark claims index 17
+    # a copy of a ground-truth pose whose first landmark claims index 17, or
+    # is flagged valid with a NaN coordinate
     gt_dir = dataset / "cases"
     gt_path = sorted(gt_dir.glob("*_pose.json"))[0]
-    doc = json.loads(gt_path.read_text())
-    doc["landmarks"][0]["index"] = 17
-    pred_dir = tmp_path / "pred"
-    pred_dir.mkdir()
-    (pred_dir / gt_path.name).write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    rc = main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("runtime failure: ") and str(pred_dir / gt_path.name) in err
-    assert not out.exists()
+
+    def index_17(record):
+        record["index"] = 17
+
+    def nan_coordinate(record):
+        record["xyz_mm"][0] = float("nan")
+        record["valid"] = True
+
+    for mutate in (index_17, nan_coordinate):
+        doc = json.loads(gt_path.read_text())
+        mutate(doc["landmarks"][0])
+        pred_dir = tmp_path / mutate.__name__ / "pred"
+        pred_dir.mkdir(parents=True)
+        (pred_dir / gt_path.name).write_text(json.dumps(doc))
+        out = pred_dir.parent / "out"
+        rc = main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out)])
+        assert rc == 1, mutate.__name__
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and str(pred_dir / gt_path.name) in err
+        assert not out.exists()
 
 
 def test_gcp_produces_identical_final_params(dataset, tmp_path):
-    outs = {}
+    # and the same network: graph.json differs only in the run stamp's hash
+    outs, graphs = {}, {}
     for policy in ("off", "block_boundary"):
         out = tmp_path / f"train_{policy}"
         assert main(
             TRAIN_ARGS + ["--data", str(dataset), "--out", str(out), "--gcp", policy]
         ) == 0
         outs[policy] = digest(out / "model" / "params.bin")
+        graphs[policy] = json.loads((out / "model" / "graph.json").read_text())
+        del graphs[policy]["config_hash"]
     assert outs["off"] == outs["block_boundary"]
+    assert graphs["off"] == graphs["block_boundary"]
 
 
 def run_tiny_pipeline(root: Path) -> None:

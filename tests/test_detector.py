@@ -282,6 +282,17 @@ def test_model_save_load_round_trip(tmp_path):
     g2 = load_model(tmp_path / "model")
     after, _ = infer(g2, vol, 1.0, cfg)
     np.testing.assert_array_equal(before, after)
+    # a directory written before BN nodes lost their "eps" attribute and
+    # graph.json its checkpoint list loads and infers the same bytes
+    path = tmp_path / "model" / "graph.json"
+    doc = json.loads(path.read_text())
+    for node in doc["nodes"]:
+        if node["op"] == "batch_norm":
+            node["attrs"]["eps"] = 1e-05
+    doc["checkpoints"] = sorted(select_checkpoints(g, "block_boundary"))
+    path.write_text(json.dumps(doc))
+    older, _ = infer(load_model(tmp_path / "model"), vol, 1.0, cfg)
+    np.testing.assert_array_equal(before, older)
 
 
 def test_saved_manifest_lists_exactly_the_parameters(tmp_path):

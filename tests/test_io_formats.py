@@ -100,13 +100,22 @@ def drop_key(key):
     return mutate
 
 
+def set_nan(doc, records):
+    records[3]["xyz_mm"][1] = float("nan")
+
+
+def drop_subset_landmark(doc, records):
+    records[0]["present"] = False
+
+
 # each makes a pose file or library unreadable: an unknown version, an index
-# out of range (0, 17), one repeated, a landmark without a record, or a record
-# without its position; with what the error says after naming the file
+# out of range (0, 17), one repeated, a landmark without a record, a record
+# without its position, or a NaN coordinate; with what the error says after
+# naming the file
 MALFORMED = [
     (set_version, "version"), (set_index(17), "index"), (set_index(0), "index"),
     (set_index(1), "repeated"), (drop_last_record, "no record"),
-    (drop_key("xyz_mm"), "xyz_mm"),
+    (drop_key("xyz_mm"), "xyz_mm"), (set_nan, "non-finite"),
 ]
 
 
@@ -126,7 +135,9 @@ def test_library_version_check(tmp_path):
     lib = PoseLibrary(["a"], [Pose(np.zeros((16, 3)))], ["train"])
     save_library(tmp_path / "l.json", lib)
     saved = (tmp_path / "l.json").read_text()
-    for mutate, says in MALFORMED + [(drop_key("present"), "present")]:
+    for mutate, says in MALFORMED + [
+        (drop_key("present"), "present"), (drop_subset_landmark, "registration-subset")
+    ]:
         doc = json.loads(saved)
         mutate(doc, doc["poses"][0]["landmarks"])
         (tmp_path / "l.json").write_text(json.dumps(doc))

@@ -1,7 +1,5 @@
 """Test-time refinement: isolation, no-op loop, declined path, loss trend."""
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from volpose.model import (
     infer,
     prepare_volume,
 )
+import volpose.refine as refine_module
 from volpose.refine import RefineConfig, refine, refine_batch
 from volpose.registration import Pose, PoseLibrary
 
@@ -148,7 +147,6 @@ def test_proxy_lands_in_the_network_frame(monkeypatch):
     # at input_scale 0.5 with padding, net voxels are neither mm nor original
     # voxels: decoding refine's proxy through the frame must give back the
     # aligned atlas in mm
-    refine_module = importlib.import_module("volpose.refine")
     seen = {}
 
     def spy(name):
