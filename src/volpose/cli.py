@@ -63,12 +63,9 @@ def _load_manifest_cases(data_dir: Path, split: str) -> list[dict]:
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"dataset manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("version") != fileio.MANIFEST_FORMAT_VERSION:
-        raise fileio.FileFormatError(
-            f"unsupported dataset manifest version {manifest.get('version')}"
-        )
-    cases = [c for c in manifest["cases"] if c["split"] == split]
+    with fileio.reading(manifest_path, fileio.MANIFEST_FORMAT_VERSION) as manifest:
+        cases = [{"id": c["id"], "volume": data_dir / c["volume"], "pose": data_dir / c["pose"]}
+                 for c in manifest["cases"] if c["split"] == split]
     if not cases:
         raise UsageError(f"manifest has no '{split}' cases")
     return cases
@@ -100,10 +97,8 @@ def _load_detector(model_dir: Path):
     if not (model_dir / "graph.json").exists():
         raise UsageError(f"model directory not found or incomplete: {model_dir}")
     graph = load_model(model_dir)
-    cfg = DetectorConfig.from_dict(
-        json.loads((model_dir / "detector_config.json").read_text())
-    )
-    return graph, cfg
+    with fileio.reading(model_dir / "detector_config.json") as doc:
+        return graph, DetectorConfig(**doc)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +152,7 @@ def cmd_build_library(args) -> int:
     )
     ids, poses, sources = [], [], []
     for case in cases:
-        pose, _ = fileio.load_pose(data_dir / case["pose"])
+        pose, _ = fileio.load_pose(case["pose"])
         ids.append(case["id"])
         poses.append(pose)
         sources.append(args.split)
@@ -199,14 +194,14 @@ def cmd_train(args) -> int:
     chains = AUGMENT_POLICIES[args.augment]
     dataset = []
     for case in cases:
-        volume, spacing = fileio.load_volume(data_dir / case["volume"])
+        volume, spacing = fileio.load_volume(case["volume"])
         if chains and np.any(spacing != spacing[0]):
             # augment mirrors coordinates with one spacing for all three axes
             raise UsageError(
                 f"--augment {args.augment} needs isotropic voxels, but case {case['id']} "
                 f"has spacing {spacing.tolist()} mm"
             )
-        pose, _ = fileio.load_pose(data_dir / case["pose"])
+        pose, _ = fileio.load_pose(case["pose"])
         dataset.append((volume, pose, spacing))
     for chain in chains:
         for volume, pose, spacing in dataset[: len(cases)]:
@@ -278,7 +273,7 @@ def _prediction_inputs(args) -> tuple:
     elif args.data:
         data_dir = Path(args.data)
         cases = _load_manifest_cases(data_dir, args.split)
-        volumes = [(c["id"], data_dir / c["volume"]) for c in cases]
+        volumes = [(c["id"], c["volume"]) for c in cases]
         inputs |= {"data": _dataset_id(data_dir), "split": args.split}
         paths["data"] = str(data_dir)
     else:

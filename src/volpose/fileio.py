@@ -3,7 +3,8 @@
 Text artifacts go through ``write_json`` and ``write_csv`` and nothing else:
 JSON has sorted keys and a one-space indent, with the run stamp
 (``config_version``, ``config_hash``) merged in at the top level; a CSV
-starts with a ``# {stamp}`` line, then its rows.
+starts with a ``# {stamp}`` line, then its rows. Every JSON artifact is read
+through ``reading``; a malformed one raises ``FileFormatError`` naming it.
 
 Volume format: raw little-endian float32, x-fastest order (exactly the bytes
 of a C-order (z, y, x) array), with a sidecar ``<stem>.json`` holding
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from volpose.anatomy import NUM_LANDMARKS, landmark_names
-from volpose.registration import Pose, PoseLibrary, RegistrationError
+from volpose.registration import Pose, PoseLibrary
 
 VOLUME_FORMAT_VERSION = 1
 POSE_FORMAT_VERSION = 1
@@ -32,6 +34,26 @@ MANIFEST_FORMAT_VERSION = 1
 
 class FileFormatError(ValueError):
     pass
+
+
+@contextmanager
+def reading(path: str | Path, version: int | None = None):
+    """Yield the JSON object in ``path``, of format ``version`` when given. In
+    the block, a key, attribute, type or value error becomes a ``FileFormatError``
+    that starts with the path, so convert every value there."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise FileFormatError(f"holds a JSON {type(doc).__name__}, not an object")
+        if version is not None and doc.get("version") != version:
+            raise FileFormatError(f"unsupported format version {doc.get('version')!r}")
+        yield doc
+    except KeyError as e:
+        raise FileFormatError(f"{path}: missing key {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        if isinstance(e, FileFormatError) and str(e).startswith(str(path)):
+            raise
+        raise FileFormatError(f"{path}: {e}") from e
 
 
 def _plain(value):
@@ -75,18 +97,18 @@ def save_volume(path: str | Path, volume: np.ndarray, spacing, stamp: dict | Non
 def load_volume(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a raw+sidecar volume; returns ((z, y, x) float32, spacing (3,))."""
     path = Path(path)
-    header = json.loads(path.with_suffix(".json").read_text())
-    if header.get("version") != VOLUME_FORMAT_VERSION:
-        raise FileFormatError(f"unsupported volume format version {header.get('version')}")
-    if header.get("dtype") != "float32":
-        raise FileFormatError(f"unsupported volume dtype {header.get('dtype')}")
-    nx, ny, nz = header["dims"]
+    with reading(path.with_suffix(".json"), VOLUME_FORMAT_VERSION) as header:
+        if header["dtype"] != "float32":
+            raise FileFormatError(f"unsupported volume dtype {header['dtype']!r}")
+        nx, ny, nz = dims = header["dims"]
+        if not all(type(n) is int and n > 0 for n in dims):
+            raise FileFormatError(f"dims must be three positive integers, got {dims}")
+        spacing = np.asarray(header["spacing_mm"], dtype=np.float64)
     raw = np.frombuffer(path.with_suffix(".raw").read_bytes(), dtype="<f4")
     if raw.size != nx * ny * nz:
         raise FileFormatError(
-            f"{path}.raw holds {raw.size} voxels, header says {nx * ny * nz}"
+            f"{path.with_suffix('.raw')} holds {raw.size} voxels, header says {nx * ny * nz}"
         )
-    spacing = np.asarray(header["spacing_mm"], dtype=np.float64)
     return raw.reshape(nz, ny, nx).copy(), spacing
 
 
@@ -99,29 +121,27 @@ def _landmark_records(pose: Pose, flag: str) -> list[dict]:
 
 
 def _read_landmarks(records: list[dict], flag: str, where: str) -> Pose:
-    """Each index 1..16 exactly once, with ``xyz_mm`` and ``flag``, and finite
-    coordinates where flagged; any other record list raises, naming ``where``."""
+    """Each index 1..16 exactly once, with 3 numbers in ``xyz_mm`` and a boolean
+    ``flag``; any other record list raises, naming ``where``. Call it in ``reading``."""
     xyz = np.zeros((NUM_LANDMARKS, 3))
     present = np.zeros(NUM_LANDMARKS, dtype=bool)
     seen: set[int] = set()
     for lm in records:
         j = lm.get("index")
-        if not (isinstance(j, int) and 1 <= j <= NUM_LANDMARKS) or j in seen:
+        if not (type(j) is int and 1 <= j <= NUM_LANDMARKS) or j in seen:
             raise FileFormatError(
                 f"{where}: landmark index {j!r} is out of 1..{NUM_LANDMARKS} or repeated"
             )
-        if np.shape(lm.get("xyz_mm")) != (3,) or flag not in lm:
+        coords = np.asarray(lm.get("xyz_mm"))
+        if coords.shape != (3,) or coords.dtype.kind not in "iuf" or type(lm.get(flag)) is not bool:
             raise FileFormatError(f"{where}: landmark {j} needs 'xyz_mm' (3 numbers) and '{flag}'")
         seen.add(j)
-        xyz[j - 1] = lm["xyz_mm"]
+        xyz[j - 1] = coords
         present[j - 1] = lm[flag]
     if len(seen) != NUM_LANDMARKS:
         missing = sorted(set(range(1, NUM_LANDMARKS + 1)) - seen)
         raise FileFormatError(f"{where}: no record for landmark indices {missing}")
-    try:
-        return Pose(xyz, present)
-    except RegistrationError as e:
-        raise FileFormatError(f"{where}: {e}") from e
+    return Pose(xyz, present)
 
 
 def save_pose(
@@ -146,10 +166,10 @@ def save_pose(
 
 
 def load_pose(path: str | Path) -> tuple[Pose, dict]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != POSE_FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported pose format version {doc.get('version')}")
-    return _read_landmarks(doc["landmarks"], "valid", str(path)), doc
+    with reading(path, POSE_FORMAT_VERSION) as doc:
+        if doc.get("spacing_mm") is not None:
+            doc["spacing_mm"] = np.broadcast_to(np.asarray(doc["spacing_mm"], float), (3,)).tolist()
+        return _read_landmarks(doc["landmarks"], "valid", str(path)), doc
 
 
 def save_library(path: str | Path, library: PoseLibrary, stamp: dict | None = None) -> None:
@@ -161,15 +181,10 @@ def save_library(path: str | Path, library: PoseLibrary, stamp: dict | None = No
 
 
 def load_library(path: str | Path) -> PoseLibrary:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != LIBRARY_FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported library format version {doc.get('version')}")
-    try:
+    with reading(path, LIBRARY_FORMAT_VERSION) as doc:
         return PoseLibrary(
             [rec["id"] for rec in doc["poses"]],
             [_read_landmarks(rec["landmarks"], "present", f"{path}, pose {rec['id']}")
              for rec in doc["poses"]],
             [rec.get("source", "") for rec in doc["poses"]],
         )
-    except RegistrationError as e:  # a pose missing a registration-subset landmark
-        raise FileFormatError(f"{path}: {e}") from e

@@ -27,7 +27,7 @@ coordinates map back to original-frame mm exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, asdict, field
 from pathlib import Path
 from typing import ClassVar
 
@@ -64,13 +64,6 @@ class DetectorConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "DetectorConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(DetectorConfig)})
-        if unknown:
-            raise GraphError(f"detector config has unknown keys {unknown}")
-        return DetectorConfig(**d)
 
 
 @dataclass

@@ -12,17 +12,18 @@ the run config records the policy. So a checkpointed run saves the plain
 run's network. Batch-norm nodes carry no epsilon; it is ``ops.BN_EPS``.
 
 Version 1 also stored batch-norm running statistics, which nothing read;
-loading a version-1 directory raises ``GraphError``.
+loading a version-1 directory raises ``fileio.FileFormatError``, naming the
+file, as any malformed ``graph.json`` or ``manifest.json`` does.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from volpose.fileio import write_json
+from volpose.fileio import FileFormatError, reading, write_json
 from volpose.graph import Graph, GraphError
 
 FORMAT_VERSION = 2
@@ -48,8 +49,6 @@ def graph_to_dict(graph: Graph) -> dict:
 
 
 def graph_from_dict(doc: dict) -> Graph:
-    if doc.get("version") != FORMAT_VERSION:
-        raise GraphError(f"unsupported graph format version {doc.get('version')}")
     g = Graph(np.dtype(doc["dtype"]))
     for pos, spec in enumerate(doc["nodes"]):
         if spec["id"] != pos:
@@ -103,24 +102,22 @@ def save_model(
 
 def load_model(model_dir: str | Path) -> Graph:
     model_dir = Path(model_dir)
-    graph = graph_from_dict(json.loads((model_dir / "graph.json").read_text()))
-    manifest = json.loads((model_dir / "manifest.json").read_text())
-    if manifest.get("version") != FORMAT_VERSION:
-        raise GraphError(f"unsupported manifest version {manifest.get('version')}")
+    with reading(model_dir / "graph.json", FORMAT_VERSION) as doc:
+        graph = graph_from_dict(doc)
     blob = np.frombuffer((model_dir / "params.bin").read_bytes(), dtype="<f4")
-    if blob.size != manifest["total_elements"]:
-        raise GraphError(
-            f"params.bin holds {blob.size} elements, manifest says {manifest['total_elements']}"
-        )
     params = graph.parameters()
-    if set(manifest["entries"]) != set(params):
-        raise GraphError("manifest entries do not match the graph's parameters")
-    for key, entry in manifest["entries"].items():
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = blob[entry["offset"] : entry["offset"] + count].reshape(shape).astype(graph.dtype)
-        if params[key].shape != arr.shape:
-            raise GraphError(f"manifest entry '{key}' does not match graph structure")
-        nid_s, name = key.split(".", 1)
-        graph.nodes[int(nid_s)].params[name] = arr
+    with reading(model_dir / "manifest.json", FORMAT_VERSION) as manifest:
+        if blob.size != manifest["total_elements"]:
+            raise FileFormatError(f"total_elements differs from params.bin's {blob.size} elements")
+        if set(manifest["entries"]) != set(params):
+            raise FileFormatError("entries do not match the graph's parameters")
+        for key, entry in manifest["entries"].items():
+            offset, shape = entry["offset"], tuple(entry["shape"])
+            if params[key].shape != shape:
+                raise FileFormatError(f"entry '{key}' has shape {shape}, not {params[key].shape}")
+            end = offset + math.prod(shape)
+            if type(offset) is not int or not 0 <= offset <= end <= blob.size:
+                raise FileFormatError(f"entry '{key}' at offset {offset!r} lies outside params.bin")
+            nid, name = key.split(".", 1)
+            graph.nodes[int(nid)].params[name] = blob[offset:end].reshape(shape).astype(graph.dtype)
     return graph

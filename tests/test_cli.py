@@ -252,8 +252,21 @@ def test_manifest_version_check(dataset, tmp_path, capsys):
     out = tmp_path / "m"
     assert main(TRAIN_ARGS + ["--data", str(data), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("runtime failure: ") and "manifest version 99" in err
+    assert err.startswith(f"runtime failure: {data / 'manifest.json'}: ") and "version 99" in err
     assert not out.exists()
+
+
+def test_manifest_case_without_split_exits_1(dataset, tmp_path, capsys):
+    # a case the reader cannot read fails the command, naming the manifest
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["cases"][1]["split"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["build-library", "--data", str(data), "--out", str(tmp_path / "l.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {data / 'manifest.json'}: ") and "split" in err
+    assert not (tmp_path / "l.json").exists()
 
 
 def test_infer_emits_pose_per_volume(dataset, model, tmp_path):
@@ -520,20 +533,23 @@ def test_eval_spacing_disagreement_exits_2(dataset, tmp_path):
 
 def test_eval_malformed_landmark_record_exits_1(dataset, tmp_path, capsys):
     # a copy of a ground-truth pose whose first landmark claims index 17, or
-    # is flagged valid with a NaN coordinate
+    # is flagged valid with a NaN coordinate, or whose spacing is not numbers
     gt_dir = dataset / "cases"
     gt_path = sorted(gt_dir.glob("*_pose.json"))[0]
 
-    def index_17(record):
-        record["index"] = 17
+    def index_17(doc):
+        doc["landmarks"][0]["index"] = 17
 
-    def nan_coordinate(record):
-        record["xyz_mm"][0] = float("nan")
-        record["valid"] = True
+    def nan_coordinate(doc):
+        doc["landmarks"][0]["xyz_mm"][0] = float("nan")
+        doc["landmarks"][0]["valid"] = True
 
-    for mutate in (index_17, nan_coordinate):
+    def spacing_string(doc):
+        doc["spacing_mm"] = "abc"
+
+    for mutate in (index_17, nan_coordinate, spacing_string):
         doc = json.loads(gt_path.read_text())
-        mutate(doc["landmarks"][0])
+        mutate(doc)
         pred_dir = tmp_path / mutate.__name__ / "pred"
         pred_dir.mkdir(parents=True)
         (pred_dir / gt_path.name).write_text(json.dumps(doc))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from volpose import cli
 from volpose.fileio import (
     FileFormatError,
     load_library,
@@ -16,7 +17,9 @@ from volpose.fileio import (
     write_csv,
     write_json,
 )
+from volpose.model import DetectorConfig, build_detector
 from volpose.registration import Pose, PoseLibrary
+from volpose.serialize import load_model, save_model
 
 
 def test_raw_volume_is_little_endian_x_fastest(tmp_path):
@@ -66,6 +69,16 @@ def test_volume_version_check(tmp_path):
         load_volume(tmp_path / "v")
 
 
+@pytest.mark.parametrize("dims", [[-1, -1, 8], [2, 2, 2.0], [2, 2, True]])
+def test_volume_dims_must_be_positive_ints(tmp_path, dims):
+    # [-1, -1, 8] and the others pass the voxel-count check
+    save_volume(tmp_path / "v", np.zeros((2, 2, 2), dtype=np.float32), 1.0)
+    header = json.loads((tmp_path / "v.json").read_text())
+    (tmp_path / "v.json").write_text(json.dumps({**header, "dims": dims}))
+    with pytest.raises(FileFormatError, match=r"v\.json: dims must be three positive integers"):
+        load_volume(tmp_path / "v")
+
+
 def test_pose_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     pose = Pose(rng.normal(scale=20, size=(16, 3)))
@@ -108,14 +121,28 @@ def drop_subset_landmark(doc, records):
     records[0]["present"] = False
 
 
+def set_flag_string(doc, records):
+    records[3]["valid" if "valid" in records[3] else "present"] = "false"
+
+
+def set_xyz_strings(doc, records):
+    records[3]["xyz_mm"] = ["a", "b", "c"]
+
+
+def drop_pose_id(doc, records):
+    del doc["poses"][0]["id"]
+
+
 # each makes a pose file or library unreadable: an unknown version, an index
-# out of range (0, 17), one repeated, a landmark without a record, a record
-# without its position, or a NaN coordinate; with what the error says after
-# naming the file
+# out of range (0, 17), one repeated, or a boolean, a landmark without a
+# record, a record without its position, a NaN coordinate, a flag that is not
+# a JSON boolean, or coordinates that are not numbers; with what the error
+# says after naming the file
 MALFORMED = [
     (set_version, "version"), (set_index(17), "index"), (set_index(0), "index"),
-    (set_index(1), "repeated"), (drop_last_record, "no record"),
-    (drop_key("xyz_mm"), "xyz_mm"), (set_nan, "non-finite"),
+    (set_index(1), "repeated"), (set_index(True), "index True"),
+    (drop_last_record, "no record"), (drop_key("xyz_mm"), "xyz_mm"), (set_nan, "non-finite"),
+    (set_flag_string, "needs"), (set_xyz_strings, "xyz_mm"),
 ]
 
 
@@ -136,13 +163,105 @@ def test_library_version_check(tmp_path):
     save_library(tmp_path / "l.json", lib)
     saved = (tmp_path / "l.json").read_text()
     for mutate, says in MALFORMED + [
-        (drop_key("present"), "present"), (drop_subset_landmark, "registration-subset")
+        (drop_key("present"), "present"), (drop_subset_landmark, "registration-subset"),
+        (drop_pose_id, "missing key 'id'"),
     ]:
         doc = json.loads(saved)
         mutate(doc, doc["poses"][0]["landmarks"])
         (tmp_path / "l.json").write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match=rf"l\.json(, pose a)?: .*{says}"):
             load_library(tmp_path / "l.json")
+
+
+def write_artifacts(root):
+    """One of each JSON artifact the pipeline reads; returns each reader's
+    (path of the file it reads, call that reads it)."""
+    pose = Pose(np.zeros((16, 3)))
+    save_volume(root / "case", np.zeros((2, 2, 2), dtype=np.float32), 1.0)
+    save_pose(root / "case_pose.json", pose)
+    save_library(root / "library.json", PoseLibrary(["a"], [pose], ["train"]))
+    cfg = DetectorConfig(depth=1, base_channels=2, input_scale=1.0)
+    save_model(root / "model", build_detector(cfg, seed=0),
+               extras={"detector_config.json": cfg.to_dict()})
+    cases = [{"id": "train_0000", "split": "train", "volume": "case", "pose": "case_pose.json"}]
+    write_json(root / "manifest.json", {"version": 1, "cases": cases})
+    return {
+        "manifest": (root / "manifest.json", lambda: cli._load_manifest_cases(root, "train")),
+        "volume": (root / "case.json", lambda: load_volume(root / "case")),
+        "pose": (root / "case_pose.json", lambda: load_pose(root / "case_pose.json")),
+        "library": (root / "library.json", lambda: load_library(root / "library.json")),
+        "graph": (root / "model" / "graph.json", lambda: load_model(root / "model")),
+        "model-manifest": (root / "model" / "manifest.json", lambda: load_model(root / "model")),
+        "detector-config": (root / "model" / "detector_config.json",
+                            lambda: cli._load_detector(root / "model")),
+    }
+
+
+def first_entry(doc):
+    return doc["entries"][min(doc["entries"])]
+
+
+def version_99(doc):
+    doc["version"] = 99
+
+
+# per reader, mutations of the parsed document: a wrong format version, a
+# missing key and a value of the wrong type; detector_config.json has no
+# version, and each of its fields has a default
+CORRUPT = {
+    "manifest": {
+        "wrong-version": version_99,
+        "missing-key": lambda d: d["cases"][0].pop("split"),
+        "wrong-type": lambda d: d["cases"][0].update(volume=5),
+    },
+    "volume": {
+        "wrong-version": version_99,
+        "missing-key": lambda d: d.pop("dims"),
+        "wrong-type": lambda d: d.update(dims=["2", "2", "2"]),
+    },
+    "pose": {
+        "wrong-version": version_99,
+        "missing-key": lambda d: d.pop("landmarks"),
+        "wrong-type": lambda d: d.update(landmarks=5),
+    },
+    "library": {
+        "wrong-version": version_99,
+        "missing-key": lambda d: d["poses"][0].pop("id"),
+        "wrong-type": lambda d: d.update(poses=5),
+    },
+    "graph": {
+        "wrong-version": version_99,
+        "missing-key": lambda d: d.pop("nodes"),
+        "wrong-type": lambda d: d.update(nodes=5),
+    },
+    "model-manifest": {
+        "wrong-version": version_99,
+        "missing-key": lambda d: d.pop("entries"),
+        "wrong-type": lambda d: first_entry(d).update(shape="ab"),
+    },
+    "detector-config": {"wrong-type": lambda d: d.update(depth="3")},
+}
+
+
+@pytest.mark.parametrize("reader, corruption", [
+    (reader, corruption)
+    for reader, mutations in CORRUPT.items()
+    for corruption in ["not-json", "not-object", *mutations]
+])
+def test_every_reader_names_its_file(tmp_path, reader, corruption):
+    path, read = write_artifacts(tmp_path)[reader]
+    text = path.read_text()
+    if corruption == "not-json":
+        path.write_text(text[:-2])
+    elif corruption == "not-object":
+        path.write_text(f"[{text}]")
+    else:
+        doc = json.loads(text)
+        CORRUPT[reader][corruption](doc)
+        path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError) as exc:
+        read()
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_write_json_numpy_values_match_plain_numbers(tmp_path):
