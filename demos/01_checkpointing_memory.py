@@ -1,12 +1,12 @@
 """Gradient checkpointing on the reference detector: same gradients, less memory.
 
 Builds the depth-3 detector, runs one training step with and without
-checkpointing, and compares peak live node-value bytes, wall time, and the
-gradients themselves (they must be bitwise identical). Finally shows the
-headline capability: a 1.25x-per-dimension input fits under a simulated
-memory cap that the plain pass would exceed. The cap is checked against the
-planned peak of each walk before it starts, so the plain pass is refused
-before any kernel runs.
+checkpointing, and compares the planned peak bytes of live node values and
+held gradients, wall time, and the gradients themselves (they must be
+bitwise identical). Finally shows the headline capability: a
+1.25x-per-dimension input fits under a simulated memory cap that the plain
+pass would exceed. The cap is checked against the planned peak of each walk
+before it starts, so the plain pass is refused before any kernel runs.
 """
 
 import time

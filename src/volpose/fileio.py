@@ -4,7 +4,8 @@ Text artifacts go through ``write_json`` and ``write_csv`` and nothing else:
 JSON has sorted keys and a one-space indent, with the run stamp
 (``config_version``, ``config_hash``) merged in at the top level; a CSV
 starts with a ``# {stamp}`` line, then its rows. Every JSON artifact is read
-through ``reading``; a malformed one raises ``FileFormatError`` naming it.
+through ``reading``; a malformed one raises ``FileFormatError`` naming it,
+and one that describes an invalid graph or setting a ``GraphError`` naming it.
 
 Volume format: raw little-endian float32, x-fastest order (exactly the bytes
 of a C-order (z, y, x) array), with a sidecar ``<stem>.json`` holding
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from volpose.anatomy import NUM_LANDMARKS, landmark_names
+from volpose.graph import GraphError
 from volpose.registration import Pose, PoseLibrary
 
 VOLUME_FORMAT_VERSION = 1
@@ -40,7 +42,9 @@ class FileFormatError(ValueError):
 def reading(path: str | Path, version: int | None = None):
     """Yield the JSON object in ``path``, of format ``version`` when given. In
     the block, a key, attribute, type or value error becomes a ``FileFormatError``
-    that starts with the path, so convert every value there."""
+    that starts with the path, so convert every value there. A ``GraphError``
+    (a graph or a setting the file describes is invalid) stays one, with
+    the path in front."""
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
@@ -50,6 +54,8 @@ def reading(path: str | Path, version: int | None = None):
         yield doc
     except KeyError as e:
         raise FileFormatError(f"{path}: missing key {e}") from e
+    except GraphError as e:
+        raise GraphError(f"{path}: {e}") from e
     except (AttributeError, TypeError, ValueError) as e:
         if isinstance(e, FileFormatError) and str(e).startswith(str(path)):
             raise

@@ -1,10 +1,11 @@
 """Explicit computation graph with reverse-mode autodiff and checkpointing.
 
 A :class:`Graph` is a topologically ordered list of nodes. Each op is
-declared once, in ``OP_TABLE``: its forward, backward and shape rules.
-Running ``forward`` stores node values. With ``discard=True`` it frees every
-value that is neither a checkpoint nor otherwise needed later. The backward
-pass (``backward_plain`` and ``backward_checkpointed`` are one function) walks
+declared once, in ``OP_TABLE``: its forward, backward and shape rules, and
+what its backward reads (its inputs, its own output, or no value). Running
+``forward`` stores node values and keeps only those some backward step
+reads. With ``discard=True`` it keeps fewer still. The backward pass
+(``backward_plain`` and ``backward_checkpointed`` are one function) walks
 the graph in reverse, recomputes each freed value just before a step reads
 it (with the freed values it reads in turn), frees each value after its last
 reader, and returns gradients for every learnable parameter. Because every
@@ -18,18 +19,28 @@ gives the peak of the forward and of the whole step. The executor checks the
 meter's cap against that peak before each walk, then only stores and drops
 values; ``memplan`` builds the same schedule from shapes alone.
 
-Values that stay live during a discarding forward pass:
-  * members of ``checkpoint_set``,
-  * input and loss nodes (implicit checkpoints),
-  * direct inputs of any ``channel_concat`` node. This is a cost rule, not a
-    correctness one: any checkpoint set runs, but a freed skip input is
-    recomputed in the backward, next to the decoder's live values. On the
-    reference detector at 32^3 under ``block_boundary``, dropping the rule
-    takes the forward peak from 8.64 to 5.89 MB but the step peak from 10.74
-    to 15.33 MB, and recomputes 44 values instead of 38.
+What each walk keeps:
+  * a plain forward keeps every value some backward step reads, and the
+    inputs, the target and the loss. On the reference detector that frees
+    every batch-norm output (a ReLU masks by its own output) and every
+    deconv output (a concat reads no value);
+  * a discarding forward keeps the inputs, the target and the loss, and, of
+    the values some backward step reads, the members of ``checkpoint_set``
+    and the direct inputs of any ``channel_concat``. A plain forward is a
+    discarding one with every node checkpointed. The concat rule is a cost
+    rule, not a correctness one: any checkpoint set runs, but a freed skip
+    input is recomputed in the backward, next to the decoder's live values.
+    On the reference detector at 32^3 under ``block_boundary``, dropping the
+    rule takes the forward peak from 7.27 to 5.89 MB but the step peak from
+    9.36 to 12.18 MB, and recomputes 40 values instead of 34;
+  * the backward recomputes what a step reads from live values, and drops a
+    recomputed value that no later step reads right after its last consumer
+    in that recompute.
 
-The account counts node value buffers only (not parameters, not
-gradients): those buffers are the quantity checkpointing manipulates.
+The account counts node values and the gradients the backward holds (not
+parameters, not kernel workspace): an activation gradient from the step
+that makes it to the step that consumes it, a parameter gradient from its
+step to the end of the walk.
 """
 
 from __future__ import annotations
@@ -67,7 +78,8 @@ class MemoryCapExceeded(GraphError):
 
 @dataclass
 class MemMeter:
-    """The planned peak of node value bytes of the last walk, and a cap."""
+    """The planned peak of the last walk, in bytes of node values and held
+    gradients, and a cap."""
 
     peak: int = 0
     cap: int | None = None
@@ -76,7 +88,7 @@ class MemMeter:
         """Admit a walk whose planned peak is ``peak``, or raise if it is over the cap."""
         if self.cap is not None and peak > self.cap:
             raise MemoryCapExceeded(
-                f"planned {walk} peak of {peak} node bytes exceeds the simulated cap {self.cap}"
+                f"planned {walk} peak of {peak} bytes exceeds the simulated cap {self.cap}"
             )
         self.peak = peak
 
@@ -100,6 +112,10 @@ class Op:
     for the output gradient ``g``, where ``want[i]`` says whether anything
     reads input ``i``'s gradient (an op may skip it and give None);
     ``shape(node, shapes)`` is the value shape from the input shapes.
+    ``reads`` declares what the backward reads, and so what ``xs`` holds
+    there: ``"inputs"``, the input values; ``"output"``, the op's own value;
+    ``"shapes"``, no value, only the planned input shapes. The schedule keeps
+    a value only while some backward step reads it.
     Kernels are looked up on ``ops`` at call time, so a rebound
     ``volpose.ops`` attribute sees every call.
     """
@@ -107,6 +123,7 @@ class Op:
     forward: Callable | None
     backward: Callable | None
     shape: Callable | None
+    reads: str = "inputs"
 
 
 def _with_params(result: tuple, *names: str) -> tuple[list, dict]:
@@ -150,20 +167,24 @@ OP_TABLE: dict[str, Op] = {
         ),
         _same_shape,
     ),
+    # the mask from the output: relu(x) > 0 exactly where x > 0
     "relu": Op(
         lambda n, x: ops.relu_forward(x[0]),
-        lambda n, x, g, want: ([ops.relu_backward(x[0], g)], {}),
+        lambda n, y, g, want: ([ops.relu_backward(y[0], g)], {}),
         _same_shape,
+        reads="output",
     ),
     "channel_concat": Op(
         lambda n, x: ops.concat_forward(x),
-        lambda n, x, g, want: (ops.concat_backward([v.shape[0] for v in x], g), {}),
+        lambda n, s, g, want: (ops.concat_backward([e[0] for e in s], g), {}),
         lambda n, s: (sum(e[0] for e in s),) + s[0][1:],
+        reads="shapes",
     ),
     "add": Op(
         lambda n, x: ops.add_forward(x[0], x[1]),
-        lambda n, x, g, want: ([g, g], {}),
+        lambda n, s, g, want: ([g, g], {}),
         _same_shape,
+        reads="shapes",
     ),
     "l2_loss": Op(
         lambda n, x: ops.l2_loss_forward(x[0], x[1]),
@@ -204,6 +225,12 @@ def _upstream(nodes: list[Node], roots, stop: set[int]) -> list[int]:
     return sorted(seen)
 
 
+def _reads(node: Node) -> list[int]:
+    """The values ``node``'s backward step reads, by its op's ``reads``."""
+    reads = OP_TABLE[node.op].reads
+    return node.inputs if reads == "inputs" else [node.nid] if reads == "output" else []
+
+
 @dataclass
 class Schedule:
     """The liveness walk of one training step and its memory account,
@@ -211,19 +238,24 @@ class Schedule:
 
     * ``need``: the target and its ancestors, in forward order;
     * ``requires_grad``: needed nodes whose gradient is read, those with a
-      learnable parameter at or upstream of them (never an input);
-    * ``retained``: values a discarding forward keeps (every needed value
-      when not discarding);
+      learnable parameter at or upstream of them (never an input). Only
+      their backward steps and the target's run, and only those read values;
+    * ``retained``: values the forward keeps, as the module docstring says;
     * ``forward_frees[k]``: values freed right after forward step ``k``;
     * ``backward``: one ``(node, recompute, frees)`` per backward step, in
-      reverse order: the values to recompute before the step, and the values
-      no later step reads. ``recompute`` is the discarded values the step
-      reads, and the discarded values those read in turn, walked up to live
-      values and run in forward order. Inputs are always live, so the walk
-      ends, and every checkpoint set gives a schedule that runs.
-    * ``nbytes``: the planned bytes of each needed value;
-    * ``forward_peak`` and ``step_peak``: the peak of live value bytes over
-      the forward walk, and over the forward and backward walks together.
+      reverse order. ``recompute`` is the discarded values the step reads,
+      and the discarded values those read in turn, walked up to live values
+      and run in forward order. Inputs stay live until their last consumer's
+      step, so the walk ends, and every checkpoint set gives a schedule that
+      runs. ``frees[j]`` is freed right after ``(recompute + [node])[j]``
+      runs: a recomputed value that no step from here on reads dies after
+      its last consumer in the recompute, and a live value dies after the
+      last step that reads it;
+    * ``shapes`` and ``nbytes``: the planned shape and bytes of each needed
+      value;
+    * ``forward_peak`` and ``step_peak``: the peak of live bytes over the
+      forward walk, and over the forward and backward walks together, held
+      gradients included.
     """
 
     target: int
@@ -231,7 +263,8 @@ class Schedule:
     requires_grad: set[int]
     retained: set[int]
     forward_frees: list[list[int]]
-    backward: list[tuple[int, list[int], list[int]]]
+    backward: list[tuple[int, list[int], list[list[int]]]]
+    shapes: dict[int, tuple]
     nbytes: dict[int, int]
     forward_peak: int
     step_peak: int
@@ -244,21 +277,28 @@ class Schedule:
         for nid in need:
             if nodes[nid].params or requires_grad.intersection(nodes[nid].inputs):
                 requires_grad.add(nid)
-        retained = set(need)
+        walk = need[::-1]
+        reads = {nid: _reads(nodes[nid]) if nid in requires_grad or nid == target else []
+                 for nid in walk}
+        # the last backward step, in walk order, that reads each value; an
+        # input cannot be recomputed, so its consumers' steps count as reads
+        last: dict[int, int] = {}
+        for k, nid in enumerate(walk):
+            for i in reads[nid] + [i for i in nodes[nid].inputs if nodes[i].op == "input"]:
+                last[i] = k
         if discard:
-            retained = set(graph.checkpoint_set) | set(graph.inputs.values()) | {target}
-            if graph.loss_id is not None:
-                retained.add(graph.loss_id)
-            for nid in need:
-                if nodes[nid].op == "channel_concat":
-                    retained.update(nodes[nid].inputs)
-        uses = dict.fromkeys(need, 0)
-        for nid in need:
-            for i in nodes[nid].inputs:
-                uses[i] += 1
+            keep = graph.checkpoint_set.union(
+                *(nodes[nid].inputs for nid in need if nodes[nid].op == "channel_concat"))
+        else:
+            keep = set(need)
+        retained = keep.intersection(last) | set(graph.inputs.values()) | {target, graph.loss_id}
+        retained.intersection_update(need)
 
         # forward: a non-retained value dies with its last consumer
-        left = dict(uses)
+        left = dict.fromkeys(need, 0)
+        for nid in need:
+            for i in nodes[nid].inputs:
+                left[i] += 1
         forward_frees = []
         for nid in need:
             freed = []
@@ -269,23 +309,26 @@ class Schedule:
             forward_frees.append(freed)
 
         # backward: recompute, before a step, the discarded values it reads
-        # and the discarded values those read in turn; a value dies once every
-        # consumer has been backpropagated
-        alive = retained.intersection(need)
-        left = dict(uses)
+        # and the discarded values those read in turn. A recomputed value no
+        # step from here on reads dies after its last consumer there; a live
+        # value dies after the last step that reads it, or after the first
+        # step if none does
+        alive = set(retained)
         backward = []
-        for nid in reversed(need):
-            inputs = nodes[nid].inputs
-            recompute = _upstream(nodes, inputs, alive)
-            alive.update(recompute)
-            for i in inputs:
-                left[i] -= 1
-            freed = [i for i in dict.fromkeys(inputs + [nid]) if left[i] == 0 and i in alive]
+        for k, nid in enumerate(walk):
+            recompute = _upstream(nodes, reads[nid], alive)
+            transient = {m for m in recompute if last.get(m, -1) < k}
+            consumer = {i: j for j, m in enumerate(recompute) for i in nodes[m].inputs
+                        if i in transient}
+            frees = [[i for i in consumer if consumer[i] == j] for j in range(len(recompute))]
+            alive.update(set(recompute) - transient)
+            freed = sorted(i for i in alive if last.get(i, 0) == k)
             alive.difference_update(freed)
-            backward.append((nid, recompute, freed))
+            backward.append((nid, recompute, frees + [freed]))
 
-        # the account: live value bytes along the same walk, a value counted
-        # from the step that stores it to the step that frees it
+        # the account: live bytes along the same walk, a value counted from
+        # the step that stores it to the step that frees it, and a gradient
+        # as the module docstring says (the seed is the target's gradient)
         shapes = value_shapes(graph, need, input_shapes)
         nbytes = {nid: math.prod(s) * graph.dtype.itemsize for nid, s in shapes.items()}
         live = peak = 0
@@ -294,12 +337,22 @@ class Schedule:
             peak = max(peak, live)
             live -= sum(nbytes[i] for i in frees)
         forward_peak = peak
-        for _, recompute, frees in backward:
-            live += sum(nbytes[m] for m in recompute)
+        held = {target}
+        live += nbytes[target]
+        for nid, recompute, frees in backward:
+            for m, dropped in zip(recompute, frees):
+                live += nbytes[m]
+                peak = max(peak, live)
+                live -= sum(nbytes[i] for i in dropped)
+            if nid in requires_grad:
+                made = set(nodes[nid].inputs).intersection(requires_grad) - held
+                held |= made
+                live += sum(nbytes[i] for i in made)
+                live += sum(p.nbytes for p in nodes[nid].params.values())
             peak = max(peak, live)
-            live -= sum(nbytes[i] for i in frees)
+            live -= sum(nbytes[i] for i in frees[-1]) + (nbytes[nid] if nid in held else 0)
         return cls(target, need, requires_grad, retained, forward_frees, backward,
-                   nbytes, forward_peak, peak)
+                   shapes, nbytes, forward_peak, peak)
 
 
 class Graph:
@@ -384,15 +437,15 @@ class Graph:
             )
         node.value = value
 
-    def _input_values(self, node: Node) -> list[np.ndarray]:
-        vals = [self.nodes[i].value for i in node.inputs]
-        for i, v in zip(node.inputs, vals):
+    def _values(self, node: Node, nids: list[int]) -> list[np.ndarray]:
+        vals = [self.nodes[i].value for i in nids]
+        for i, v in zip(nids, vals):
             if v is None:
-                raise MissingValue(f"node {node.nid}: input {i} has no value")
+                raise MissingValue(f"node {node.nid}: node {i} has no stored value")
         return vals
 
     def _run(self, node: Node) -> np.ndarray:
-        return OP_TABLE[node.op].forward(node, self._input_values(node))
+        return OP_TABLE[node.op].forward(node, self._values(node, node.inputs))
 
     # -- forward ---------------------------------------------------------------
 
@@ -405,9 +458,9 @@ class Graph:
     ) -> float:
         """Run the graph up to ``to_node`` (default: the loss node).
 
-        With ``discard=True``, values that are not retained (checkpoints,
-        inputs, loss, concat inputs) are freed as soon as their last forward
-        consumer has run. The loss value is identical either way.
+        A value the :class:`Schedule` does not retain (see the module
+        docstring) is freed as soon as its last forward consumer has run.
+        The loss value is identical either way.
         ``update_stats`` is accepted for old callers and ignored. The walk's
         planned forward peak goes to ``meter.peak``, or raises
         :class:`MemoryCapExceeded` before any kernel runs.
@@ -445,12 +498,17 @@ class Graph:
 
     # -- backward ----------------------------------------------------------------
 
-    def _backward_step(self, node: Node, requires_grad: set, grads: dict, gradmap: dict) -> None:
+    def _backward_step(self, node: Node, schedule: Schedule, grads: dict, gradmap: dict) -> None:
         g = grads.pop(node.nid, None)
         if g is None:
             return
-        want = [i in requires_grad for i in node.inputs]
-        gins, gparams = OP_TABLE[node.op].backward(node, self._input_values(node), g, want)
+        op = OP_TABLE[node.op]
+        if op.reads == "shapes":
+            xs = [schedule.shapes[i] for i in node.inputs]
+        else:
+            xs = self._values(node, _reads(node))
+        want = [i in schedule.requires_grad for i in node.inputs]
+        gins, gparams = op.backward(node, xs, g, want)
         for i, gi, wanted in zip(node.inputs, gins, want):
             if wanted:
                 grads[i] = grads[i] + gi if i in grads else gi
@@ -468,12 +526,13 @@ class Graph:
         One walk over the last forward's :class:`Schedule`, in reverse. Each
         step first recomputes the discarded values it reads, and the
         discarded values those read, in forward order from still-live values
-        (there are none to recompute after a plain forward), then
-        backpropagates, then frees every value that no later step reads. After the walk the graph holds no value, so
-        a second call raises :class:`MissingValue`. Gradients are bitwise
-        identical whether the forward discarded values or not. The step's
-        planned peak goes to ``meter.peak``, or raises
-        :class:`MemoryCapExceeded` before the walk.
+        (there are none to recompute after a plain forward), dropping a
+        recomputed value that no later step reads after its last consumer
+        there. It then backpropagates, and frees every value that no later
+        step reads. After the walk the graph holds no value, so a second call
+        raises :class:`MissingValue`. Gradients are bitwise identical whether
+        the forward discarded values or not. The step's planned peak goes to
+        ``meter.peak``, or raises :class:`MemoryCapExceeded` before the walk.
         """
         schedule = self.schedule
         if schedule is None or (grad_out is None and schedule.target != self.loss_id):
@@ -486,10 +545,12 @@ class Graph:
         grads: dict[int, np.ndarray] = {schedule.target: seed}
         gradmap: dict[str, np.ndarray] = {}
         for nid, recompute, frees in schedule.backward:
-            for m in recompute:
+            for m, dropped in zip(recompute, frees):
                 self._store(self.nodes[m], self._run(self.nodes[m]), schedule.nbytes[m])
-            self._backward_step(self.nodes[nid], schedule.requires_grad, grads, gradmap)
-            for i in frees:
+                for i in dropped:
+                    self.nodes[i].value = None
+            self._backward_step(self.nodes[nid], schedule, grads, gradmap)
+            for i in frees[-1]:
                 self.nodes[i].value = None
         self.schedule = None
         return gradmap
@@ -509,9 +570,11 @@ def select_checkpoints(graph: Graph, policy: str, k: int | None = None) -> set[i
         outputs;
       * ``every_k``: every k-th node id.
 
-    Whatever the set, the :class:`Schedule` also keeps the inputs, the loss
-    and every direct input of a channel_concat. Any other set goes through
-    ``Graph.set_checkpoints``, which checks its ids.
+    Whatever the set, the :class:`Schedule` also keeps the inputs, the
+    target and the loss, keeps every direct input of a channel_concat that a
+    backward step reads, and drops the picks that no backward step reads.
+    Any other set goes through ``Graph.set_checkpoints``, which checks its
+    ids.
     """
     if policy == "every_k":
         if not k or k < 1:

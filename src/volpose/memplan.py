@@ -2,7 +2,9 @@
 
 The plan is the executor's own account: the :class:`~volpose.graph.Schedule`
 built from input shapes alone, which sizes each value by its op's shape rule
-in ``graph.OP_TABLE`` and sums live bytes along the walk the executor takes.
+in ``graph.OP_TABLE`` and sums live bytes along the walk the executor takes:
+the values some backward step still reads, and the gradients the backward
+holds.
 The executor reads its peaks from the same schedule, so planned and metered
 peaks are one number. This makes memory questions about configurations far
 beyond desk RAM answerable instantly.
@@ -18,7 +20,7 @@ from volpose.graph import Graph, Schedule
 @dataclass
 class MemoryPlan:
     parameter_count: int
-    plain_step_peak: int       # the forward's: it keeps everything, backward only frees
+    plain_step_peak: int       # keeps what the backward reads, plus held gradients
     forward_discard_peak: int
     checkpointed_step_peak: int
 

@@ -52,7 +52,7 @@ def graph_from_dict(doc: dict) -> Graph:
     g = Graph(np.dtype(doc["dtype"]))
     for pos, spec in enumerate(doc["nodes"]):
         if spec["id"] != pos:
-            raise GraphError(f"graph.json: node at position {pos} has id {spec['id']}")
+            raise GraphError(f"node at position {pos} has id {spec['id']}")
         g.add(
             spec["op"],
             spec["inputs"],

@@ -323,6 +323,32 @@ def test_infer_unknown_detector_config_key_exits_1(dataset, model, tmp_path, cap
     assert not out.exists()
 
 
+def _first_relu(doc):
+    return next(n for n in doc["nodes"] if n["op"] == "relu")
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("graph.json", lambda doc: _first_relu(doc).update(op="gelu")),
+    ("detector_config.json", lambda doc: doc.update(depth=0)),
+], ids=["unknown-op", "depth-0"])
+def test_infer_invalid_model_description_names_the_file(dataset, model, tmp_path, capsys,
+                                                         name, corrupt):
+    # a graph or a detector setting that the model files describe but the
+    # graph rejects: exit 1, the message starting with the file's path
+    copy = tmp_path / "model"
+    shutil.copytree(model, copy)
+    path = copy / name
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "pred"
+    rc = main(["infer", "--model", str(copy), "--data", str(dataset), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {path}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_infer_dump_heatmaps(dataset, model, tmp_path):
     out = tmp_path / "pred_hm"
     assert main([

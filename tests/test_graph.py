@@ -15,12 +15,16 @@ from volpose import ops
 from volpose.ops import ShapeMismatch
 
 
-def relu_chain(n_relu, size=8, dtype=np.float64):
-    """x -> relu x n -> l2(pred, target). All node values share one size."""
+def relu_chain(n_relu, size=8, dtype=np.float64, learnable=False):
+    """x -> relu x n -> l2(pred, target), with a learnable 1x1x1 conv ahead of
+    the ReLUs when ``learnable``. All node values share one size."""
     g = Graph(dtype)
     x = g.add_input("x")
     t = g.add_input("target")
     prev = x
+    if learnable:
+        prev = g.add("conv3d", [x], params={"weight": np.ones((1, 1, 1, 1, 1), dtype),
+                                            "bias": np.zeros(1, dtype)})
     for _ in range(n_relu):
         prev = g.add("relu", [prev])
     loss = g.add("l2_loss", [prev, t])
@@ -351,13 +355,15 @@ def test_set_checkpoints_validates_ids():
 
 
 def test_sqrt_n_checkpoints_bound_peak_liveness():
+    # the conv's parameter makes every ReLU's backward run, and each reads
+    # its own output, so the plain forward keeps all n of them
     n = 100
-    g, feeds = relu_chain(n, size=8)
+    g, feeds = relu_chain(n, size=8, learnable=True)
     unit = feeds["x"].nbytes
     g.forward(feeds)
     g.backward_plain()
     plain_peak = g.meter.peak
-    assert plain_peak >= (n + 2) * unit  # everything retained
+    assert plain_peak >= (n + 2) * unit  # every ReLU output, the input and the target
 
     k = int(np.sqrt(n))
     g.set_checkpoints(select_checkpoints(g, "every_k", k=k))

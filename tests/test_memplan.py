@@ -62,18 +62,55 @@ def test_plan_matches_live_meter_on_reference_detector():
     assert plan.checkpointed_step_peak == step
 
 
-def test_node_shapes_match_forward_values_on_reference_detector():
+def test_node_shapes_match_forward_values_on_reference_detector(monkeypatch):
+    # a plain forward frees the values no backward step reads, so each
+    # value's shape is recorded as the forward stores it
     cfg = DetectorConfig(depth=3, base_channels=8, input_scale=1.0)
     graph = build_detector(cfg, seed=0)
     shape = (32, 32, 32)
     rng = np.random.default_rng(1)
+    stored = {}
+    store = graph._store
+
+    def record(node, value, nbytes):
+        stored[node.nid] = value.shape
+        store(node, value, nbytes)
+
+    monkeypatch.setattr(graph, "_store", record)
     graph.forward({
         "volume": rng.normal(size=(1, *shape)).astype(np.float32),
         "target": rng.normal(size=(16, *shape)).astype(np.float32),
     })
     shapes = {"volume": (1, *shape), "target": (16, *shape)}
     planned = list(value_shapes(graph, range(len(graph.nodes)), shapes).values())
-    assert planned == [graph.value(n.nid).shape for n in graph.nodes]
+    assert planned == [stored[n.nid] for n in graph.nodes]
+
+
+def test_plain_forward_keeps_only_what_the_backward_reads():
+    # no backward step reads a batch-norm output (ReLU masks from its own
+    # output) or a deconv output (concat reads no value): the plain forward
+    # frees exactly those, and keeps every other value
+    cfg = DetectorConfig(depth=3, base_channels=8, input_scale=1.0)
+    graph = build_detector(cfg, seed=0)
+    rng = np.random.default_rng(2)
+    graph.forward({
+        "volume": rng.normal(size=(1, 32, 32, 32)).astype(np.float32),
+        "target": rng.normal(size=(16, 32, 32, 32)).astype(np.float32),
+    })
+    empty = {n.nid for n in graph.nodes if n.value is None}
+    assert empty == {n.nid for n in graph.nodes if n.op in ("batch_norm", "deconv3d")}
+    assert len(empty) == 14 + 3
+
+
+def test_reference_step_peaks_are_pinned():
+    # the planned step peaks of the reference detector at 32^3, values and
+    # held gradients: a change to either is a change to the schedule
+    cfg = DetectorConfig(depth=3, base_channels=8, input_scale=1.0)
+    graph = build_detector(cfg, seed=0)
+    graph.set_checkpoints(select_checkpoints(graph, "block_boundary"))
+    plan = plan_memory(graph, {"volume": (1, 32, 32, 32), "target": (16, 32, 32, 32)})
+    assert plan.plain_step_peak == 20_422_664
+    assert plan.checkpointed_step_peak == 9_364_096
 
 
 def test_depth4_full_scale_report():

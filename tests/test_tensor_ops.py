@@ -443,6 +443,22 @@ def test_relu_backward_matches_where_oracle_bytes(dtype):
     assert blocked.size and not blocked.any() and not np.signbit(blocked).any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_from_output_matches_from_input_bytes(dtype):
+    # the graph's relu backward reads the op's output, not its input: the
+    # mask relu(x) > 0 must be x > 0 bit for bit, at signed zeros and
+    # subnormals too
+    rng = np.random.default_rng(13)
+    tiny = np.finfo(dtype).smallest_subnormal
+    edges = [0.0, -0.0, 1e-45, -1e-45, 1.0, -1.0, tiny, -tiny]
+    x = np.concatenate([np.array(edges, dtype=dtype), rng.normal(size=56).astype(dtype)])
+    x = x.reshape(1, 4, 4, 4)
+    assert x.dtype == dtype and np.signbit(x[0, 0, 0, 1]) and x[0, 0, 0, 2] > 0
+    g = signed_zeros(rng, rng.normal(size=x.shape).astype(dtype))
+    from_output = ops.relu_backward(ops.relu_forward(x), g)
+    assert from_output.tobytes() == ops.relu_backward(x, g).tobytes()
+
+
 def test_batch_norm_normalizes_per_channel():
     rng = np.random.default_rng(3)
     x = rng.normal(loc=5.0, scale=3.0, size=(2, 4, 4, 4))
