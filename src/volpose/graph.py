@@ -2,40 +2,48 @@
 
 A :class:`Graph` is a topologically ordered list of nodes. Each op is
 declared once, in ``OP_TABLE``: its forward, backward and shape rules, and
-what its backward reads (its inputs, its own output, or no value). Running
-``forward`` stores node values and keeps only those some backward step
-reads. With ``discard=True`` it keeps fewer still. The backward pass
-(``backward_plain`` and ``backward_checkpointed`` are one function) walks
-the graph in reverse, recomputes each freed value just before a step reads
-it (with the freed values it reads in turn), frees each value after its last
-reader, and returns gradients for every learnable parameter. Because every
-primitive has a fixed reduction order, the gradients after a discarding
-forward are bitwise identical to those after a plain one.
+what its backward reads (its inputs, its own output, or no value). One
+training step is one program, a list of actions that the :class:`Schedule`
+builds from (graph, target, discard, input shapes):
 
-One account decides every walk: the :class:`Schedule` that ``forward``
-builds from (graph, target, discard, input shapes). It says which value is
-live at which step, sizes each value by the ``OP_TABLE`` shape rules, and
-gives the peak of the forward and of the whole step. The executor checks the
-meter's cap against that peak before each walk, then only stores and drops
-values; ``memplan`` builds the same schedule from shapes alone.
+  * ``("run", nid)`` stores node ``nid``'s value: its feed, or its op's
+    forward on stored values;
+  * ``("free", nid)`` drops that value;
+  * ``("grad", nid)`` backpropagates through node ``nid``'s step.
 
-What each walk keeps:
-  * a plain forward keeps every value some backward step reads, and the
-    inputs, the target and the loss. On the reference detector that frees
-    every batch-norm output (a ReLU masks by its own output) and every
+``forward`` walks the program up to its ``split`` and
+``backward_checkpointed`` (``backward_plain`` is the same function) walks
+the rest, both by one loop, and the backward returns gradients for every
+learnable parameter. Every primitive has a fixed reduction order, so a
+recomputed value has the forward's bits, and the gradients after a
+discarding forward are bitwise identical to those after a plain one. The
+memory account walks the same program: it sizes each value by the
+``OP_TABLE`` shape rules and gives the peak of the forward and of the whole
+step. The executor checks the meter's cap against that peak before each
+walk; ``memplan`` builds the same schedule from shapes alone.
+
+What the program keeps. One rule frees values in a sequence of runs: a
+value not kept dies right after its last consumer there.
+  * the forward runs the target and its ancestors, keeping the retained
+    values. A plain forward retains every value some backward step reads,
+    and the inputs, the target and the loss. On the reference detector that
+    frees every batch-norm output (a ReLU masks by its own output) and every
     deconv output (a concat reads no value);
-  * a discarding forward keeps the inputs, the target and the loss, and, of
-    the values some backward step reads, the members of ``checkpoint_set``
-    and the direct inputs of any ``channel_concat``. A plain forward is a
-    discarding one with every node checkpointed. The concat rule is a cost
-    rule, not a correctness one: any checkpoint set runs, but a freed skip
-    input is recomputed in the backward, next to the decoder's live values.
-    On the reference detector at 32^3 under ``block_boundary``, dropping the
-    rule takes the forward peak from 7.27 to 5.89 MB but the step peak from
-    9.36 to 12.18 MB, and recomputes 40 values instead of 34;
-  * the backward recomputes what a step reads from live values, and drops a
-    recomputed value that no later step reads right after its last consumer
-    in that recompute.
+  * a discarding forward retains the inputs, the target and the loss, and,
+    of the values some backward step reads, the members of
+    ``checkpoint_set`` and the direct inputs of any ``channel_concat``. A
+    plain forward is a discarding one with every node checkpointed. The
+    concat rule is a cost rule, not a correctness one: any checkpoint set
+    runs, but a freed skip input is recomputed in the backward, next to the
+    decoder's live values. On the reference detector at 32^3 under
+    ``block_boundary``, dropping the rule takes the forward peak from 7.27 to
+    5.89 MB but the step peak from 9.36 to 12.18 MB, and recomputes 40 values
+    instead of 34;
+  * before each grad, the backward runs the freed values its step reads,
+    and the freed values those read in turn, in forward order from live
+    values. It keeps the live values and the recomputed values that a step
+    from here on reads. After the grad, it frees each live value that no
+    later step reads.
 
 The account counts node values and the gradients the backward holds (not
 parameters, not kernel workspace): an activation gradient from the step
@@ -231,39 +239,44 @@ def _reads(node: Node) -> list[int]:
     return node.inputs if reads == "inputs" else [node.nid] if reads == "output" else []
 
 
+def _run_then_free(nodes: list[Node], order: list[int], kept: set[int]) -> list[tuple[str, int]]:
+    """Run ``order`` in turn, freeing each value not in ``kept`` right after
+    its last consumer there."""
+    last = {i: j for j, nid in enumerate(order) for i in nodes[nid].inputs}
+    actions = []
+    for j, nid in enumerate(order):
+        actions.append(("run", nid))
+        actions += [("free", i) for i in dict.fromkeys(nodes[nid].inputs)
+                    if last[i] == j and i not in kept]
+    return actions
+
+
 @dataclass
 class Schedule:
-    """The liveness walk of one training step and its memory account,
+    """One training step as a program of actions, and its memory account,
     computed from shapes alone.
 
-    * ``need``: the target and its ancestors, in forward order;
-    * ``requires_grad``: needed nodes whose gradient is read, those with a
-      learnable parameter at or upstream of them (never an input). Only
-      their backward steps and the target's run, and only those read values;
-    * ``retained``: values the forward keeps, as the module docstring says;
-    * ``forward_frees[k]``: values freed right after forward step ``k``;
-    * ``backward``: one ``(node, recompute, frees)`` per backward step, in
-      reverse order. ``recompute`` is the discarded values the step reads,
-      and the discarded values those read in turn, walked up to live values
-      and run in forward order. Inputs stay live until their last consumer's
-      step, so the walk ends, and every checkpoint set gives a schedule that
-      runs. ``frees[j]`` is freed right after ``(recompute + [node])[j]``
-      runs: a recomputed value that no step from here on reads dies after
-      its last consumer in the recompute, and a live value dies after the
-      last step that reads it;
+    * ``requires_grad``: needed nodes (the target and its ancestors) whose
+      gradient is read, those with a learnable parameter at or upstream of
+      them (never an input). Only their backward steps and the target's
+      run, and only those read values;
+    * ``program``: the step's actions (see the module docstring).
+      ``program[:split]`` runs every needed node once, in forward order;
+      ``program[split:]`` has one grad per needed node, in reverse order.
+      Inputs stay live until their last consumer's grad, so a recompute
+      never runs an input, and every checkpoint set gives a program that
+      runs;
     * ``shapes`` and ``nbytes``: the planned shape and bytes of each needed
       value;
-    * ``forward_peak`` and ``step_peak``: the peak of live bytes over the
-      forward walk, and over the forward and backward walks together, held
-      gradients included.
+    * ``forward_peak`` and ``step_peak``: the peak of live bytes over
+      ``program[:split]``, and over the whole program, held gradients
+      included.
     """
 
     target: int
-    need: list[int]
     requires_grad: set[int]
-    retained: set[int]
-    forward_frees: list[list[int]]
-    backward: list[tuple[int, list[int], list[list[int]]]]
+    program: list[tuple[str, int]]
+    split: int
     shapes: dict[int, tuple]
     nbytes: dict[int, int]
     forward_peak: int
@@ -291,68 +304,48 @@ class Schedule:
                 *(nodes[nid].inputs for nid in need if nodes[nid].op == "channel_concat"))
         else:
             keep = set(need)
-        retained = keep.intersection(last) | set(graph.inputs.values()) | {target, graph.loss_id}
-        retained.intersection_update(need)
+        # the values the forward retains; from there on, those live before
+        # each backward step
+        alive = keep.intersection(last) | set(graph.inputs.values()) | {target, graph.loss_id}
+        alive.intersection_update(need)
 
-        # forward: a non-retained value dies with its last consumer
-        left = dict.fromkeys(need, 0)
-        for nid in need:
-            for i in nodes[nid].inputs:
-                left[i] += 1
-        forward_frees = []
-        for nid in need:
-            freed = []
-            for i in nodes[nid].inputs:
-                left[i] -= 1
-                if left[i] == 0 and i not in retained:
-                    freed.append(i)
-            forward_frees.append(freed)
-
-        # backward: recompute, before a step, the discarded values it reads
-        # and the discarded values those read in turn. A recomputed value no
-        # step from here on reads dies after its last consumer there; a live
-        # value dies after the last step that reads it, or after the first
-        # step if none does
-        alive = set(retained)
-        backward = []
+        program = _run_then_free(nodes, need, alive)
+        split = len(program)
+        # a recomputed value that a step from here on reads stays live; a live
+        # value is freed after the last step that reads it, or after the
+        # first step if none does
         for k, nid in enumerate(walk):
             recompute = _upstream(nodes, reads[nid], alive)
-            transient = {m for m in recompute if last.get(m, -1) < k}
-            consumer = {i: j for j, m in enumerate(recompute) for i in nodes[m].inputs
-                        if i in transient}
-            frees = [[i for i in consumer if consumer[i] == j] for j in range(len(recompute))]
-            alive.update(set(recompute) - transient)
+            alive.update(m for m in recompute if last.get(m, -1) >= k)
+            program += _run_then_free(nodes, recompute, alive)
             freed = sorted(i for i in alive if last.get(i, 0) == k)
             alive.difference_update(freed)
-            backward.append((nid, recompute, frees + [freed]))
+            program += [("grad", nid)] + [("free", i) for i in freed]
 
-        # the account: live bytes along the same walk, a value counted from
-        # the step that stores it to the step that frees it, and a gradient
-        # as the module docstring says (the seed is the target's gradient)
+        # the account: live bytes along the program, and a gradient as the
+        # module docstring says (the seed is the target's gradient)
         shapes = value_shapes(graph, need, input_shapes)
         nbytes = {nid: math.prod(s) * graph.dtype.itemsize for nid, s in shapes.items()}
-        live = peak = 0
-        for nid, frees in zip(need, forward_frees):
-            live += nbytes[nid]
-            peak = max(peak, live)
-            live -= sum(nbytes[i] for i in frees)
-        forward_peak = peak
+        live = peak = forward_peak = 0
         held = {target}
-        live += nbytes[target]
-        for nid, recompute, frees in backward:
-            for m, dropped in zip(recompute, frees):
-                live += nbytes[m]
+        for k, (action, nid) in enumerate(program):
+            if k == split:
+                forward_peak = peak
+                live += nbytes[target]
+            if action == "run":
+                live += nbytes[nid]
                 peak = max(peak, live)
-                live -= sum(nbytes[i] for i in dropped)
-            if nid in requires_grad:
-                made = set(nodes[nid].inputs).intersection(requires_grad) - held
-                held |= made
-                live += sum(nbytes[i] for i in made)
-                live += sum(p.nbytes for p in nodes[nid].params.values())
-            peak = max(peak, live)
-            live -= sum(nbytes[i] for i in frees[-1]) + (nbytes[nid] if nid in held else 0)
-        return cls(target, need, requires_grad, retained, forward_frees, backward,
-                   shapes, nbytes, forward_peak, peak)
+            elif action == "free":
+                live -= nbytes[nid]
+            else:
+                if nid in requires_grad:
+                    made = set(nodes[nid].inputs).intersection(requires_grad) - held
+                    held |= made
+                    live += sum(nbytes[i] for i in made)
+                    live += sum(p.nbytes for p in nodes[nid].params.values())
+                peak = max(peak, live)
+                live -= nbytes[nid] if nid in held else 0
+        return cls(target, requires_grad, program, split, shapes, nbytes, forward_peak, peak)
 
 
 class Graph:
@@ -427,7 +420,7 @@ class Graph:
                 raise GraphError(f"checkpoint id {i} not in graph")
         self.checkpoint_set = set(ids)
 
-    # -- value management -----------------------------------------------------
+    # -- execution ---------------------------------------------------------------
 
     def _store(self, node: Node, value: np.ndarray, nbytes: int) -> None:
         if value.nbytes != nbytes:
@@ -444,59 +437,35 @@ class Graph:
                 raise MissingValue(f"node {node.nid}: node {i} has no stored value")
         return vals
 
-    def _run(self, node: Node) -> np.ndarray:
-        return OP_TABLE[node.op].forward(node, self._values(node, node.inputs))
-
-    # -- forward ---------------------------------------------------------------
-
-    def forward(
-        self,
-        feeds: dict[str, np.ndarray],
-        discard: bool = False,
-        update_stats: bool = False,
-        to_node: int | None = None,
-    ) -> float:
-        """Run the graph up to ``to_node`` (default: the loss node).
-
-        A value the :class:`Schedule` does not retain (see the module
-        docstring) is freed as soon as its last forward consumer has run.
-        The loss value is identical either way.
-        ``update_stats`` is accepted for old callers and ignored. The walk's
-        planned forward peak goes to ``meter.peak``, or raises
-        :class:`MemoryCapExceeded` before any kernel runs.
+    def _execute(self, actions: list[tuple[str, int]], schedule: Schedule, feeds: dict | None,
+                 grads: dict | None) -> dict[str, np.ndarray]:
+        """Walk ``actions``, a slice of ``schedule.program``, and return the
+        parameter gradients its grads give. A run stores its feed or its
+        op's forward through ``_store``, which checks the planned bytes. Only
+        the forward, the walk given ``feeds``, checks values for non-finite
+        entries: a recompute gives the forward's bits.
         """
-        target = self.loss_id if to_node is None else to_node
-        if target is None:
-            raise GraphError("graph has no loss node and no to_node was given")
-        if discard and not self.checkpoint_set:
-            raise GraphError("discarding forward requires a non-empty checkpoint_set")
-
-        self.schedule = None
-        for n in self.nodes:
-            n.value = None
-        schedule = Schedule.build(self, target, discard, {k: np.shape(v) for k, v in feeds.items()})
-        self.meter.plan(schedule.forward_peak, "forward")
-
-        for nid, frees in zip(schedule.need, schedule.forward_frees):
+        gradmap: dict[str, np.ndarray] = {}
+        for action, nid in actions:
             node = self.nodes[nid]
-            if node.op == "input":
-                val = np.ascontiguousarray(feeds[node.attrs["name"]], dtype=self.dtype)
+            if action == "free":
+                node.value = None
+            elif action == "grad":
+                self._backward_step(node, schedule, grads, gradmap)
             else:
-                try:
-                    val = self._run(node)
-                except ShapeMismatch as e:
-                    raise ShapeMismatch(f"node {nid} ({node.op}): {e}") from e
-            self._store(node, val, schedule.nbytes[nid])
-            if val.size and not (np.isfinite(val.min()) and np.isfinite(val.max())):
-                raise NonFiniteValue(nid, node.op, f" tag={node.attrs.get('tag', '')}")
-            for i in frees:
-                self.nodes[i].value = None
-
-        self.schedule = schedule
-        out = self.nodes[target].value
-        return float(out) if out.ndim == 0 else out
-
-    # -- backward ----------------------------------------------------------------
+                if node.op == "input":
+                    val = np.ascontiguousarray(feeds[node.attrs["name"]], dtype=self.dtype)
+                else:
+                    try:
+                        val = OP_TABLE[node.op].forward(node, self._values(node, node.inputs))
+                    except ShapeMismatch as e:
+                        raise ShapeMismatch(f"node {nid} ({node.op}): {e}") from e
+                self._store(node, val, schedule.nbytes[nid])
+                if feeds is not None and val.size and not (
+                        np.isfinite(val.min()) and np.isfinite(val.max())):
+                    raise NonFiniteValue(nid, node.op, f" tag={node.attrs.get('tag', '')}")
+                del val  # no reference here may outlive the value's free
+        return gradmap
 
     def _backward_step(self, node: Node, schedule: Schedule, grads: dict, gradmap: dict) -> None:
         g = grads.pop(node.nid, None)
@@ -515,6 +484,39 @@ class Graph:
         for name, gp in gparams.items():
             gradmap[f"{node.nid}.{name}"] = gp
 
+    def forward(
+        self,
+        feeds: dict[str, np.ndarray],
+        discard: bool = False,
+        update_stats: bool = False,
+        to_node: int | None = None,
+    ) -> float:
+        """Run the graph up to ``to_node`` (default: the loss node).
+
+        Builds the step's :class:`Schedule` and walks its forward,
+        ``program[:split]``: it runs the target and its ancestors and frees
+        each value the program does not retain (see the module docstring)
+        right after its last forward consumer. The loss value is identical
+        either way. ``update_stats`` is accepted for old callers and ignored.
+        The walk's planned forward peak goes to ``meter.peak``, or raises
+        :class:`MemoryCapExceeded` before any kernel runs.
+        """
+        target = self.loss_id if to_node is None else to_node
+        if target is None:
+            raise GraphError("graph has no loss node and no to_node was given")
+        if discard and not self.checkpoint_set:
+            raise GraphError("discarding forward requires a non-empty checkpoint_set")
+
+        self.schedule = None
+        for n in self.nodes:
+            n.value = None
+        schedule = Schedule.build(self, target, discard, {k: np.shape(v) for k, v in feeds.items()})
+        self.meter.plan(schedule.forward_peak, "forward")
+        self._execute(schedule.program[:schedule.split], schedule, feeds, None)
+        self.schedule = schedule
+        out = self.nodes[target].value
+        return float(out) if out.ndim == 0 else out
+
     def backward_checkpointed(self, grad_out: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Gradients of the loss w.r.t. every reachable learnable parameter.
 
@@ -523,16 +525,15 @@ class Graph:
         the last forward's target node, whatever that was (refinement seeds
         the heatmap head with its own loss's gradient).
 
-        One walk over the last forward's :class:`Schedule`, in reverse. Each
-        step first recomputes the discarded values it reads, and the
-        discarded values those read, in forward order from still-live values
-        (there are none to recompute after a plain forward), dropping a
-        recomputed value that no later step reads after its last consumer
-        there. It then backpropagates, and frees every value that no later
-        step reads. After the walk the graph holds no value, so a second call
-        raises :class:`MissingValue`. Gradients are bitwise identical whether
-        the forward discarded values or not. The step's planned peak goes to
-        ``meter.peak``, or raises :class:`MemoryCapExceeded` before the walk.
+        Walks the backward of the last forward's :class:`Schedule`,
+        ``program[split:]``: before each grad it recomputes the freed values
+        the step reads, and the freed values those read, from live values
+        (after a plain forward there are none), and after it frees every
+        value that no later step reads. After the walk the graph holds no
+        value, so a second call raises :class:`MissingValue`. Gradients are
+        bitwise identical whether the forward discarded values or not. The
+        step's planned peak goes to ``meter.peak``, or raises
+        :class:`MemoryCapExceeded` before the walk.
         """
         schedule = self.schedule
         if schedule is None or (grad_out is None and schedule.target != self.loss_id):
@@ -542,16 +543,8 @@ class Graph:
             raise ShapeMismatch(f"backward: grad_out shape {seed.shape} is not node "
                                 f"{schedule.target}'s {self.nodes[schedule.target].value.shape}")
         self.meter.plan(schedule.step_peak, "step")
-        grads: dict[int, np.ndarray] = {schedule.target: seed}
-        gradmap: dict[str, np.ndarray] = {}
-        for nid, recompute, frees in schedule.backward:
-            for m, dropped in zip(recompute, frees):
-                self._store(self.nodes[m], self._run(self.nodes[m]), schedule.nbytes[m])
-                for i in dropped:
-                    self.nodes[i].value = None
-            self._backward_step(self.nodes[nid], schedule, grads, gradmap)
-            for i in frees[-1]:
-                self.nodes[i].value = None
+        gradmap = self._execute(schedule.program[schedule.split:], schedule, None,
+                                {schedule.target: seed})
         self.schedule = None
         return gradmap
 

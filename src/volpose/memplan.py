@@ -2,12 +2,12 @@
 
 The plan is the executor's own account: the :class:`~volpose.graph.Schedule`
 built from input shapes alone, which sizes each value by its op's shape rule
-in ``graph.OP_TABLE`` and sums live bytes along the walk the executor takes:
-the values some backward step still reads, and the gradients the backward
-holds.
-The executor reads its peaks from the same schedule, so planned and metered
-peaks are one number. This makes memory questions about configurations far
-beyond desk RAM answerable instantly.
+in ``graph.OP_TABLE`` and sums live bytes along the program of run, free and
+grad actions that the executor walks: the values some backward step still
+reads, and the gradients the backward holds. The executor reads its peaks
+from the same schedule, so planned and metered peaks are one number. This
+makes memory questions about configurations far beyond desk RAM answerable
+instantly.
 """
 
 from __future__ import annotations

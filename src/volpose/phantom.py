@@ -115,15 +115,6 @@ class PhantomSpec:
         d["shape"] = list(self.shape)
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "PhantomSpec":
-        unknown = sorted(set(d) - {f.name for f in fields(PhantomSpec)})
-        if unknown:
-            raise PhantomError(f"phantom spec has unknown keys {unknown}")
-        d = dict(d)
-        d["shape"] = tuple(d["shape"])
-        return PhantomSpec(**d)
-
 
 @dataclass
 class PhantomCase:

@@ -59,8 +59,12 @@ def graph_from_dict(doc: dict) -> Graph:
             {k: np.zeros(shape, dtype=g.dtype) for k, shape in spec["params"].items()},
             spec["attrs"],
         )
-    g.inputs = {k: int(v) for k, v in doc["inputs"].items()}
+    g.inputs = {n.attrs["name"]: n.nid for n in g.nodes if n.op == "input"}
+    if doc["inputs"] != g.inputs:
+        raise FileFormatError(f"inputs {doc['inputs']} are not the input nodes {g.inputs}")
     g.loss_id = doc["loss"]
+    if type(g.loss_id) is not int or not 0 <= g.loss_id < len(g.nodes):
+        raise FileFormatError(f"loss {g.loss_id!r} is not a node id")
     return g
 
 

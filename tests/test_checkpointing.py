@@ -177,7 +177,8 @@ def test_adding_checkpoints_never_increases_recompute_count():
         g.set_checkpoints(ckpts)
         g.forward(feeds, discard=True)
         schedule = g.schedule
-        return sum(1 for nid in schedule.need if nid not in schedule.retained)
+        # each value the forward does not retain is freed there exactly once
+        return sum(action == "free" for action, _ in schedule.program[:schedule.split])
 
     base = select_checkpoints(g, "block_boundary")
     count = recompute_count(base)
@@ -211,9 +212,78 @@ def test_discarded_value_read_across_a_checkpoint_is_recomputed():
     assert set(plain) == {f"{a}.weight", f"{a}.bias"}
     g.set_checkpoints({b})
     g.forward(feeds, discard=True)
-    nid, recompute, _ = g.schedule.backward[0]
-    assert (nid, recompute) == (loss, [a, c, s])
+    schedule = g.schedule
+    backward = [act for act in schedule.program[schedule.split:] if act[0] != "free"]
+    # the first backward step, up to its grad
+    assert backward[:4] == [("run", a), ("run", c), ("run", s), ("grad", loss)]
     grads_equal_bitwise(plain, g.backward_checkpointed())
+
+
+@pytest.mark.parametrize("make", [reference_detector, skip_graph_shapes])
+def test_backward_runs_exactly_the_programs_recomputes(monkeypatch, make):
+    # under block_boundary, the forward kernels the backward calls are the
+    # run actions of program[split:], in order, and each gives the bits the
+    # forward gave for that node
+    from volpose import ops
+
+    g, shapes = make()
+    rng = np.random.default_rng(2)
+    feeds = {name: rng.normal(size=shape).astype(g.dtype) for name, shape in shapes.items()}
+    calls = []
+    for name in [n for n in dir(ops) if n.endswith("_forward")]:
+        def spy(*args, _kernel=getattr(ops, name), _name=name, **kwargs):
+            calls.append((_name, _kernel(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(ops, name, spy)
+    kernel = {op: f"{op}_forward" for op in ("conv3d", "deconv3d", "max_pool3d", "batch_norm",
+                                             "relu", "add", "l2_loss")}
+    kernel["channel_concat"] = "concat_forward"
+    g.set_checkpoints(select_checkpoints(g, "block_boundary"))
+    g.forward(feeds, discard=True)
+    schedule = g.schedule
+    forward_runs = [nid for action, nid in schedule.program[:schedule.split]
+                    if action == "run" and g.nodes[nid].op != "input"]
+    assert [name for name, _ in calls] == [kernel[g.nodes[nid].op] for nid in forward_runs]
+    forward_values = {nid: value for nid, (_, value) in zip(forward_runs, calls)}
+    calls.clear()
+    g.backward_checkpointed()
+    runs = [nid for action, nid in schedule.program[schedule.split:] if action == "run"]
+    assert runs
+    assert [name for name, _ in calls] == [kernel[g.nodes[nid].op] for nid in runs]
+    for nid, (_, value) in zip(runs, calls):
+        np.testing.assert_array_equal(value, forward_values[nid], err_msg=f"node {nid}")
+
+
+@pytest.mark.parametrize("discard", [False, True])
+def test_a_free_releases_the_value(monkeypatch, discard):
+    # once the program frees a value, nothing holds it: at each grad, every
+    # value a kernel gave so far is either a node's value or collected (the
+    # caller holds the feeds)
+    import weakref
+
+    g, feeds = skip_graph(seed=3)
+    g.set_checkpoints(select_checkpoints(g, "block_boundary"))
+    stored, store, step = [], g._store, g._backward_step
+
+    def record(node, value, nbytes):
+        if node.op != "input":
+            stored.append((node, weakref.ref(value)))
+        store(node, value, nbytes)
+
+    def check(node, *args):
+        held = [n.nid for n, ref in stored if ref() is not None and n.value is not ref()]
+        assert not held, f"freed values still held: {held}"
+        step(node, *args)
+
+    monkeypatch.setattr(g, "_store", record)
+    monkeypatch.setattr(g, "_backward_step", check)
+    g.forward(feeds, discard=discard)
+    g.backward_checkpointed()
+    # every node but the two inputs ran in the forward; the discarding
+    # backward ran recomputes too
+    forward_runs = len(g.nodes) - 2
+    assert len(stored) > forward_runs if discard else len(stored) == forward_runs
 
 
 def detector_graph():

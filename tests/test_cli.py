@@ -330,7 +330,12 @@ def _first_relu(doc):
 @pytest.mark.parametrize("name, corrupt", [
     ("graph.json", lambda doc: _first_relu(doc).update(op="gelu")),
     ("detector_config.json", lambda doc: doc.update(depth=0)),
-], ids=["unknown-op", "depth-0"])
+    ("graph.json", lambda doc: doc.update(loss=999)),
+    ("graph.json", lambda doc: doc.update(loss="3")),
+    ("graph.json", lambda doc: doc.update(loss=None)),
+    ("graph.json", lambda doc: doc["inputs"].update(
+        volume=next(n["id"] for n in doc["nodes"] if n["op"] == "conv3d"))),
+], ids=["unknown-op", "depth-0", "loss-999", "loss-string", "loss-null", "input-is-a-conv"])
 def test_infer_invalid_model_description_names_the_file(dataset, model, tmp_path, capsys,
                                                          name, corrupt):
     # a graph or a detector setting that the model files describe but the
