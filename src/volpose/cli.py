@@ -165,6 +165,36 @@ def cmd_build_library(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+def _training_case(case: dict, chain: tuple[str, ...], augment_name: str) -> tuple:
+    """One training case as (volume, pose, spacing): loaded from disk, then
+    passed through the augmentation ops of ``chain`` in turn."""
+    volume, spacing = fileio.load_volume(case["volume"])
+    if AUGMENT_POLICIES[augment_name] and np.any(spacing != spacing[0]):
+        # augment mirrors coordinates with one spacing for all three axes
+        raise UsageError(
+            f"--augment {augment_name} needs isotropic voxels, but case {case['id']} "
+            f"has spacing {spacing.tolist()} mm"
+        )
+    pose, _ = fileio.load_pose(case["pose"])
+    if not chain:
+        return volume, pose, spacing
+    augmented = PhantomCase(volume, pose, float(spacing[0]))
+    del volume
+    for op in chain:
+        augmented = augment(augmented, op)
+    return augmented.volume, augmented.pose, spacing
+
+
+def _training_cases(cases: list[dict], augment_name: str):
+    """The training set, one case at a time: every case as it is on disk,
+    then every case through each augmentation chain of the policy in turn.
+    A case is loaded again for each chain, so no volume outlives its turn
+    (this frame binds none)."""
+    for chain in ((), *AUGMENT_POLICIES[augment_name]):
+        for case in cases:
+            yield _training_case(case, chain, augment_name)
+
+
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     cases = _load_manifest_cases(data_dir, "train")
@@ -191,36 +221,18 @@ def cmd_train(args) -> int:
         inputs={"data": _dataset_id(data_dir)},
         paths={"data": str(data_dir)},
     )
-    chains = AUGMENT_POLICIES[args.augment]
-    dataset = []
-    for case in cases:
-        volume, spacing = fileio.load_volume(case["volume"])
-        if chains and np.any(spacing != spacing[0]):
-            # augment mirrors coordinates with one spacing for all three axes
-            raise UsageError(
-                f"--augment {args.augment} needs isotropic voxels, but case {case['id']} "
-                f"has spacing {spacing.tolist()} mm"
-            )
-        pose, _ = fileio.load_pose(case["pose"])
-        dataset.append((volume, pose, spacing))
-    for chain in chains:
-        for volume, pose, spacing in dataset[: len(cases)]:
-            augmented = PhantomCase(volume, pose, float(spacing[0]))
-            for op in chain:
-                augmented = augment(augmented, op)
-            dataset.append((augmented.volume, augmented.pose, spacing))
-
     graph = build_detector(det_cfg, seed=args.model_seed)
     if args.gcp != "off":
         # the policy checks --every-k itself; ask it before anything is written
         graph.set_checkpoints(
             _configured(select_checkpoints, graph=graph, policy=args.gcp, k=args.every_k)
         )
+    # train reads every case before its first step and writes nothing
+    # before then, so a case that fails to load leaves no out directory
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = train(
         graph,
-        dataset,
+        _training_cases(cases, args.augment),
         train_cfg,
         det_cfg,
         out_dir=out / "epochs" if args.save_epochs else None,
@@ -239,7 +251,7 @@ def cmd_train(args) -> int:
     run_cfg.save(out / "run_config.json")
     log.info(
         "trained %d epochs on %d cases; final epoch mean loss %.3e",
-        train_cfg.epochs, len(dataset), result.epoch_means[-1],
+        train_cfg.epochs, len(result.loss_curve) // train_cfg.epochs, result.epoch_means[-1],
     )
     return 0
 
@@ -320,6 +332,15 @@ def cmd_infer(args) -> int:
     return 0
 
 
+def _refine_cases(volumes: list[tuple[str, Path]], spacings: dict):
+    """(case id, volume, spacing) for each of ``volumes``, each volume loaded
+    only when its case is drawn; ``spacings`` records each case's spacing."""
+    for case_id, vol_path in volumes:
+        volume, spacings[case_id] = fileio.load_volume(vol_path)
+        yield case_id, volume, spacings[case_id]
+        del volume  # before the next case loads
+
+
 def cmd_refine(args) -> int:
     if not Path(args.library).exists():
         raise UsageError(f"pose library not found: {args.library}")
@@ -345,14 +366,16 @@ def cmd_refine(args) -> int:
         inputs={**inputs, "library": digest_files([args.library])},
         paths={**paths, "library": str(args.library)},
     )
-    cases = [(case_id, *fileio.load_volume(vol_path)) for case_id, vol_path in volumes]
-    results, summary = refine_batch(graph, cases, library, det_cfg, refine_cfg)
+    spacings = {}
+    results, summary = refine_batch(
+        graph, _refine_cases(volumes, spacings), library, det_cfg, refine_cfg
+    )
     # the layout of a refine directory: per case the final pose and, with
     # --snapshot-each-iter, the trace and the pose after each iteration
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stamp = run_cfg.stamp()
-    for case_id, _, spacing in cases:
+    for case_id, spacing in spacings.items():
         res = results[case_id]
         _save_prediction(
             out / f"{case_id}_pose.json", res.pose, spacing, stamp,

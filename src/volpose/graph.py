@@ -357,6 +357,7 @@ class Graph:
         self.checkpoint_set: set[int] = set()
         self.meter = MemMeter()
         self.schedule: Schedule | None = None  # of the last forward
+        self._built: tuple[tuple, Schedule] | None = None  # (key, schedule) of the last build
 
     # -- construction -------------------------------------------------------
 
@@ -493,7 +494,9 @@ class Graph:
     ) -> float:
         """Run the graph up to ``to_node`` (default: the loss node).
 
-        Builds the step's :class:`Schedule` and walks its forward,
+        Builds the step's :class:`Schedule`, or reuses the last forward's
+        when the target, ``discard``, the checkpoint set, the feed shapes,
+        the node count and the loss node all match, and walks its forward,
         ``program[:split]``: it runs the target and its ancestors and frees
         each value the program does not retain (see the module docstring)
         right after its last forward consumer. The loss value is identical
@@ -510,7 +513,13 @@ class Graph:
         self.schedule = None
         for n in self.nodes:
             n.value = None
-        schedule = Schedule.build(self, target, discard, {k: np.shape(v) for k, v in feeds.items()})
+        shapes = {k: np.shape(v) for k, v in feeds.items()}
+        # what Schedule.build reads; a forward like the last one reuses its schedule
+        key = (target, discard, frozenset(self.checkpoint_set), tuple(sorted(shapes.items())),
+               len(self.nodes), self.loss_id)
+        if self._built is None or self._built[0] != key:
+            self._built = key, Schedule.build(self, target, discard, shapes)
+        schedule = self._built[1]
         self.meter.plan(schedule.forward_peak, "forward")
         self._execute(schedule.program[:schedule.split], schedule, feeds, None)
         self.schedule = schedule

@@ -82,6 +82,21 @@ def encode_channel(
     return out
 
 
+def check_in_grid(vox: np.ndarray, shape: tuple[int, int, int], present=None) -> None:
+    """Raise for the first landmark, in index order, whose voxel position
+    (x, y, z) is not finite or lies outside the grid ``shape`` (z, y, x). A
+    landmark masked out by ``present`` is not checked."""
+    nz, ny, nx = shape
+    bounds = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
+    for j in range(NUM_LANDMARKS):
+        if present is not None and not present[j]:
+            continue
+        if not np.all((vox[j] >= 0) & (vox[j] <= bounds)):
+            raise HeatmapError(
+                f"landmark {j + 1} at voxel {vox[j].round(2)} is outside grid {(nx, ny, nz)}"
+            )
+
+
 def encode(
     xyz_mm: np.ndarray,
     shape: tuple[int, int, int],
@@ -92,28 +107,21 @@ def encode(
     """16-channel Gaussian stack for a pose given in mm.
 
     A landmark masked out by ``present`` gets an all-zero channel and is not
-    checked. Raises if any other landmark falls outside the grid; proxy
-    construction, which tolerates out-of-bounds landmarks, goes through
-    ``encode_channel``.
+    checked. Raises, through ``check_in_grid``, if any other landmark falls
+    outside the grid; proxy construction, which tolerates out-of-bounds
+    landmarks, goes through ``encode_channel``.
     """
     if sigma_vox <= 0:
         raise HeatmapError(f"sigma_vox must be positive, got {sigma_vox}")
     xyz_mm = np.asarray(xyz_mm, dtype=np.float64)
     if xyz_mm.shape != (NUM_LANDMARKS, 3):
         raise HeatmapError(f"pose must be ({NUM_LANDMARKS}, 3), got {xyz_mm.shape}")
-    s = _as_spacing(spacing)
-    nz, ny, nx = shape
-    bounds = np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
-    stack = np.zeros((NUM_LANDMARKS, nz, ny, nx), dtype=np.float32)
+    vox = xyz_mm / _as_spacing(spacing)
+    check_in_grid(vox, shape, present)
+    stack = np.zeros((NUM_LANDMARKS, *shape), dtype=np.float32)
     for j in range(NUM_LANDMARKS):
-        if present is not None and not present[j]:
-            continue
-        vox = xyz_mm[j] / s
-        if np.any(vox < 0) or np.any(vox > bounds):
-            raise HeatmapError(
-                f"landmark {j + 1} at voxel {vox.round(2)} is outside grid {(nx, ny, nz)}"
-            )
-        encode_channel(vox, shape, sigma_vox, out=stack[j])
+        if present is None or present[j]:
+            encode_channel(vox[j], shape, sigma_vox, out=stack[j])
     return stack
 
 

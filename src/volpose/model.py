@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -312,31 +312,25 @@ class TrainResult:
     epoch_means: list[float] = field(default_factory=list)
 
 
-def _prepare_dataset(dataset, cfg: DetectorConfig):
-    prepared = []
-    for idx, (volume, pose, spacing) in enumerate(dataset):
-        net_in, frame = prepare_volume(volume, spacing, cfg)
-        try:
-            # ground-truth heatmaps in the network frame, in net-voxel units
-            target = heatmap.encode(
-                frame.mm_to_net_voxel(pose.xyz_mm), frame.net_shape, 1.0, cfg.sigma_vox,
-                pose.present,
-            )
-        except heatmap.HeatmapError as e:
-            raise GraphError(f"case {idx}: {e}") from e
-        prepared.append((net_in, target))
-    return prepared
-
-
 def train(
     graph: Graph,
-    dataset: list[tuple[np.ndarray, Pose, np.ndarray]],
+    dataset: Iterable[tuple[np.ndarray, Pose, np.ndarray]],
     train_cfg: TrainConfig,
     detector_cfg: DetectorConfig,
     out_dir: str | Path | None = None,
     stamp: dict | None = None,
 ) -> TrainResult:
     """Optimize the detector on (volume, pose, spacing) cases.
+
+    ``dataset`` is read once, in its order, before any step runs, so it may
+    be a generator that loads each case as it is drawn. Of each case, training
+    keeps only the network input (``prepare_volume``), the landmark positions
+    in net voxels and the ``present`` flags; it drops the volume before it
+    draws the next case. A landmark outside the network grid raises, naming
+    the case's index, before any step. Each step encodes its target heatmaps
+    (``heatmap.encode``, deterministic, so the bits are those of targets
+    encoded up front), which the step's backward frees: a case's target is
+    encoded again in every epoch, and one target is held at a time.
 
     A graph with a checkpoint set trains with a discarding forward and
     recompute on demand, which gives the plain gradients bit for bit.
@@ -345,21 +339,33 @@ def train(
     step; a non-finite value at any node aborts training with an error that
     names the epoch, the step and the node.
     """
-    if not dataset:
+    cases = []
+    for volume, pose, spacing in dataset:
+        net_in, frame = prepare_volume(volume, spacing, detector_cfg)
+        del volume  # nothing here may hold it while the next case is drawn
+        # ground-truth positions in the network frame, in net-voxel units
+        vox = frame.mm_to_net_voxel(pose.xyz_mm)
+        try:
+            heatmap.check_in_grid(vox, frame.net_shape, pose.present)
+        except heatmap.HeatmapError as e:
+            raise GraphError(f"case {len(cases)}: {e}") from e
+        cases.append((net_in, frame.net_shape, vox, pose.present))
+    if not cases:
         raise GraphError("training dataset is empty")
-    prepared = _prepare_dataset(dataset, detector_cfg)
     discard = bool(graph.checkpoint_set)
     adam = Adam(graph.parameters(), lr=train_cfg.lr)
     rng = np.random.default_rng(train_cfg.seed)
     result = TrainResult()
     for epoch in range(train_cfg.epochs):
-        order = rng.permutation(len(prepared))
+        order = rng.permutation(len(cases))
         epoch_losses = []
         for step, case_idx in enumerate(order):
-            net_in, target = prepared[case_idx]
-            feeds = {"volume": net_in, "target": target}
+            net_in, net_shape, vox, present = cases[case_idx]
+            # the graph alone holds the target, and frees it in the backward
+            target = heatmap.encode(vox, net_shape, 1.0, detector_cfg.sigma_vox, present)
             try:
-                loss = graph.forward(feeds, discard=discard)
+                loss = graph.forward({"volume": net_in, "target": target}, discard=discard)
+                del target
                 grads = graph.backward_checkpointed()
             except GraphError as e:
                 raise GraphError(f"epoch {epoch} step {step}: {e}") from e

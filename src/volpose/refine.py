@@ -13,6 +13,7 @@ reads or writes files: results and traces go back to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import Iterable
 
 import numpy as np
 
@@ -151,14 +152,22 @@ class BatchSummary:
 
 def refine_batch(
     base_graph: Graph,
-    cases: list[tuple[str, np.ndarray, np.ndarray]],   # (case id, volume, spacing)
+    cases: Iterable[tuple[str, np.ndarray, np.ndarray]],   # (case id, volume, spacing)
     library: PoseLibrary,
     detector_cfg: DetectorConfig,
     cfg: RefineConfig,
 ) -> tuple[dict[str, RefineResult], BatchSummary]:
-    """Independent per-case refinement; one failing case never aborts the rest."""
+    """Independent per-case refinement; one failing case never aborts the rest.
+
+    ``cases`` is read once, in order, and may be a generator that loads each
+    volume as its case is drawn: a case's volume is dropped once its
+    refinement returns, before the next case is drawn, so the batch holds
+    one volume (and one private copy of the detector) at a time.
+    """
     results: dict[str, RefineResult] = {}
+    n_cases = 0
     for case_id, volume, spacing in cases:
+        n_cases += 1
         try:
             res = refine(base_graph, volume, spacing, library, detector_cfg, cfg)
         except Exception as e:  # defensive: isolate per-case failures
@@ -166,12 +175,13 @@ def refine_batch(
                 np.zeros((16, 3)), np.zeros(16), np.zeros(16, dtype=bool)
             )
             res = RefineResult(dummy, [], aborted=True, note=f"error: {e}")
+        del volume
         results[case_id] = res
     final_losses = [
         res.trace[-1].loss_post for res in results.values() if res.trace and not res.aborted
     ]
     summary = BatchSummary(
-        n_cases=len(cases),
+        n_cases=n_cases,
         n_declined=sum(r.declined for r in results.values()),
         n_aborted=sum(r.aborted for r in results.values()),
         mean_final_proxy_loss=float(np.mean(final_losses)) if final_losses else None,

@@ -13,7 +13,8 @@ run's network. Batch-norm nodes carry no epsilon; it is ``ops.BN_EPS``.
 
 Version 1 also stored batch-norm running statistics, which nothing read;
 loading a version-1 directory raises ``fileio.FileFormatError``, naming the
-file, as any malformed ``graph.json`` or ``manifest.json`` does.
+file, as any malformed ``graph.json`` or ``manifest.json`` does; a graph
+whose ``dtype`` is not ``float32`` is malformed.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ def graph_to_dict(graph: Graph) -> dict:
 
 
 def graph_from_dict(doc: dict) -> Graph:
-    g = Graph(np.dtype(doc["dtype"]))
+    # params.bin holds float32 only, and the graph computes in its dtype
+    if doc["dtype"] != "float32":
+        raise FileFormatError(f"dtype {doc['dtype']!r} is not 'float32'")
+    g = Graph(np.float32)
     for pos, spec in enumerate(doc["nodes"]):
         if spec["id"] != pos:
             raise GraphError(f"node at position {pos} has id {spec['id']}")

@@ -6,13 +6,14 @@ import json
 import pkgutil
 import shutil
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import volpose
-from volpose import heatmap, metrics
+from volpose import fileio, heatmap, metrics
 from volpose.cli import build_parser, main
 from volpose.fileio import load_pose, load_volume
 from volpose.model import DetectorConfig, TrainConfig
@@ -228,6 +229,32 @@ def test_train_augment_flips_doubles_the_steps(dataset, tmp_path):
     assert len(curve) == 2 + 2 * 3  # three train cases and their flipped copies, one epoch
 
 
+@pytest.mark.parametrize("command", ["train", "refine"])
+def test_stages_hold_one_loaded_volume_at_a_time(dataset, model, library, tmp_path,
+                                                 monkeypatch, command):
+    # train (with an augmentation chain) and refine load each volume as its
+    # case comes up: when one loads, every volume loaded before is gone
+    real = fileio.load_volume
+    refs = []
+
+    def load_volume(path):
+        held = [i for i, ref in enumerate(refs) if ref() is not None]
+        assert not held, f"loads {len(held)} still held when load {len(refs)} starts"
+        volume, spacing = real(path)
+        refs.append(weakref.ref(volume))
+        return volume, spacing
+
+    monkeypatch.setattr(fileio, "load_volume", load_volume)
+    if command == "train":
+        argv = TRAIN_ARGS + ["--augment", "flips"]
+    else:
+        argv = ["refine", "--model", str(model), "--library", str(library), "--k", "3",
+                "--iterations", "1", "--floor", "0.0"]
+    assert main(argv + ["--data", str(dataset), "--out", str(tmp_path / "out")]) == 0
+    # three train cases, loaded once as they are and once more to flip; two test cases
+    assert len(refs) == (6 if command == "train" else 2)
+
+
 def test_train_augment_rejects_anisotropic_case(dataset, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(dataset, data)
@@ -335,7 +362,10 @@ def _first_relu(doc):
     ("graph.json", lambda doc: doc.update(loss=None)),
     ("graph.json", lambda doc: doc["inputs"].update(
         volume=next(n["id"] for n in doc["nodes"] if n["op"] == "conv3d"))),
-], ids=["unknown-op", "depth-0", "loss-999", "loss-string", "loss-null", "input-is-a-conv"])
+    ("graph.json", lambda doc: doc.update(dtype="int32")),
+    ("graph.json", lambda doc: doc.update(dtype="float16")),
+], ids=["unknown-op", "depth-0", "loss-999", "loss-string", "loss-null", "input-is-a-conv",
+        "dtype-int32", "dtype-float16"])
 def test_infer_invalid_model_description_names_the_file(dataset, model, tmp_path, capsys,
                                                          name, corrupt):
     # a graph or a detector setting that the model files describe but the

@@ -2,6 +2,8 @@
 
 import json
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from volpose import heatmap, ops
 from volpose.fileio import FileFormatError
 from volpose.graph import Graph, GraphError, MissingValue, select_checkpoints
+from volpose.optim import Adam
 from volpose.model import (
     DetectorConfig,
     TrainConfig,
@@ -176,8 +179,95 @@ def test_train_rejects_out_of_bounds_landmark_with_case_index():
     good = random_case(rng, (8, 8, 8), margin=2.0)
     vol, pose, spacing = random_case(rng, (8, 8, 8), margin=2.0)
     pose.xyz_mm[2] = [100.0, 0.0, 0.0]
+    before = {k: v.copy() for k, v in g.parameters().items()}
     with pytest.raises(GraphError, match="case 1"):
-        train(g, [good, (vol, pose, spacing)], TrainConfig(epochs=1), cfg)
+        train(g, iter([good, (vol, pose, spacing)]), TrainConfig(epochs=1), cfg)
+    # the case is rejected before any step: no forward ran, no parameter moved
+    assert g.schedule is None and g.meter.peak == 0
+    for k, v in g.parameters().items():
+        assert v.tobytes() == before[k].tobytes()
+
+
+@pytest.mark.parametrize("checkpointed", [False, True], ids=["plain", "block_boundary"])
+def test_streamed_training_equals_a_loop_over_pre_encoded_targets(checkpointed):
+    # train encodes each target when its step runs, from a case it drew once;
+    # a hand loop over targets encoded up front gives the same bits
+    cfg = small_cfg(depth=2, base_channels=2)
+    rng = np.random.default_rng(32)
+    cases = [random_case(rng, (8, 8, 8), margin=2.0) for _ in range(3)]
+    tc = TrainConfig(epochs=3, seed=4)
+
+    def detector():
+        g = build_detector(cfg, seed=33)
+        if checkpointed:
+            g.set_checkpoints(select_checkpoints(g, "block_boundary"))
+        return g
+
+    g = detector()
+    result = train(g, (case for case in cases), tc, cfg)
+    ref = detector()
+    prepared = []
+    for vol, pose, spacing in cases:
+        net_in, frame = prepare_volume(vol, spacing, cfg)
+        prepared.append((net_in, encode_targets(pose, frame, cfg.sigma_vox)))
+    adam = Adam(ref.parameters(), lr=tc.lr)
+    order_rng = np.random.default_rng(tc.seed)
+    curve = []
+    for epoch in range(tc.epochs):
+        for step, idx in enumerate(order_rng.permutation(len(prepared))):
+            net_in, target = prepared[idx]
+            loss = ref.forward({"volume": net_in, "target": target}, discard=checkpointed)
+            adam.step(ref.backward_checkpointed())
+            curve.append((epoch, step, float(loss)))
+    assert result.loss_curve == curve
+    for key, value in ref.parameters().items():
+        assert g.parameters()[key].tobytes() == value.tobytes(), key
+
+
+def test_train_drops_each_volume_before_drawing_the_next():
+    cfg = small_cfg()
+    rng = np.random.default_rng(34)
+    refs = []
+
+    def stream():
+        for i in range(4):
+            if refs:
+                assert refs[-1]() is None, f"case {i - 1}'s volume is held as case {i} is drawn"
+            volume, pose, spacing = random_case(rng, (8, 8, 8), margin=2.0)
+            refs.append(weakref.ref(volume))
+            yield volume, pose, spacing
+            del volume
+
+    result = train(build_detector(cfg, seed=35), stream(), TrainConfig(epochs=2), cfg)
+    assert len(refs) == 4 and len(result.loss_curve) == 8
+
+
+def test_training_memory_does_not_grow_with_the_case_count():
+    # of each case, training holds only its network input (16^3 float32 here)
+    # and its landmark voxels; a held volume or target (16 times the input)
+    # per case would add 6 of them between 2 and 8 cases
+    cfg = small_cfg()
+    net_in_bytes = 16**3 * 4
+    # per-case bookkeeping: voxels, list entries, loss-curve rows (about 1.3 KB)
+    slack = 64 * 1024
+
+    def cases(n):
+        rng = np.random.default_rng(30)
+        for _ in range(n):
+            yield random_case(rng, (16, 16, 16), margin=4.0)
+
+    def peak(n):
+        g = build_detector(cfg, seed=31)
+        tracemalloc.start()
+        try:
+            train(g, cases(n), TrainConfig(epochs=1), cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations land outside the comparison
+    two, eight = peak(2), peak(8)
+    assert eight - two <= 6 * net_in_bytes + slack, (two, eight)
 
 
 def test_train_infer_loss_consistency():

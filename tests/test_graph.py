@@ -374,3 +374,63 @@ def test_sqrt_n_checkpoints_bound_peak_liveness():
     # two of them, plus transients
     assert ckpt_peak <= 3.2 * np.sqrt(n) * unit
     assert ckpt_peak < 0.35 * plain_peak
+
+
+def test_repeated_forward_reuses_its_schedule():
+    g, feeds = tiny_conv_graph()
+    g.forward(feeds)
+    first = g.schedule
+    g.backward_plain()
+    g.forward(feeds)
+    assert g.schedule is first
+    # other values of the same shapes
+    g.forward({name: 2 * value for name, value in feeds.items()})
+    assert g.schedule is first
+
+
+def _cached_step(g, feeds, discard, to_node):
+    """One forward and backward; what they give and the meter's two peaks."""
+    out = g.forward(feeds, discard=discard, to_node=to_node)
+    schedule, forward_peak = g.schedule, g.meter.peak
+    seed = None if to_node is None else np.ones_like(g.value(to_node))
+    out = np.asarray(out).copy()
+    grads = g.backward_checkpointed(seed)
+    return schedule, out, grads, (forward_peak, g.meter.peak)
+
+
+@pytest.mark.parametrize("change", ["target", "discard", "checkpoint-set", "feed-shapes",
+                                    "node-count"])
+def test_a_changed_forward_rebuilds_its_schedule(change):
+    # each key of the cached schedule, changed alone, rebuilds it; the
+    # rebuilt step gives the bits and peaks of a graph that never cached one
+    def changed(g, feeds):
+        discard, to_node = True, None
+        if change == "target":
+            to_node = 5  # the second conv, the loss's prediction input
+        elif change == "discard":
+            discard = False
+        elif change == "checkpoint-set":
+            g.set_checkpoints({2, 4})
+        elif change == "feed-shapes":
+            rng = np.random.default_rng(1)
+            feeds = {"x": rng.normal(size=(1, 8, 8, 8)), "target": rng.normal(size=(2, 8, 8, 8))}
+        else:
+            g.add("relu", [4])  # a node no step reads
+        return feeds, discard, to_node
+
+    g, feeds = tiny_conv_graph()
+    g.set_checkpoints({2})
+    before, *_ = _cached_step(g, feeds, True, None)
+    assert _cached_step(g, feeds, True, None)[0] is before
+    schedule, out, grads, peaks = _cached_step(g, *changed(g, feeds))
+    assert schedule is not before
+
+    fresh, feeds = tiny_conv_graph()
+    fresh.set_checkpoints({2})
+    want_schedule, want_out, want_grads, want_peaks = _cached_step(fresh, *changed(fresh, feeds))
+    assert schedule.program == want_schedule.program
+    assert out.tobytes() == want_out.tobytes()
+    assert grads.keys() == want_grads.keys()
+    for key in grads:
+        assert grads[key].tobytes() == want_grads[key].tobytes(), key
+    assert peaks == want_peaks

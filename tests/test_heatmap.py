@@ -59,6 +59,20 @@ def test_encode_rejects_out_of_bounds_with_index():
         heatmap.encode(pose, (16, 16, 16), 1.0, 2.0)
 
 
+def test_grid_check_names_the_first_non_finite_or_outside_landmark():
+    vox = np.tile([8.0, 8.0, 8.0], (NUM_LANDMARKS, 1))
+    vox[4] = [8.0, np.nan, 8.0]
+    vox[9] = [-1.0, 8.0, 8.0]
+    with pytest.raises(HeatmapError, match="landmark 5 "):
+        heatmap.check_in_grid(vox, (16, 16, 16))
+    with pytest.raises(HeatmapError, match="landmark 5 "):
+        heatmap.encode(vox, (16, 16, 16), 1.0, 2.0)
+    present = np.ones(NUM_LANDMARKS, dtype=bool)
+    present[4] = False
+    with pytest.raises(HeatmapError, match="landmark 10 "):
+        heatmap.check_in_grid(vox, (16, 16, 16), present)
+
+
 def test_encode_present_mask_zeroes_and_skips_masked_landmarks():
     pose = np.tile([8.0, 8.0, 8.0], (NUM_LANDMARKS, 1))
     pose[4] = [-30.0, 8.0, 8.0]      # outside the grid, but masked out

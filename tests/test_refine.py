@@ -1,5 +1,7 @@
 """Test-time refinement: isolation, no-op loop, declined path, loss trend."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,27 @@ def test_case_order_permutation_invariant():
     rev, _ = refine_batch(g, cases[::-1], lib, CFG, cfg)
     for cid in ("c0", "c1", "c2"):
         np.testing.assert_array_equal(fwd[cid].pose.xyz_mm, rev[cid].pose.xyz_mm)
+
+
+def test_refine_batch_drops_each_volume_before_drawing_the_next():
+    rng = np.random.default_rng(8)
+    g = detector()
+    lib = library(rng)
+    refs = []
+
+    def stream():
+        for i in range(3):
+            if refs:
+                assert refs[-1]() is None, f"case {i - 1}'s volume is held as case {i} is drawn"
+            vol = volume(rng)
+            refs.append(weakref.ref(vol))
+            yield f"c{i}", vol, np.ones(3)
+            del vol
+
+    cfg = RefineConfig(iterations=1, confidence_floor=0.0)
+    results, summary = refine_batch(g, stream(), lib, CFG, cfg)
+    assert len(refs) == 3 and sorted(results) == ["c0", "c1", "c2"]
+    assert summary.n_cases == 3 and summary.n_aborted == 0
 
 
 def test_batch_summary_mean_of_final_losses():
