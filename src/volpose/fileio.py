@@ -110,12 +110,12 @@ def load_volume(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         if not all(type(n) is int and n > 0 for n in dims):
             raise FileFormatError(f"dims must be three positive integers, got {dims}")
         spacing = np.asarray(header["spacing_mm"], dtype=np.float64)
-    raw = np.frombuffer(path.with_suffix(".raw").read_bytes(), dtype="<f4")
-    if raw.size != nx * ny * nz:
-        raise FileFormatError(
-            f"{path.with_suffix('.raw')} holds {raw.size} voxels, header says {nx * ny * nz}"
-        )
-    return raw.reshape(nz, ny, nx).copy(), spacing
+    raw = path.with_suffix(".raw")
+    size = raw.stat().st_size
+    if size != 4 * nx * ny * nz:
+        raise FileFormatError(f"{raw} holds {size} bytes, header says {nx * ny * nz} float32 voxels")
+    # one allocation: the array is read straight from the file
+    return np.fromfile(raw, dtype="<f4").reshape(nz, ny, nx), spacing
 
 
 def _landmark_records(pose: Pose, flag: str) -> list[dict]:

@@ -48,7 +48,10 @@ value not kept dies right after its last consumer there.
 The account counts node values and the gradients the backward holds (not
 parameters, not kernel workspace): an activation gradient from the step
 that makes it to the step that consumes it, a parameter gradient from its
-step to the end of the walk.
+step to the end of the walk. A kernel's workspace stays outside it, and is
+small: a conv3d call holds one column block's padded planes, stack and
+accumulator (``ops.CONV_BLOCK``), about 2 MB for the reference detector's
+widest 32^3 layer, growing with a plane of the volume but not its depth.
 """
 
 from __future__ import annotations

@@ -6,25 +6,30 @@ re-evaluating it on the same inputs reproduces the same bits. That property
 is what lets the checkpointed backward pass recompute discarded values and
 still match the plain backward pass exactly.
 
-conv3d zero-pads its input once into a flat copy (a reshape when k = 1)
-and lowers the conv over its columns one block of ``CONV_BLOCK`` output
-columns at a time. For each block it writes the k copies of that block and
-of the (k-1)*(Hp*Wp + Wp) columns its taps reach past it, copy c shifted by
-c columns, into one buffer, and runs k^2 GEMMs with inner dimension k*Cin
-over contiguous column slices of it (between im2col and MEC, Cho & Brand
-2017; Vasudevan et al., arXiv:1704.04428). Its workspace is one padded copy
-and one cache-sized block instead of an im2col buffer k^3 times the input.
-Each output element is the sum of its k^2 GEMM products taken in one fixed
-(a, b) order. The backward pads ``grad_out`` the same way and stacks it per
-block: the input gradient is the forward conv of ``grad_out`` with the
-flipped, channel-swapped kernel, so the forward and ``gx`` share one tap
-kernel, and the weight gradient is k^2 GEMMs of each block of the stack
-against the padded input, one GEMM entry per weight, summed over the blocks
-in order. These fixed orders are what keep conv3d and its backward
-deterministic. A column of the forward or ``gx`` keeps its (a, b) order
-whatever the block width, so their bits do not depend on ``CONV_BLOCK``;
-``gw`` splits its inner dimension at the block edges, so its bits do,
-wherever a layer has more than two blocks of columns.
+conv3d lowers the conv over the columns of its input's zero-padded grid,
+one block of ``CONV_BLOCK`` output columns at a time, and never builds the
+padded operand whole. For each block it copies the padded planes the block
+reads, straight from the unpadded input, into one reused buffer; writes the
+k copies of the block and of the (k-1)*(Hp*Wp + Wp) columns its taps reach
+past it, copy c shifted by c columns, into a second; and runs k^2 GEMMs
+with inner dimension k*Cin over contiguous column slices of it (between
+im2col and MEC, Cho & Brand 2017; Vasudevan et al., arXiv:1704.04428). The
+products accumulate in a block-sized buffer, whose voxel columns are
+written straight into the compact (Cout, D, H, W) result. A call's
+workspace is these three block buffers, which grow with a plane of the
+volume but not with its depth, instead of an im2col buffer k^3 times the
+input. For k = 1 the input is read in place and the one GEMM writes the
+result's own columns. Each output element is the sum of its k^2 GEMM
+products taken in one fixed (a, b) order. The backward stacks ``grad_out``
+the same way: the input gradient is the forward conv of ``grad_out`` with
+the flipped, channel-swapped kernel, so the forward and ``gx`` share one
+tap kernel, and the weight gradient is k^2 GEMMs of each block of the
+stack against the input's padded planes, one GEMM entry per weight, summed
+over the blocks in order. These fixed orders are what keep conv3d and its
+backward deterministic. A column of the forward or ``gx`` keeps its (a, b)
+order whatever the block width, so their bits do not depend on
+``CONV_BLOCK``; ``gw`` splits its inner dimension at the block edges, so
+its bits do, wherever a layer has more than two blocks of columns.
 
 max_pool3d works on the 8 strided views of x, one per window position: the
 forward is a running maximum over them in window-linear order, and the
@@ -72,7 +77,9 @@ def _require(cond: bool, msg: str) -> None:
 
 # output columns per block of the three conv loops. A block's stack spans
 # CONV_BLOCK + (k-1)*(Hp*Wp + Wp) columns of k*Cin rows, 1.2 MB for 16
-# float32 channels at 32^3, so the tap GEMMs read it from a 1-2 MB per-core L2
+# float32 channels at 32^3, so the tap GEMMs read it from a 1-2 MB per-core
+# L2. The stack, the padded planes it is built from (7 at 32^3, 0.5 MB for
+# 16 channels) and a CONV_BLOCK-column accumulator are a call's workspace
 CONV_BLOCK = 4096
 
 def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -83,8 +90,9 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
     cin = x.shape[0]
     _require(cin == cin_w, f"conv3d: expected {cin_w} input channels, got {cin}")
     _require(bias.shape == (cout,), f"conv3d: bias must be ({cout},), got {bias.shape}")
-    out = _tap_conv(_padded(x, kd), _tap_weights(weight), x.shape)
-    return out + bias[:, None, None, None]
+    out = np.empty((cout, *x.shape[1:]), dtype=np.result_type(x.dtype, bias.dtype))
+    _tap_conv(x, _tap_weights(weight), out, bias)
+    return out
 
 
 def conv3d_backward(
@@ -92,11 +100,11 @@ def conv3d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(gx, gw, gb) of conv3d; gx is None when ``input_grad`` is False.
 
-    Both gradients read the k-shift stack of the padded ``grad_out``, built
-    one column block at a time. ``gw`` is k*k GEMMs of each block against
-    the padded input, summed over the blocks. ``gx`` is the forward conv of
-    ``grad_out`` with the kernel flipped in every axis and its channel axes
-    swapped, run by the forward's tap kernel.
+    ``gw`` is k*k GEMMs of each column block of the k-shift stack of the
+    padded ``grad_out`` against the padded input, summed over the blocks.
+    ``gx`` is the forward conv of ``grad_out`` with the kernel flipped in
+    every axis and its channel axes swapped, run by the forward's tap
+    kernel. The weight gradient's workspace is freed before ``gx`` exists.
     """
     cout, cin, k = weight.shape[:3]
     _require(
@@ -104,35 +112,44 @@ def conv3d_backward(
         f"conv3d: grad_out must be {(cout, *x.shape[1:])}, got {grad_out.shape}",
     )
     gb = grad_out.sum(axis=(1, 2, 3))
-    gf = _padded(grad_out, k)
+    gw = _weight_grad(x, grad_out, k)
+    gx = None
+    if input_grad:
+        flipped = weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        gx = np.empty(x.shape, dtype=grad_out.dtype)
+        _tap_conv(grad_out, _tap_weights(flipped), gx)
+    return gx, gw, gb
+
+
+def _weight_grad(x: np.ndarray, grad_out: np.ndarray, k: int) -> np.ndarray:
+    """(Cout, Cin, k, k, k) weight gradient: per column block, the stack of
+    ``grad_out`` against the k*k tap slices of x's padded planes."""
+    cout, cin = grad_out.shape[0], x.shape[0]
     hp, wp, n, offsets = _grid(x.shape, k)
     # Read from column lo, row block r of the stack is grad_out on the
     # stride grid delayed by k-1-r columns, i.e. tap c = k-1-r of the weight
     # gradient. The stride grid is zero in its wrap columns, and m = n + 2p
-    # columns cover every delay of its n columns.
+    # columns cover every delay of its n columns. Tap (a, b) reads x's
+    # padded columns from a*Hp*Wp + b*Wp, so a block reads step + halo.
     p = k // 2
     lo, m = p * (hp * wp + wp + 1) - 2 * p, n + 2 * p
     step = CONV_BLOCK if m > 2 * CONV_BLOCK else m
-    xf = _padded(x, k)
-    stack = np.empty((k * cout, step), dtype=grad_out.dtype)
+    gplanes = _planes(grad_out, k, step + k - 1)
+    xplanes = _planes(x, k, step + offsets[-1])
+    stack = np.empty((k * cout, step), dtype=grad_out.dtype) if k > 1 else None
     gw = np.empty((k * k, k * cout, cin), dtype=x.dtype)
     tmp = np.empty_like(gw[0])
     for j in range(0, m, step):
         e = min(j + step, m)
-        s = _stack_block(gf, k, lo + j, stack[:, : e - j])
+        f, base = gplanes(lo + j)
+        s = _stack_block(f, k, lo + j - base, e - j, stack)
+        xf, base = xplanes(j)
         for t, off in enumerate(offsets):
-            np.matmul(s, xf[:, off + j : off + e].T, out=gw[t] if j == 0 else tmp)
+            np.matmul(s, xf[:, off + j - base : off + e - base].T, out=gw[t] if j == 0 else tmp)
             if j:
                 gw[t] += tmp
-    del xf, stack, s  # before gx's accumulator exists, so they are never held together
     gw = gw.reshape(k, k, k, cout, cin)[:, :, ::-1].transpose(3, 4, 0, 1, 2)
-    gx = None
-    if input_grad:
-        flipped = weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-        gx = _tap_conv(gf, _tap_weights(flipped), grad_out.shape)
-        del gf  # before the contiguous copy of gx
-        gx = np.ascontiguousarray(gx)
-    return gx, np.ascontiguousarray(gw), gb
+    return np.ascontiguousarray(gw)
 
 
 def _grid(shape: tuple, k: int) -> tuple[int, int, int, list[int]]:
@@ -151,22 +168,44 @@ def _tap_weights(weight: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(weight.transpose(2, 3, 0, 4, 1).reshape(k * k, cout, k * cin))
 
 
-def _padded(x: np.ndarray, k: int) -> np.ndarray:
-    """x zero-padded by k//2 in each spatial axis, as a flat (C, Dp*Hp*Wp)
-    array; for k = 1 a reshape of x."""
+def _planes(x: np.ndarray, k: int, width: int):
+    """A reader of x zero-padded by k//2 in each spatial axis, as flat
+    (C, Dp*Hp*Wp) columns, ``width`` columns at a time.
+
+    ``read(start)`` returns ``(f, base)``: a flat (C, L) array whose column
+    i is padded column base + i, and which holds columns ``start`` to
+    ``start + width - 1``, or every column up to the grid's end. For k > 1,
+    f is the padded planes that hold those columns, copied from x into one
+    buffer that every read reuses; its border rows and columns are zeroed
+    once, and a plane outside x is zeroed in full. For k = 1 it is a
+    reshape of x.
+    """
     c, d, h, w = x.shape
     p = k // 2
     if p == 0:
-        return x.reshape(c, -1)
-    f = np.zeros((c, d + 2 * p, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    f[:, p : p + d, p : p + h, p : p + w] = x
-    return f.reshape(c, -1)
+        flat = x.reshape(c, -1)
+        return lambda start: (flat, 0)
+    hp, wp = h + 2 * p, w + 2 * p
+    plane = hp * wp
+    buf = np.zeros((c, min(d + 2 * p, (width + plane - 2) // plane + 1), hp, wp), dtype=x.dtype)
+    inner = buf[:, :, p : p + h, p : p + w]
+
+    def read(start: int) -> tuple[np.ndarray, int]:
+        z0 = start // plane
+        nz = min(d + 2 * p, (start + width - 1) // plane + 1) - z0
+        a, b = (min(max(z - z0, 0), nz) for z in (p, p + d))  # buffer planes of x
+        inner[:, :a] = 0
+        inner[:, a:b] = x[:, z0 + a - p : z0 + b - p]
+        inner[:, b:nz] = 0
+        return buf[:, :nz].reshape(c, -1), z0 * plane
+
+    return read
 
 
-def _stack_block(f: np.ndarray, k: int, start: int, out: np.ndarray) -> np.ndarray:
-    """Columns ``start`` to ``start`` + w of the k-shift stack of the flat
-    padded operand ``f``, written into ``out`` of shape (k*C, w); for k = 1
-    a view of f.
+def _stack_block(f: np.ndarray, k: int, start: int, width: int, buf: np.ndarray | None) -> np.ndarray:
+    """Columns ``start`` to ``start + width`` of the k-shift stack of the
+    flat padded operand ``f``, written into ``buf[:, :width]`` of k*C rows;
+    for k = 1 a view of f.
 
     Give output voxel (i, j, l) the flat index i*Hp*Wp + j*Wp + l of the
     padded (Dp, Hp, Wp) grid. Its kernel tap (a, b, c) reads the flat padded
@@ -180,48 +219,88 @@ def _stack_block(f: np.ndarray, k: int, start: int, out: np.ndarray) -> np.ndarr
     ``grad_out`` they hold zero padding, so the backward reads the stack as
     ``grad_out`` on the stride grid without masking them.
     """
+    if k == 1:
+        return f[:, start : start + width]
     c, length = f.shape
-    w = out.shape[1]
-    if k == 1 and start + w <= length:
-        return f[:, start : start + w]
+    out = buf[:, :width]
     for r in range(k):
-        v = max(0, min(w, length - start - r))
+        v = max(0, min(width, length - start - r))
         out[r * c : r * c + c, :v] = f[:, start + r : start + r + v]
         out[r * c : r * c + c, v:] = 0
     return out
 
 
-def _tap_conv(f: np.ndarray, wk: np.ndarray, shape: tuple) -> np.ndarray:
-    """Same-padded conv of the (C, D, H, W) input padded flat in ``f``.
+def _tap_conv(x: np.ndarray, wk: np.ndarray, out: np.ndarray, bias: np.ndarray | None = None) -> None:
+    """Same-padded conv of the (C, D, H, W) input x, written into ``out``
+    (Cout, D, H, W), plus ``bias`` when given.
 
-    Walks blocks of ``CONV_BLOCK`` output columns (one block up to twice
-    that). Each block's stack, with the (k-1)*(Hp*Wp + Wp) columns its taps
-    reach past it, goes into one buffer; one GEMM per (a, b) tap pair, with
-    the k column taps c inside its inner dimension, reads it, and the k*k
-    products accumulate in (a, b) order. Each column keeps that order, so
-    the bits equal one block's wherever the BLAS computes a column the same
-    way at every GEMM width; OpenBLAS does so for the detector's float32
-    layers, but its small-GEMM kernel and its float64 kernels round a few
-    columns of some shapes differently. Returns a (Cout, D, H, W) view of
-    the accumulator.
+    Walks blocks of ``CONV_BLOCK`` output columns of the padded grid (one
+    block up to twice that). Each block's stack, with the (k-1)*(Hp*Wp + Wp)
+    columns its taps reach past it, goes into one buffer, built from the
+    padded planes it reads; one GEMM per (a, b) tap pair, with the k column
+    taps c inside its inner dimension, reads it, and the k*k products
+    accumulate in (a, b) order into a block-sized accumulator, whose voxel
+    columns go to ``out``. For k = 1 every column is a voxel and the one
+    GEMM writes ``out`` itself. Each column keeps that order, so the bits
+    equal one block's wherever the BLAS computes a column the same way at
+    every GEMM width; OpenBLAS does so for the detector's float32 layers,
+    but its small-GEMM kernel and its float64 kernels round a few columns
+    of some shapes differently.
     """
-    cin, d, h, w = shape
+    cin, cout = x.shape[0], out.shape[0]
     k = wk.shape[2] // cin
-    hp, wp, n, offsets = _grid(shape, k)
+    hp, wp, n, offsets = _grid(x.shape, k)
     step = CONV_BLOCK if n > 2 * CONV_BLOCK else n
     halo = offsets[-1]
-    stack = np.empty((k * cin, step + halo), dtype=f.dtype)
-    acc = np.empty((wk.shape[1], d * hp * wp), dtype=f.dtype)
-    tmp = np.empty((wk.shape[1], step), dtype=f.dtype)
+    planes = _planes(x, k, step + halo + k - 1)
+    stack = np.empty((k * cin, step + halo), dtype=x.dtype) if k > 1 else None
+    # flat, so that a short block's (Cout, w) views are contiguous too: numpy
+    # buffers an in-place add of strided views
+    acc, tmp = np.empty((2, cout * step), dtype=x.dtype) if k > 1 else (None, None)
     for j in range(0, n, step):
         e = min(j + step, n)
-        s = _stack_block(f, k, j, stack[:, : e - j + halo])
-        t = tmp[:, : e - j]
-        np.matmul(wk[0], s[:, : e - j], out=acc[:, j:e])  # tap pair (0, 0) is at offset 0
+        f, base = planes(j)
+        s = _stack_block(f, k, j - base, e - j + halo, stack)
+        if k == 1:
+            a = out.reshape(cout, -1)[:, j:e]
+        else:
+            a = acc[: cout * (e - j)].reshape(cout, -1)
+        np.matmul(wk[0], s[:, : e - j], out=a)  # tap pair (0, 0) is at offset 0
         for wt, off in zip(wk[1:], offsets[1:]):
+            t = tmp[: a.size].reshape(a.shape)
             np.matmul(wt, s[:, off : off + e - j], out=t)
-            acc[:, j:e] += t
-    return acc.reshape(-1, d, hp, wp)[:, :, :h, :w]
+            a += t
+        if k > 1:
+            _put(a, j, out, hp, wp)
+    if bias is not None:
+        # one in-place pass: a broadcast add into each run's strided view
+        # makes numpy's iterator allocate buffers of up to 3*8192 elements
+        out += bias[:, None, None, None]
+
+
+def _put(acc: np.ndarray, j: int, out: np.ndarray, hp: int, wp: int) -> None:
+    """Write the columns of ``acc``, flat columns j onward of the padded
+    (Hp, Wp) grid, that are voxels into ``out`` (C, D, H, W). Runs of part
+    of a row, of whole rows up to a plane's end and of whole planes each
+    take one copy."""
+    _, d, h, w = out.shape
+    plane = hp * wp
+    e = j + acc.shape[1]
+    g = j
+    while g < e:
+        r, x0 = divmod(g, wp)
+        z, y = divmod(r, hp)
+        if x0 or e - g < wp:
+            run = (1, 1, min(wp - x0, e - g))
+        elif y or e - g < plane:
+            run = (1, min(hp - y, (e - g) // wp), wp)
+        else:
+            run = ((e - g) // plane, hp, wp)
+        size = run[0] * run[1] * run[2]
+        src = acc[:, g - j : g - j + size].reshape(-1, *run)
+        src = src[:, : d - z, : max(h - y, 0), : max(w - x0, 0)]
+        out[:, z : z + src.shape[1], y : y + src.shape[2], x0 : x0 + src.shape[3]] = src
+        g += size
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,21 @@ def test_infer_dump_heatmaps(dataset, model, tmp_path):
     assert vol.shape == (48, 48, 48)
 
 
+def test_infer_on_a_raw_file_of_101_bytes_names_it(dataset, model, tmp_path, capsys):
+    # 101 bytes hold no whole number of float32 voxels: exit 1, the message
+    # starting with the .raw file's path, and no pose written
+    for ext in (".raw", ".json"):
+        shutil.copy(dataset / "cases" / f"test_0000{ext}", tmp_path / f"short{ext}")
+    raw = tmp_path / "short.raw"
+    raw.write_bytes(b"\x00" * 101)
+    out = tmp_path / "pred"
+    rc = main(["infer", "--model", str(model), "--volumes", str(raw), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {raw} holds 101 bytes, ") and "Traceback" not in err
+    assert not list(out.glob("*.json"))
+
+
 def test_infer_explicit_volumes(dataset, model, tmp_path):
     # explicit volumes, given with and without ".raw", are read like the
     # dataset's and named after their stems; the hash follows their bytes

@@ -1,6 +1,7 @@
 """File formats: byte-level layout, sidecar contracts, error paths."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,11 +53,32 @@ def test_volume_round_trip_preserves_bits(tmp_path):
 
 
 def test_volume_size_mismatch_rejected(tmp_path):
+    # 7 voxels and 9 voxels for a header that says 8, and 101 bytes, which
+    # are no whole number of float32 voxels: each is refused from the file's
+    # size, before it is read, naming the .raw file
     vol = np.zeros((2, 2, 2), dtype=np.float32)
     save_volume(tmp_path / "v", vol, 1.0)
-    (tmp_path / "v.raw").write_bytes(b"\x00" * 4 * 7)  # 7 voxels, header says 8
-    with pytest.raises(FileFormatError, match="header says"):
-        load_volume(tmp_path / "v")
+    raw = tmp_path / "v.raw"
+    for nbytes in (4 * 7, 4 * 9, 101):
+        raw.write_bytes(b"\x00" * nbytes)
+        with pytest.raises(FileFormatError, match="header says") as err:
+            load_volume(tmp_path / "v")
+        assert str(err.value) == f"{raw} holds {nbytes} bytes, header says 8 float32 voxels"
+
+
+def test_loading_a_volume_holds_it_once(tmp_path):
+    # the 64^3 volume is read straight into its array: no bytes object
+    # beside it, and no second copy
+    vol = np.random.default_rng(3).normal(size=(64, 64, 64)).astype(np.float32)
+    save_volume(tmp_path / "v", vol, 1.0)
+    tracemalloc.start()
+    try:
+        loaded, _ = load_volume(tmp_path / "v")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.tobytes() == vol.tobytes() and loaded.flags.writeable
+    assert peak <= 1.1 * vol.nbytes, peak / vol.nbytes
 
 
 def test_volume_version_check(tmp_path):
