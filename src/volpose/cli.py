@@ -4,8 +4,10 @@ Subcommands: phantom-gen, build-library, train, infer, refine, eval. Every
 command is a pure function of its resolved configuration and input files;
 rerunning with the same inputs yields byte-identical artifacts, wherever the
 inputs and outputs sit (the config hash identifies inputs by content and
-records their paths only in ``run_config.json``). Exit codes:
-0 on success, 1 on runtime failure, 2 on usage or configuration errors.
+records their paths only in ``run_config.json``). A command's out directory
+appears whole or not at all: a failed run leaves none where none existed.
+Exit codes: 0 on success, 1 on runtime failure, 2 on usage or configuration
+errors.
 Set VOLPOSE_LOG=debug|info|warning to control verbosity.
 """
 
@@ -15,7 +17,10 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -93,6 +98,31 @@ def _configured(make, **fields):
         raise UsageError(str(e)) from e
 
 
+@contextmanager
+def _writing(out: Path):
+    """The directory a command writes its out directory ``out`` through.
+    Where ``out`` does not exist, that is a new directory inside a hidden
+    staging directory next to the outermost directory the run creates.
+    When the block completes, the staged tree is renamed into place; when
+    it raises, the staging directory is removed with what was written. So
+    a failed run leaves no out directory, nor any parent it created. An
+    existing ``out`` is written in place."""
+    if out.exists():
+        yield out
+        return
+    top = out  # the outermost directory the run creates
+    while not top.parent.exists():
+        top = top.parent
+    stage = Path(tempfile.mkdtemp(prefix=f".{top.name}.", dir=top.parent))
+    try:
+        staged = stage / out.relative_to(top.parent)
+        staged.mkdir(parents=True)
+        yield staged
+        (stage / top.name).rename(top)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def _load_detector(model_dir: Path):
     if not (model_dir / "graph.json").exists():
         raise UsageError(f"model directory not found or incomplete: {model_dir}")
@@ -128,12 +158,12 @@ def cmd_phantom_gen(args) -> int:
             "seed": args.seed,
         },
     )
-    out = Path(args.out)
-    manifest = make_dataset(
-        spec, args.n_train, args.n_test, out, seed=args.seed, stamp=cfg.stamp()
-    )
-    cfg.save(out / "run_config.json")
-    log.info("wrote %d cases under %s", len(manifest["cases"]), out)
+    with _writing(Path(args.out)) as out:
+        manifest = make_dataset(
+            spec, args.n_train, args.n_test, out, seed=args.seed, stamp=cfg.stamp()
+        )
+        cfg.save(out / "run_config.json")
+    log.info("wrote %d cases under %s", len(manifest["cases"]), args.out)
     return 0
 
 
@@ -227,28 +257,26 @@ def cmd_train(args) -> int:
         graph.set_checkpoints(
             _configured(select_checkpoints, graph=graph, policy=args.gcp, k=args.every_k)
         )
-    # train reads every case before its first step and writes nothing
-    # before then, so a case that fails to load leaves no out directory
-    out = Path(args.out)
-    result = train(
-        graph,
-        _training_cases(cases, args.augment),
-        train_cfg,
-        det_cfg,
-        out_dir=out / "epochs" if args.save_epochs else None,
-        stamp=run_cfg.stamp(),
-    )
-    save_model(
-        out / "model",
-        graph,
-        extras={
-            "detector_config.json": det_cfg.to_dict(),
-            "train_config.json": {**train_cfg.to_dict(), **run_cfg.stamp()},
-        },
-        stamp=run_cfg.stamp(),
-    )
-    write_loss_curve(out / "loss_curve.csv", result, stamp=run_cfg.stamp())
-    run_cfg.save(out / "run_config.json")
+    with _writing(Path(args.out)) as out:
+        result = train(
+            graph,
+            _training_cases(cases, args.augment),
+            train_cfg,
+            det_cfg,
+            out_dir=out / "epochs" if args.save_epochs else None,
+            stamp=run_cfg.stamp(),
+        )
+        save_model(
+            out / "model",
+            graph,
+            extras={
+                "detector_config.json": det_cfg.to_dict(),
+                "train_config.json": {**train_cfg.to_dict(), **run_cfg.stamp()},
+            },
+            stamp=run_cfg.stamp(),
+        )
+        write_loss_curve(out / "loss_curve.csv", result, stamp=run_cfg.stamp())
+        run_cfg.save(out / "run_config.json")
     log.info(
         "trained %d epochs on %d cases; final epoch mean loss %.3e",
         train_cfg.epochs, len(result.loss_curve) // train_cfg.epochs, result.epoch_means[-1],
@@ -312,23 +340,22 @@ def cmd_infer(args) -> int:
         inputs=inputs,
         paths=paths,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for case_id, vol_path in volumes:
-        volume, spacing = fileio.load_volume(vol_path)
-        stack, frame = infer(graph, volume, spacing, det_cfg)
-        dec = decode_prediction(stack, frame, window=args.window, confidence_floor=args.floor)
-        _save_prediction(out / f"{case_id}_pose.json", dec, spacing, run_cfg.stamp())
-        if args.dump_heatmaps:
-            for j in range(stack.shape[0]):
-                fileio.save_volume(
-                    out / f"{case_id}_ch{j:02d}",
-                    stack[j],
-                    frame.net_spacing,
-                    stamp=run_cfg.stamp(),
-                )
-        log.info("inferred %s", case_id)
-    run_cfg.save(out / "run_config.json")
+    with _writing(Path(args.out)) as out:
+        for case_id, vol_path in volumes:
+            volume, spacing = fileio.load_volume(vol_path)
+            stack, frame = infer(graph, volume, spacing, det_cfg)
+            dec = decode_prediction(stack, frame, window=args.window, confidence_floor=args.floor)
+            _save_prediction(out / f"{case_id}_pose.json", dec, spacing, run_cfg.stamp())
+            if args.dump_heatmaps:
+                for j in range(stack.shape[0]):
+                    fileio.save_volume(
+                        out / f"{case_id}_ch{j:02d}",
+                        stack[j],
+                        frame.net_spacing,
+                        stamp=run_cfg.stamp(),
+                    )
+            log.info("inferred %s", case_id)
+        run_cfg.save(out / "run_config.json")
     return 0
 
 
@@ -372,23 +399,23 @@ def cmd_refine(args) -> int:
     )
     # the layout of a refine directory: per case the final pose and, with
     # --snapshot-each-iter, the trace and the pose after each iteration
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stamp = run_cfg.stamp()
-    for case_id, spacing in spacings.items():
-        res = results[case_id]
-        _save_prediction(
-            out / f"{case_id}_pose.json", res.pose, spacing, stamp,
-            declined=res.declined, aborted=res.aborted, note=res.note,
-        )
-        if args.snapshot_each_iter:
-            fileio.write_json(out / f"{case_id}_trace.json", res.trace_dict(), stamp)
-            for rec in res.trace:
-                _save_prediction(
-                    out / f"{case_id}_iter{rec.iteration:02d}_pose.json", rec.pose, spacing, stamp
-                )
-    fileio.write_json(out / "refine_summary.json", asdict(summary), stamp)
-    run_cfg.save(out / "run_config.json")
+    with _writing(Path(args.out)) as out:
+        for case_id, spacing in spacings.items():
+            res = results[case_id]
+            _save_prediction(
+                out / f"{case_id}_pose.json", res.pose, spacing, stamp,
+                declined=res.declined, aborted=res.aborted, note=res.note,
+            )
+            if args.snapshot_each_iter:
+                fileio.write_json(out / f"{case_id}_trace.json", res.trace_dict(), stamp)
+                for rec in res.trace:
+                    _save_prediction(
+                        out / f"{case_id}_iter{rec.iteration:02d}_pose.json",
+                        rec.pose, spacing, stamp,
+                    )
+        fileio.write_json(out / "refine_summary.json", asdict(summary), stamp)
+        run_cfg.save(out / "run_config.json")
     log.info("refined %d cases (%d declined)", summary.n_cases, summary.n_declined)
     return 0
 
@@ -442,8 +469,9 @@ def cmd_eval(args) -> int:
         {cid: gts[cid][0] for cid in common},
         thresholds,
     )
-    write_report(report, args.out, stamp=run_cfg.stamp())
-    run_cfg.save(Path(args.out) / "run_config.json")
+    with _writing(Path(args.out)) as out:
+        write_report(report, out, stamp=run_cfg.stamp())
+        run_cfg.save(out / "run_config.json")
     log.info(
         "evaluated %d cases: mean %.3f mm, AUC %.2f%%, coverage %.3f",
         report.case_count, report.mean_mm, report.mean_auc, report.coverage,

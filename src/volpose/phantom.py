@@ -178,6 +178,30 @@ def render_tube(
 
     Intensity is amplitude * exp(-d^2 / (2 r^2)) with d the distance to the
     segment; contributions beyond 3 r are dropped.
+
+    The box around the capsule is a separable grid: its voxel offsets from
+    ``p0_mm`` are three 1-D vectors, ``rx`` along x, ``ry`` along y and
+    ``rz`` along z, broadcast against each other, so no per-voxel stack of
+    coordinates is built. With ``s`` the segment, every float64 operation
+    runs in one fixed order::
+
+        t  = clip(((rx*sx + ry*sy) + rz*sz) / (s . s), 0, 1)
+        d2 = ((rx - t*sx)**2 + (ry - t*sy)**2) + (rz - t*sz)**2
+
+    and ``d2 = (rx**2 + ry**2) + rz**2`` for a point. The ``exp`` runs over
+    the whole C-contiguous box, so every element takes one SIMD path, and
+    the ``d2 > (3 r)**2`` mask is applied after it.
+
+    The bytes are those of the stacked form (``meshgrid``, an (N, 3) offset
+    stack, ``tensordot`` and ``sum``), which the tests keep as a reference.
+    Each term of ``d2`` is the same float64 operation on the same operands,
+    added in the order a sum over the stack's x, y, z columns adds them.
+    Only the dot product in ``t`` differs: the BLAS behind ``tensordot`` may
+    fuse multiply-adds (OpenBLAS does), so its ``t`` and then ``d2`` can
+    differ from these in the last float64 bit, in about one element in ten.
+    That moves a voxel only where it straddles a float32 rounding step or
+    the mask's edge, which no box element of 320 compared cases did. The
+    order here does not depend on the BLAS build.
     """
     nz, ny, nx = volume.shape
     reach = 3.0 * radius_mm
@@ -189,25 +213,30 @@ def render_tube(
     zhi = min(nz - 1, int(np.ceil(hi_mm[2] / spacing_mm)))
     if xlo > xhi or ylo > yhi or zlo > zhi:
         return
-    zs, ys, xs = np.meshgrid(
-        np.arange(zlo, zhi + 1) * spacing_mm,
-        np.arange(ylo, yhi + 1) * spacing_mm,
-        np.arange(xlo, xhi + 1) * spacing_mm,
-        indexing="ij",
-    )
-    pts = np.stack([xs, ys, zs], axis=-1)
+    rx, ry, rz = _axis_offsets((xlo, ylo, zlo), (xhi, yhi, zhi), spacing_mm, p0_mm)
     seg = p1_mm - p0_mm
     seg_len2 = float(seg @ seg)
-    rel = pts - p0_mm
+    sx, sy, sz = seg
     if seg_len2 < 1e-12:
-        d2 = np.sum(rel**2, axis=-1)
+        d2 = (rx**2 + ry**2) + rz**2
     else:
-        t = np.clip(np.tensordot(rel, seg, axes=([-1], [0])) / seg_len2, 0.0, 1.0)
-        d2 = np.sum((rel - t[..., None] * seg) ** 2, axis=-1)
+        t = np.clip(((rx * sx + ry * sy) + rz * sz) / seg_len2, 0.0, 1.0)
+        d2 = ((rx - t * sx) ** 2 + (ry - t * sy) ** 2) + (rz - t * sz) ** 2
     blob = amplitude * np.exp(-d2 / (2.0 * radius_mm**2))
     blob[d2 > reach**2] = 0.0
     region = volume[zlo : zhi + 1, ylo : yhi + 1, xlo : xhi + 1]
     np.maximum(region, blob.astype(volume.dtype), out=region)
+
+
+def _axis_offsets(lo: tuple, hi: tuple, spacing_mm: float, origin_mm: np.ndarray) -> tuple:
+    """The voxel-centre offsets in mm from ``origin_mm`` along x, y and z of
+    the box from voxel ``lo`` to voxel ``hi`` (x, y, z indices, inclusive),
+    shaped to broadcast over the (z, y, x) box."""
+    (xlo, ylo, zlo), (xhi, yhi, zhi) = lo, hi
+    rx = np.arange(xlo, xhi + 1) * spacing_mm - origin_mm[0]
+    ry = np.arange(ylo, yhi + 1) * spacing_mm - origin_mm[1]
+    rz = np.arange(zlo, zhi + 1) * spacing_mm - origin_mm[2]
+    return rx[None, None, :], ry[None, :, None], rz[:, None, None]
 
 
 def _render_clean(spec: PhantomSpec, pose_mm: np.ndarray) -> np.ndarray:
@@ -242,6 +271,21 @@ def _render_clean(spec: PhantomSpec, pose_mm: np.ndarray) -> np.ndarray:
 
 
 def _apply_shadow(spec: PhantomSpec, vol: np.ndarray, rng: np.random.Generator) -> dict | None:
+    """With probability ``spec.shadow_probability``, zero a cone of ``vol``
+    and return its record (apex, axis, half-angle), else return None. The
+    apex lies on a random face, and the axis is tilted up to 25 degrees
+    from that face's inward normal.
+
+    The cone test runs on the volume's separable axis grid, as
+    ``render_tube``'s distance does: with ``rx``, ``ry``, ``rz`` the offsets
+    from the apex and ``a`` the axis,
+    ``dist = sqrt((rx*rx + ry*ry) + rz*rz)``, the order of ``linalg.norm``
+    over an x, y, z stack, and
+    ``cos = ((rx*ax + ry*ay) + rz*az) / max(dist, 1e-9)``. It holds two
+    volume-sized float64 arrays, not a stack of offsets and its products.
+    A cosine can differ from the stacked ``tensordot`` form's in its last
+    bit, which moves a voxel only if it sits that close to the cone's edge.
+    """
     if rng.uniform() >= spec.shadow_probability:
         return None
     nz, ny, nx = vol.shape
@@ -253,19 +297,44 @@ def _apply_shadow(spec: PhantomSpec, vol: np.ndarray, rng: np.random.Generator) 
     normal[face // 2] = 1.0 if face % 2 == 0 else -1.0
     axis = _rotate_toward(rng, normal, 25.0)
     half_angle = np.deg2rad(rng.uniform(*_SHADOW_HALF_ANGLE_DEG))
-    zs, ys, xs = np.meshgrid(
-        np.arange(nz) * s, np.arange(ny) * s, np.arange(nx) * s, indexing="ij"
-    )
-    rel = np.stack([xs, ys, zs], axis=-1) - apex
-    dist = np.linalg.norm(rel, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosang = np.tensordot(rel, axis, axes=([-1], [0])) / np.maximum(dist, 1e-9)
+    rx, ry, rz = _axis_offsets((0, 0, 0), (nx - 1, ny - 1, nz - 1), s, apex)
+    dist = (rx * rx + ry * ry) + rz * rz
+    np.sqrt(dist, out=dist)
+    np.maximum(dist, 1e-9, out=dist)
+    cosang = (rx * axis[0] + ry * axis[1]) + rz * axis[2]
+    cosang /= dist
+    del dist
     vol[cosang > np.cos(half_angle)] = 0.0
     return {
         "apex_mm": apex.tolist(),
         "axis": axis.tolist(),
         "half_angle_deg": float(np.rad2deg(half_angle)),
     }
+
+
+def _add_noise(spec: PhantomSpec, vol: np.ndarray, rng: np.random.Generator) -> None:
+    """Multiplicative, then additive half-normal noise, in place.
+
+    Each draw fills one reused float64 buffer, which takes the generator's
+    stream in the order a fresh ``standard_normal(vol.shape)`` array would,
+    and is cast once into one float32 buffer, where it is scaled in place.
+    """
+    if spec.noise_multiplicative == 0 and spec.noise_additive == 0:
+        return
+    draw = np.empty(vol.shape)
+    noise = np.empty(vol.shape, dtype=np.float32)
+    if spec.noise_multiplicative > 0:
+        rng.standard_normal(out=draw)
+        noise[...] = draw
+        noise *= spec.noise_multiplicative
+        noise += 1.0
+        vol *= noise
+    if spec.noise_additive > 0:
+        rng.standard_normal(out=draw)
+        np.abs(draw, out=draw)
+        noise[...] = draw
+        noise *= spec.noise_additive
+        vol += noise
 
 
 def sample_case(spec: PhantomSpec, seed: int) -> PhantomCase:
@@ -308,10 +377,7 @@ def sample_case(spec: PhantomSpec, seed: int) -> PhantomCase:
     shadow = _apply_shadow(spec, vol, rng)
     if shadow is not None:
         provenance["shadow"] = shadow
-    if spec.noise_multiplicative > 0:
-        vol *= 1.0 + spec.noise_multiplicative * rng.standard_normal(vol.shape).astype(np.float32)
-    if spec.noise_additive > 0:
-        vol += spec.noise_additive * np.abs(rng.standard_normal(vol.shape)).astype(np.float32)
+    _add_noise(spec, vol, rng)
     np.clip(vol, 0.0, 2.0, out=vol)
     return PhantomCase(vol, Pose(pose_mm), s, provenance)
 

@@ -149,6 +149,20 @@ def test_phantom_gen_unplaceable_skeleton_exits_1(tmp_path, capsys):
     assert "could not place the skeleton" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["38", "32"])
+def test_failed_phantom_gen_leaves_no_out_directory(tmp_path, capsys, size):
+    # at 38 voxels seeds 4 and 5 are written before seed 6 cannot be placed;
+    # at 32 no seed can be. Neither leaves the out directory, nor the parent
+    # it would have needed
+    out = tmp_path / "new" / "d"
+    rc = main(["phantom-gen", "--size", size, "--seed", "4", "--n-train", "2", "--n-test", "1",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "could not place the skeleton" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_phantom_gen_deterministic(tmp_path, dataset):
     rerun = tmp_path / "again"
     assert main(GEN_ARGS + ["--out", str(rerun)]) == 0
@@ -409,6 +423,40 @@ def test_infer_on_a_raw_file_of_101_bytes_names_it(dataset, model, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"runtime failure: {raw} holds 101 bytes, ") and "Traceback" not in err
     assert not list(out.glob("*.json"))
+
+
+def test_failed_infer_leaves_no_out_directory(dataset, model, tmp_path, capsys):
+    # the first volume infers, the second holds 101 bytes: exit 1 and no out
+    # directory, so eval finds no partial prediction set
+    vols = tmp_path / "vols"
+    vols.mkdir()
+    for stem in ("a", "b"):
+        for ext in (".raw", ".json"):
+            shutil.copy(dataset / "cases" / f"test_0000{ext}", vols / f"{stem}{ext}")
+    (vols / "b.raw").write_bytes(b"\x00" * 101)
+    out = tmp_path / "pred"
+    rc = main(["infer", "--model", str(model), "--volumes", str(vols / "a.raw"),
+               str(vols / "b.raw"), "--out", str(out)])
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["vols"]
+
+
+def test_infer_into_a_new_or_an_existing_directory_writes_the_same_bytes(dataset, model, tmp_path):
+    # a new out directory is written in a staging directory and renamed; an
+    # existing one is written in place; both hold the same files, and no
+    # staging directory is left
+    new, existing = tmp_path / "new" / "pred", tmp_path / "existing"
+    existing.mkdir()
+    for out in (new, existing):
+        assert main(["infer", "--model", str(model), "--data", str(dataset), "--floor", "0.0",
+                     "--out", str(out)]) == 0
+    names = sorted(p.name for p in existing.iterdir())
+    assert names == sorted(p.name for p in new.iterdir()) and "run_config.json" in names
+    for name in names:
+        assert digest(new / name) == digest(existing / name), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "new"]
+    assert [p.name for p in (tmp_path / "new").iterdir()] == ["pred"]
 
 
 def test_infer_explicit_volumes(dataset, model, tmp_path):

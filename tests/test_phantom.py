@@ -1,9 +1,11 @@
 """Phantom generator: determinism, rendering fidelity, augmentation algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from volpose import heatmap
+from volpose import heatmap, phantom
 from volpose.anatomy import FLIP_PERMUTATION, LANDMARKS, SEGMENTS
 from volpose.metrics import segment_lengths
 from volpose.phantom import (
@@ -203,3 +205,140 @@ def test_dataset_regenerates_bit_identical(tmp_path):
 def test_spec_rejects_out_of_range_values(field, value):
     with pytest.raises(PhantomError, match=field.split("_")[0] + "|finite"):
         PhantomSpec(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# the stacked arithmetic of the generator before its separable axis grids,
+# kept as a byte-equality reference: a (N, 3) offset stack from meshgrid,
+# tensordot for the projection and a sum over the stack's last axis
+# ---------------------------------------------------------------------------
+
+def reference_render_tube(volume, p0_mm, p1_mm, radius_mm, amplitude, spacing_mm):
+    nz, ny, nx = volume.shape
+    reach = 3.0 * radius_mm
+    lo_mm = np.minimum(p0_mm, p1_mm) - reach
+    hi_mm = np.maximum(p0_mm, p1_mm) + reach
+    xlo, ylo, zlo = (max(0, int(np.floor(v / spacing_mm))) for v in lo_mm)
+    xhi = min(nx - 1, int(np.ceil(hi_mm[0] / spacing_mm)))
+    yhi = min(ny - 1, int(np.ceil(hi_mm[1] / spacing_mm)))
+    zhi = min(nz - 1, int(np.ceil(hi_mm[2] / spacing_mm)))
+    if xlo > xhi or ylo > yhi or zlo > zhi:
+        return
+    zs, ys, xs = np.meshgrid(
+        np.arange(zlo, zhi + 1) * spacing_mm,
+        np.arange(ylo, yhi + 1) * spacing_mm,
+        np.arange(xlo, xhi + 1) * spacing_mm,
+        indexing="ij",
+    )
+    pts = np.stack([xs, ys, zs], axis=-1)
+    seg = p1_mm - p0_mm
+    seg_len2 = float(seg @ seg)
+    rel = pts - p0_mm
+    if seg_len2 < 1e-12:
+        d2 = np.sum(rel**2, axis=-1)
+    else:
+        t = np.clip(np.tensordot(rel, seg, axes=([-1], [0])) / seg_len2, 0.0, 1.0)
+        d2 = np.sum((rel - t[..., None] * seg) ** 2, axis=-1)
+    blob = amplitude * np.exp(-d2 / (2.0 * radius_mm**2))
+    blob[d2 > reach**2] = 0.0
+    region = volume[zlo : zhi + 1, ylo : yhi + 1, xlo : xhi + 1]
+    np.maximum(region, blob.astype(volume.dtype), out=region)
+
+
+def reference_apply_shadow(spec, vol, rng):
+    if rng.uniform() >= spec.shadow_probability:
+        return None
+    nz, ny, nx = vol.shape
+    s = spec.spacing_mm
+    face = int(rng.integers(6))
+    apex = rng.uniform([0, 0, 0], [(nx - 1) * s, (ny - 1) * s, (nz - 1) * s])
+    normal = np.zeros(3)
+    apex[face // 2] = 0.0 if face % 2 == 0 else [nx - 1, ny - 1, nz - 1][face // 2] * s
+    normal[face // 2] = 1.0 if face % 2 == 0 else -1.0
+    axis = phantom._rotate_toward(rng, normal, 25.0)
+    half_angle = np.deg2rad(rng.uniform(*phantom._SHADOW_HALF_ANGLE_DEG))
+    zs, ys, xs = np.meshgrid(
+        np.arange(nz) * s, np.arange(ny) * s, np.arange(nx) * s, indexing="ij"
+    )
+    rel = np.stack([xs, ys, zs], axis=-1) - apex
+    dist = np.linalg.norm(rel, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosang = np.tensordot(rel, axis, axes=([-1], [0])) / np.maximum(dist, 1e-9)
+    vol[cosang > np.cos(half_angle)] = 0.0
+    return {
+        "apex_mm": apex.tolist(),
+        "axis": axis.tolist(),
+        "half_angle_deg": float(np.rad2deg(half_angle)),
+    }
+
+
+def reference_add_noise(spec, vol, rng):
+    if spec.noise_multiplicative > 0:
+        vol *= 1.0 + spec.noise_multiplicative * rng.standard_normal(vol.shape).astype(np.float32)
+    if spec.noise_additive > 0:
+        vol += spec.noise_additive * np.abs(rng.standard_normal(vol.shape)).astype(np.float32)
+
+
+REFERENCE_SPECS = {
+    "64": PhantomSpec(shape=(64, 64, 64)),
+    "48": PhantomSpec(shape=(48, 48, 48)),
+    "96": PhantomSpec(shape=(96, 96, 96)),
+    "32-at-2mm": PhantomSpec(shape=(32, 32, 32), spacing_mm=2.0),
+    "40x56x64-at-1.3mm": PhantomSpec(shape=(40, 56, 64), spacing_mm=1.3),
+    "shadowed-left-0.2": PhantomSpec(shape=(64, 64, 64), shadow_probability=1.0,
+                                     left_intensity_offset=0.2),
+    "no-multiplicative-noise": PhantomSpec(shape=(64, 64, 64), noise_multiplicative=0.0),
+    "no-additive-noise": PhantomSpec(shape=(64, 64, 64), noise_additive=0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_SPECS))
+def test_sample_case_is_byte_equal_to_the_stacked_reference(name, monkeypatch):
+    spec = REFERENCE_SPECS[name]
+    seeds = range(4)
+    cases = [sample_case(spec, seed) for seed in seeds]
+    monkeypatch.setattr(phantom, "render_tube", reference_render_tube)
+    monkeypatch.setattr(phantom, "_apply_shadow", reference_apply_shadow)
+    monkeypatch.setattr(phantom, "_add_noise", reference_add_noise)
+    for seed, case in zip(seeds, cases):
+        ref = sample_case(spec, seed)
+        assert case.volume.dtype == ref.volume.dtype and case.volume.shape == ref.volume.shape
+        assert case.volume.tobytes() == ref.volume.tobytes(), f"seed {seed}"
+        assert case.pose.xyz_mm.tobytes() == ref.pose.xyz_mm.tobytes(), f"seed {seed}"
+        assert case.provenance == ref.provenance, f"seed {seed}"
+        if spec.shadow_probability == 1.0:
+            assert "shadow" in case.provenance
+
+
+@pytest.mark.parametrize("p0, p1, radius", [
+    ((8.3, 9.1, 7.7), (8.3, 9.1, 7.7), 3.2),        # a point: the degenerate segment
+    ((3.1, 4.2, 5.3), (12.7, 10.9, 6.4), 2.2),      # inside the volume
+    ((1.2, 14.6, 3.0), (-2.5, 18.3, 9.4), 2.6),     # its box clipped at the edges
+    ((40.0, 45.0, 50.0), (44.0, 41.0, 52.0), 2.2),  # its box wholly outside
+], ids=["point", "inside", "clipped", "outside"])
+@pytest.mark.parametrize("spacing", [1.0, 1.3])
+def test_render_tube_is_byte_equal_to_the_stacked_reference(p0, p1, radius, spacing):
+    # max-composed over a noisy volume, so both the blob and the compose count
+    base = np.random.default_rng(0).uniform(0.0, 0.5, size=(17, 19, 21)).astype(np.float32)
+    vol, ref = base.copy(), base.copy()
+    p0, p1 = np.array(p0), np.array(p1)
+    render_tube(vol, p0, p1, radius, 0.85, spacing)
+    reference_render_tube(ref, p0, p1, radius, 0.85, spacing)
+    assert vol.tobytes() == ref.tobytes()
+    assert np.array_equal(vol, base) == (p0[0] == 40.0)
+
+
+def test_sample_case_memory_stays_within_eight_volumes():
+    # a shadowed 64^3 case: the cone test holds two volume-sized float64
+    # arrays and the noise one float64 and one float32 buffer; the stacked
+    # form held about 23 volumes
+    spec = PhantomSpec(shape=(64, 64, 64), shadow_probability=1.0)
+    sample_case(spec, 1)
+    tracemalloc.start()
+    try:
+        case = sample_case(spec, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "shadow" in case.provenance
+    assert peak <= 8 * case.volume.nbytes, f"peak {peak / case.volume.nbytes:.2f} volumes"
