@@ -17,10 +17,7 @@ import argparse
 import json
 import logging
 import os
-import shutil
 import sys
-import tempfile
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -98,31 +95,6 @@ def _configured(make, **fields):
         raise UsageError(str(e)) from e
 
 
-@contextmanager
-def _writing(out: Path):
-    """The directory a command writes its out directory ``out`` through.
-    Where ``out`` does not exist, that is a new directory inside a hidden
-    staging directory next to the outermost directory the run creates.
-    When the block completes, the staged tree is renamed into place; when
-    it raises, the staging directory is removed with what was written. So
-    a failed run leaves no out directory, nor any parent it created. An
-    existing ``out`` is written in place."""
-    if out.exists():
-        yield out
-        return
-    top = out  # the outermost directory the run creates
-    while not top.parent.exists():
-        top = top.parent
-    stage = Path(tempfile.mkdtemp(prefix=f".{top.name}.", dir=top.parent))
-    try:
-        staged = stage / out.relative_to(top.parent)
-        staged.mkdir(parents=True)
-        yield staged
-        (stage / top.name).rename(top)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-
-
 def _load_detector(model_dir: Path):
     if not (model_dir / "graph.json").exists():
         raise UsageError(f"model directory not found or incomplete: {model_dir}")
@@ -158,7 +130,7 @@ def cmd_phantom_gen(args) -> int:
             "seed": args.seed,
         },
     )
-    with _writing(Path(args.out)) as out:
+    with fileio.writing(args.out) as out:
         manifest = make_dataset(
             spec, args.n_train, args.n_test, out, seed=args.seed, stamp=cfg.stamp()
         )
@@ -257,7 +229,7 @@ def cmd_train(args) -> int:
         graph.set_checkpoints(
             _configured(select_checkpoints, graph=graph, policy=args.gcp, k=args.every_k)
         )
-    with _writing(Path(args.out)) as out:
+    with fileio.writing(args.out) as out:
         result = train(
             graph,
             _training_cases(cases, args.augment),
@@ -340,7 +312,7 @@ def cmd_infer(args) -> int:
         inputs=inputs,
         paths=paths,
     )
-    with _writing(Path(args.out)) as out:
+    with fileio.writing(args.out) as out:
         for case_id, vol_path in volumes:
             volume, spacing = fileio.load_volume(vol_path)
             stack, frame = infer(graph, volume, spacing, det_cfg)
@@ -400,7 +372,7 @@ def cmd_refine(args) -> int:
     # the layout of a refine directory: per case the final pose and, with
     # --snapshot-each-iter, the trace and the pose after each iteration
     stamp = run_cfg.stamp()
-    with _writing(Path(args.out)) as out:
+    with fileio.writing(args.out) as out:
         for case_id, spacing in spacings.items():
             res = results[case_id]
             _save_prediction(
@@ -466,15 +438,16 @@ def cmd_eval(args) -> int:
             raise UsageError(f"case {cid}: spacing metadata disagrees ({ps} vs {gs})")
     report = build_report(
         {cid: preds[cid][0] for cid in common},
-        {cid: gts[cid][0] for cid in common},
+        {cid: gt[0] for cid, gt in gts.items()},
         thresholds,
     )
-    with _writing(Path(args.out)) as out:
+    with fileio.writing(args.out) as out:
         write_report(report, out, stamp=run_cfg.stamp())
         run_cfg.save(out / "run_config.json")
     log.info(
-        "evaluated %d cases: mean %.3f mm, AUC %.2f%%, coverage %.3f",
-        report.case_count, report.mean_mm, report.mean_auc, report.coverage,
+        "evaluated %d of %d ground-truth cases: mean %.3f mm, AUC %.2f%%, coverage %.3f",
+        report.case_count, report.gt_case_count, report.mean_mm, report.mean_auc,
+        report.coverage,
     )
     return 0
 

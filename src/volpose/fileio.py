@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -60,6 +62,33 @@ def reading(path: str | Path, version: int | None = None):
         if isinstance(e, FileFormatError) and str(e).startswith(str(path)):
             raise
         raise FileFormatError(f"{path}: {e}") from e
+
+
+@contextmanager
+def writing(out: str | Path):
+    """The directory to write the out directory ``out`` through. Where
+    ``out`` does not exist, that is a new directory inside a hidden staging
+    directory next to the outermost directory the block creates. When the
+    block completes, the staged tree is renamed into place; when it raises,
+    the staging directory is removed with what was written. So a failed
+    block leaves no out directory, nor any parent it created. An existing
+    ``out`` is written in place, so a ``writing`` inside another's block
+    stages nothing again."""
+    out = Path(out)
+    if out.exists():
+        yield out
+        return
+    top = out  # the outermost directory the block creates
+    while not top.parent.exists():
+        top = top.parent
+    stage = Path(tempfile.mkdtemp(prefix=f".{top.name}.", dir=top.parent))
+    try:
+        staged = stage / out.relative_to(top.parent)
+        staged.mkdir(parents=True)
+        yield staged
+        (stage / top.name).rename(top)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _plain(value):

@@ -4,7 +4,11 @@ PCK at a threshold is the fraction of predictions whose Euclidean distance
 to ground truth is strictly below it (an exactly-zero distance counts at
 every threshold, so perfect predictions score AUC 100 even at the grid's
 zero point). A landmark without a valid distance counts as a miss at every
-threshold, and reports state the valid share as ``coverage``. AUC is the
+threshold. A report scores the cases that have a prediction, and counts
+every ground-truth case: ``coverage`` is the valid landmarks over
+(ground-truth cases x 16), and the ground-truth cases without a prediction
+are listed. The PCK curves and the mean distance are over the scored cases,
+the mean over their valid landmarks only (``MEAN_RULE``). AUC is the
 trapezoidal integral of the PCK curve normalized by the grid span, in
 percent. The default threshold grid is 0..30 mm in 0.5 mm steps and is
 recorded in every report.
@@ -26,6 +30,12 @@ from volpose.registration import Pose
 class MetricsError(ValueError):
     pass
 
+
+MEAN_RULE = (
+    "mean over the valid landmarks of the scored cases; an invalid landmark "
+    "and a ground-truth case without a prediction add nothing to it, and "
+    "count against coverage"
+)
 
 GRID_MAX_MM = 30.0
 GRID_STEP_MM = 0.5
@@ -98,9 +108,11 @@ class EvalReport:
     per_landmark_auc: np.ndarray              # (16,)
     mean_mm: float
     mean_auc: float
-    coverage: float                           # valid landmarks / (cases * 16)
+    coverage: float                           # valid landmarks / (ground-truth cases * 16)
     pck: dict
-    case_ids: list[str]
+    case_ids: list[str]                       # the scored cases
+    gt_case_count: int
+    missing_case_ids: list[str]               # ground-truth cases without a prediction
     segment_lengths_mm: dict[str, list[float]] = field(default_factory=dict)
     thresholds: np.ndarray = field(default_factory=lambda: DEFAULT_THRESHOLDS.copy())
 
@@ -114,6 +126,9 @@ def build_report(
     gts: dict[str, Pose],
     thresholds: np.ndarray | None = None,
 ) -> EvalReport:
+    """Score every case of ``preds`` against ``gts``, which must hold each of
+    them; a case of ``gts`` without a prediction scores nothing and is
+    listed in ``missing_case_ids``."""
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS.copy()
     ids = sorted(preds)
@@ -133,14 +148,17 @@ def build_report(
         [auc(curve["per_landmark"][:, j], thresholds) for j in range(rows.shape[1])]
     )
     seg = {i: segment_lengths(preds[i]).tolist() for i in ids}
+    missing_gt = sorted(set(gts) - set(preds))
     return EvalReport(
         per_landmark_mean_mm=per_mean,
         per_landmark_auc=per_auc,
         mean_mm=mean_mm,
         mean_auc=auc(curve["pooled"], thresholds),
-        coverage=float(curve["n_valid"].sum() / rows.size),
+        coverage=float(curve["n_valid"].sum() / (len(gts) * NUM_LANDMARKS)),
         pck=curve,
         case_ids=ids,
+        gt_case_count=len(gts),
+        missing_case_ids=missing_gt,
         segment_lengths_mm=seg,
         thresholds=thresholds,
     )
@@ -163,7 +181,10 @@ def write_report(report: EvalReport, out_dir: str | Path, stamp: dict | None = N
     doc = {
         "case_count": report.case_count,
         "case_ids": report.case_ids,
+        "gt_case_count": report.gt_case_count,
+        "missing_case_ids": report.missing_case_ids,
         "mean_distance_mm": _mm_or_null(report.mean_mm),
+        "mean_distance_rule": MEAN_RULE,
         "mean_auc_percent": report.mean_auc,
         "coverage": report.coverage,
         "per_landmark_mean_mm": [_mm_or_null(v) for v in report.per_landmark_mean_mm],

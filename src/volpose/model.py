@@ -282,12 +282,34 @@ def prepare_volume(
 # inference
 # ---------------------------------------------------------------------------
 
+def predict(graph: Graph, net_in: np.ndarray) -> np.ndarray:
+    """The heatmap head for the network input ``net_in``, from a forward
+    that no backward follows.
+
+    The forward discards, with the head as its only checkpoint, so it frees
+    each value after its last forward consumer, except what a discarding
+    forward always retains (the input and the skip inputs of each concat).
+    The head has the plain forward's bits. Every value is released from the
+    graph before the head is returned, so no backward can follow, and the
+    graph's checkpoint set is left as it was found.
+    """
+    out = output_node(graph)
+    checkpoints = graph.checkpoint_set
+    graph.checkpoint_set = {out}
+    try:
+        graph.forward({"volume": net_in}, discard=True, to_node=out)
+        return graph.value(out)
+    finally:
+        graph.checkpoint_set = checkpoints
+        graph.schedule = None
+        for node in graph.nodes:
+            node.value = None
+
+
 def infer(graph: Graph, volume: np.ndarray, spacing, cfg: DetectorConfig) -> tuple[np.ndarray, NetFrame]:
     """Predicted 16-channel heatmap stack in the network frame."""
     net_in, frame = prepare_volume(volume, spacing, cfg)
-    out = output_node(graph)
-    graph.forward({"volume": net_in}, to_node=out)
-    return graph.value(out).copy(), frame
+    return predict(graph, net_in), frame
 
 
 def decode_prediction(

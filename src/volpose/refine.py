@@ -8,6 +8,16 @@ the proxy. Support set and proxy are rebuilt every iteration, so the
 supervision evolves with the prediction. The base model is never mutated.
 Batch norm always normalizes with the volume's own statistics. Nothing here
 reads or writes files: results and traces go back to the caller.
+
+What an iteration holds: the network input, the values the last forward
+retained for the backward (the head among them), and the support set. It
+builds the proxy one channel at a time (``build_label_proxy``), drops its
+own reference to the head before the backward and the head's gradient
+after it, and drops the proxy once the loss after the step is read. So
+nothing of one iteration outlives it but the new forward's values and the
+decoded pose. The forward after the last step, or the only one when no
+step runs, is followed by no backward: it retains only the head
+(``model.predict``).
 """
 
 from __future__ import annotations
@@ -20,7 +30,13 @@ import numpy as np
 from volpose import ops
 from volpose.graph import Graph, GraphError, NonFiniteValue
 from volpose.heatmap import CONFIDENCE_FLOOR, WINDOW, DecodedPose, check_decode
-from volpose.model import DetectorConfig, decode_prediction, output_node, prepare_volume
+from volpose.model import (
+    DetectorConfig,
+    decode_prediction,
+    output_node,
+    predict,
+    prepare_volume,
+)
 from volpose.optim import Adam
 from volpose.registration import (
     PoseLibrary,
@@ -81,6 +97,39 @@ class RefineResult:
         }
 
 
+def _forward(graph: Graph, net_in: np.ndarray, last: bool) -> np.ndarray:
+    """The head for ``net_in``. The forward retains what the next step's
+    backward reads, or, when it is the ``last`` and no backward follows, only
+    the head (``model.predict``)."""
+    if last:
+        return predict(graph, net_in)
+    graph.forward({"volume": net_in}, to_node=output_node(graph))
+    return graph.value(output_node(graph))
+
+
+def _update(
+    graph: Graph, adam: Adam, net_in: np.ndarray, proxy: np.ndarray, last: bool
+) -> tuple[float, float, np.ndarray]:
+    """One Adam step of the detector toward ``proxy``: the proxy loss before
+    and after it, and the head after it.
+
+    The head before the step is on the graph from the last forward, and the
+    proxy loss's gradient there seeds the backward. This frame drops its
+    reference to the old head before the backward and the seed after it, so
+    neither outlives the backward.
+    """
+    pred = graph.value(output_node(graph))
+    loss_pre = float(ops.l2_loss_forward(pred, proxy))
+    grad_head, _ = ops.l2_loss_backward(
+        pred, proxy, np.asarray(1.0, dtype=pred.dtype), target_grad=False
+    )
+    del pred
+    adam.step(graph.backward_plain(grad_head))
+    del grad_head
+    head = _forward(graph, net_in, last)
+    return loss_pre, float(ops.l2_loss_forward(head, proxy)), head
+
+
 def refine(
     base_graph: Graph,
     volume: np.ndarray,
@@ -92,12 +141,11 @@ def refine(
     """Refine one case. The base graph's parameters are copied, never touched."""
     graph = base_graph.clone()
     net_in, frame = prepare_volume(volume, spacing, detector_cfg)
-    out_id = output_node(graph)
     adam = Adam(graph.parameters(), lr=cfg.lr)
 
-    graph.forward({"volume": net_in}, to_node=out_id)
     initial = decode_prediction(
-        graph.value(out_id), frame, cfg.window, cfg.confidence_floor
+        _forward(graph, net_in, last=not cfg.iterations), frame, cfg.window,
+        cfg.confidence_floor,
     )
     current = initial
     trace: list[IterationRecord] = []
@@ -114,21 +162,14 @@ def refine(
             frame.net_shape, detector_cfg.sigma_vox,
         )
         try:
-            # the prediction is on the graph from the last forward to the
-            # head: the proxy loss's gradient there seeds the backward
-            pred = graph.value(out_id)
-            loss_pre = float(ops.l2_loss_forward(pred, proxy))
-            grad_head, _ = ops.l2_loss_backward(
-                pred, proxy, np.asarray(1.0, dtype=pred.dtype), target_grad=False
+            loss_pre, loss_post, head = _update(
+                graph, adam, net_in, proxy, last=it == cfg.iterations - 1
             )
-            adam.step(graph.backward_plain(grad_head))
-            graph.forward({"volume": net_in}, to_node=out_id)
-            loss_post = float(ops.l2_loss_forward(graph.value(out_id), proxy))
         except NonFiniteValue as e:
             return RefineResult(initial, trace, aborted=True, note=f"non-finite value: {e}")
-        current = decode_prediction(
-            graph.value(out_id), frame, cfg.window, cfg.confidence_floor
-        )
+        current = decode_prediction(head, frame, cfg.window, cfg.confidence_floor)
+        # nothing here may hold the head into the next step, whose backward frees it
+        del proxy, head
         trace.append(
             IterationRecord(
                 iteration=it,

@@ -206,15 +206,24 @@ def build_label_proxy(
     ``points_vox`` is (K, 16, 3) continuous voxel positions (x, y, z) on the
     grid ``shape``, ``present`` the (K, 16) landmark mask. A landmark outside
     the grid contributes a zero (or edge-clipped) map for its channel.
+
+    The proxy is built one channel at a time: a float64 accumulator of one
+    channel's size sums the channel's present maps in ascending k, is
+    divided by K and is cast into the float32 proxy. So the bits are those
+    of a whole (16, D, H, W) float64 stack summed in the same order, at
+    1/16 of its memory.
     """
     if len(points_vox) == 0:
         raise RegistrationError("support set is empty")
-    nz, ny, nx = shape
-    acc = np.zeros((NUM_LANDMARKS, nz, ny, nx), dtype=np.float64)
-    chan = np.zeros((nz, ny, nx), dtype=np.float32)
-    for k, j in zip(*np.nonzero(present)):
-        chan[:] = 0.0
-        heatmap.encode_channel(points_vox[k, j], shape, sigma_vox, out=chan)
-        acc[j] += chan
-    acc /= len(points_vox)
-    return acc.astype(np.float32)
+    proxy = np.empty((NUM_LANDMARKS, *shape), dtype=np.float32)
+    acc = np.empty(shape, dtype=np.float64)
+    chan = np.empty(shape, dtype=np.float32)
+    for j in range(NUM_LANDMARKS):
+        acc[:] = 0.0
+        for k in np.flatnonzero(present[:, j]):
+            chan[:] = 0.0
+            heatmap.encode_channel(points_vox[k, j], shape, sigma_vox, out=chan)
+            acc += chan
+        acc /= len(points_vox)
+        proxy[j] = acc
+    return proxy

@@ -614,6 +614,27 @@ def test_eval_perfect_predictions(dataset, tmp_path):
     assert table[1].split(",") == ["metric"] + [f"L{j}" for j in range(1, 17)] + ["mean"]
 
 
+def test_eval_counts_every_ground_truth_case(dataset, tmp_path):
+    # predictions for 2 of the 5 ground-truth cases: the other 3 are listed
+    # and count against coverage; the 2 scored ones are perfect
+    gt_dir = dataset / "cases"
+    gt_paths = sorted(gt_dir.glob("*_pose.json"))
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    for path in gt_paths[:2]:
+        shutil.copy(path, pred_dir / path.name)
+    out = tmp_path / "eval"
+    assert main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    ids = [path.name[: -len("_pose.json")] for path in gt_paths]
+    assert report["case_ids"] == ids[:2] and report["case_count"] == 2
+    assert report["gt_case_count"] == 5
+    assert report["missing_case_ids"] == ids[2:]
+    assert report["coverage"] == 2 / 5
+    assert report["mean_distance_mm"] == 0.0
+    assert report["mean_distance_rule"] == metrics.MEAN_RULE
+
+
 def test_eval_reports_reproducible(dataset, tmp_path):
     gt_dir = dataset / "cases"
     outs = [tmp_path / "e1", tmp_path / "e2"]

@@ -19,6 +19,7 @@ from volpose.model import (
     decode_prediction,
     infer,
     output_node,
+    predict,
     prepare_volume,
     train,
 )
@@ -53,6 +54,25 @@ def test_depth1_output_shape():
     vol = np.random.default_rng(0).normal(size=(8, 8, 8)).astype(np.float32)
     stack, frame = infer(g, vol, 1.0, cfg)
     assert stack.shape == (16, 8, 8, 8)
+
+
+@pytest.mark.parametrize("checkpoints", [set(), {3, 7}])
+def test_predict_keeps_no_values_and_gives_the_plain_head(checkpoints):
+    # a forward that no backward follows: the plain forward's head bits, the
+    # caller's checkpoint set as it was, no value left on the graph, and no
+    # backward to run
+    cfg = small_cfg(depth=2)
+    g = build_detector(cfg, seed=4)
+    g.set_checkpoints(checkpoints)
+    net_in = np.random.default_rng(5).normal(size=(1, 8, 8, 8)).astype(np.float32)
+    g.forward({"volume": net_in}, to_node=output_node(g))
+    plain = g.value(output_node(g)).copy()
+    head = predict(g, net_in)
+    assert head.tobytes() == plain.tobytes()
+    assert g.checkpoint_set == checkpoints
+    assert all(node.value is None for node in g.nodes)
+    with pytest.raises(MissingValue):
+        g.backward_plain(np.ones_like(head))
 
 
 def test_depth3_has_three_concats():

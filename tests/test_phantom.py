@@ -12,6 +12,7 @@ from volpose.phantom import (
     PhantomCase,
     PhantomError,
     PhantomSpec,
+    _cross,
     augment,
     make_dataset,
     render_tube,
@@ -184,6 +185,22 @@ def test_make_dataset_seeds_disjoint_and_counts(tmp_path):
     assert len(seeds) == len(set(seeds)) == 8
     assert sum(c["split"] == "train" for c in manifest["cases"]) == 5
     assert sum(c["split"] == "test" for c in manifest["cases"]) == 3
+
+
+def test_cross_is_byte_equal_to_numpy_cross():
+    rng = np.random.default_rng(31)
+    for scale in (1e-6, 1.0, 1e6):
+        for _ in range(200):
+            a, b = rng.normal(scale=scale, size=(2, 3))
+            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
+def test_failed_make_dataset_leaves_nothing_behind(tmp_path):
+    # at 38 voxels seeds 4 and 5 are written before seed 6 cannot be placed
+    out = tmp_path / "data" / "phantoms"
+    with pytest.raises(PhantomError):
+        make_dataset(PhantomSpec(shape=(38, 38, 38)), 2, 1, out, seed=4)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dataset_regenerates_bit_identical(tmp_path):

@@ -1,5 +1,7 @@
-"""Test-time refinement: isolation, no-op loop, declined path, loss trend."""
+"""Test-time refinement: isolation, no-op loop, declined path, loss trend,
+the label proxy's bits and what an iteration holds."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,7 +16,9 @@ from volpose.model import (
 )
 import volpose.refine as refine_module
 from volpose.refine import RefineConfig, refine, refine_batch
-from volpose.registration import Pose, PoseLibrary
+from volpose import heatmap
+from volpose.anatomy import NUM_LANDMARKS
+from volpose.registration import Pose, PoseLibrary, build_label_proxy
 
 
 CFG = DetectorConfig(depth=1, base_channels=4, input_scale=1.0, sigma_vox=2.0)
@@ -203,3 +207,60 @@ def test_proxy_lands_in_the_network_frame(monkeypatch):
     dec = decode_prediction(proxy, frame)
     err = np.linalg.norm(dec.xyz_mm - support.aligned_mm[0], axis=1)
     assert err.max() < 1.0
+
+
+def reference_build_label_proxy(points_vox, present, shape, sigma_vox):
+    """The label proxy as a whole (16, D, H, W) float64 stack: every present
+    map added to its channel in ascending k, then divided by K and cast."""
+    nz, ny, nx = shape
+    acc = np.zeros((NUM_LANDMARKS, nz, ny, nx), dtype=np.float64)
+    chan = np.zeros((nz, ny, nx), dtype=np.float32)
+    for k, j in zip(*np.nonzero(present)):
+        chan[:] = 0.0
+        heatmap.encode_channel(points_vox[k, j], shape, sigma_vox, out=chan)
+        acc[j] += chan
+    acc /= len(points_vox)
+    return acc.astype(np.float32)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_label_proxy_is_byte_equal_to_the_whole_stack_reference(k):
+    rng = np.random.default_rng(100 + k)
+    shape = (12, 14, 16)
+    # positions on and around the grid: some landmarks fall outside it,
+    # some only partly, and about a quarter are masked
+    points = rng.uniform(-4.0, 19.0, size=(k, NUM_LANDMARKS, 3))
+    points[0, 3] = (-30.0, 5.0, 5.0)
+    present = rng.uniform(size=(k, NUM_LANDMARKS)) > 0.25
+    present[:, 5] = False
+    outside = (points < 0).any(axis=-1) | (points > np.array([15, 13, 11])).any(axis=-1)
+    assert (outside & present).any() and (~present).any()
+    proxy = build_label_proxy(points, present, shape, 2.0)
+    expected = reference_build_label_proxy(points, present, shape, 2.0)
+    assert proxy.dtype == expected.dtype and proxy.shape == expected.shape
+    assert proxy.tobytes() == expected.tobytes()
+    assert not proxy[5].any()
+
+
+def test_later_iterations_hold_no_more_than_the_first():
+    # an iteration keeps nothing of the last one: not the old head, not its
+    # gradient, not the old proxy. At 32^3 each of those is 2 MB
+    cfg = DetectorConfig(depth=1, base_channels=4, input_scale=1.0, sigma_vox=2.0)
+    rng = np.random.default_rng(11)
+    g = build_detector(cfg, seed=0)
+    vol = volume(rng, shape=(32, 32, 32))
+    lib = library(rng, shape=(32, 32, 32), margin=8.0)
+
+    def peak(iterations):
+        tracemalloc.start()
+        try:
+            res = refine(g, vol, 1.0, lib, cfg,
+                         RefineConfig(iterations=iterations, k_support=4, confidence_floor=0.0))
+            return tracemalloc.get_traced_memory()[1], res
+        finally:
+            tracemalloc.stop()
+
+    one, res1 = peak(1)
+    three, res3 = peak(3)
+    assert len(res1.trace) == 1 and len(res3.trace) == 3
+    assert three <= one + 0.25e6, f"3 iterations peak at {three / 1e6:.2f} MB, 1 at {one / 1e6:.2f} MB"
