@@ -22,13 +22,20 @@ memory account walks the same program: it sizes each value by the
 step. The executor checks the meter's cap against that peak before each
 walk; ``memplan`` builds the same schedule from shapes alone.
 
+A ``channel_concat`` holds no buffer of its own: its value is an
+``ops.Blocks`` of its inputs' arrays, which conv3d reads block by block and
+any other op's kernels get joined. So each input of a concat stays in its
+node for as long as the concat is live, and a free still releases its value.
+
 What the program keeps. One rule frees values in a sequence of runs: a
-value not kept dies right after its last consumer there.
+value not kept dies right after its last consumer there, and a concat's
+input no earlier than the concat. A kept concat keeps its inputs.
   * the forward runs the target and its ancestors, keeping the retained
     values. A plain forward retains every value some backward step reads,
     and the inputs, the target and the loss. On the reference detector that
-    frees every batch-norm output (a ReLU masks by its own output) and every
-    deconv output (a concat reads no value);
+    frees every batch-norm output (a ReLU masks by its own output); a
+    deconv output, which no backward step reads, stays as its concat's
+    first block;
   * a discarding forward retains the inputs, the target and the loss, and,
     of the values some backward step reads, the members of
     ``checkpoint_set`` and the direct inputs of any ``channel_concat``. A
@@ -37,7 +44,7 @@ value not kept dies right after its last consumer there.
     runs, but a freed skip input is recomputed in the backward, next to the
     decoder's live values. On the reference detector at 32^3 under
     ``block_boundary``, dropping the rule takes the forward peak from 7.27 to
-    5.89 MB but the step peak from 9.36 to 12.18 MB, and recomputes 40 values
+    5.89 MB but the step peak from 9.36 to 11.13 MB, and recomputes 40 values
     instead of 34;
   * before each grad, the backward runs the freed values its step reads,
     and the freed values those read in turn, in forward order from live
@@ -48,10 +55,15 @@ value not kept dies right after its last consumer there.
 The account counts node values and the gradients the backward holds (not
 parameters, not kernel workspace): an activation gradient from the step
 that makes it to the step that consumes it, a parameter gradient from its
-step to the end of the walk. A kernel's workspace stays outside it, and is
-small: a conv3d call holds one column block's padded planes, stack and
-accumulator (``ops.CONV_BLOCK``), about 2 MB for the reference detector's
-widest 32^3 layer, growing with a plane of the volume but not its depth.
+step to the end of the walk. A concat's value counts 0 bytes, its inputs'
+having been counted. conv3d gives the gradient of a concat one array per
+block, and the concat's grad hands those on to its inputs, so that step
+adds no bytes; a concat gradient that is one array (from another reader)
+is split into copies, a transient the account leaves out. A kernel's
+workspace stays outside it, and is small: a conv3d call holds one column
+block's padded planes, stack and accumulator (``ops.CONV_BLOCK``), about
+2 MB for the reference detector's widest 32^3 layer, growing with a plane
+of the volume but not its depth.
 """
 
 from __future__ import annotations
@@ -126,7 +138,9 @@ class Op:
     ``reads`` declares what the backward reads, and so what ``xs`` holds
     there: ``"inputs"``, the input values; ``"output"``, the op's own value;
     ``"shapes"``, no value, only the planned input shapes. The schedule keeps
-    a value only while some backward step reads it.
+    a value only while some backward step reads it. ``blocks`` says the
+    kernels read a concat's value (an ``ops.Blocks``) as it is; any other
+    op's kernels get it joined by ``np.asarray``.
     Kernels are looked up on ``ops`` at call time, so a rebound
     ``volpose.ops`` attribute sees every call.
     """
@@ -135,6 +149,7 @@ class Op:
     backward: Callable | None
     shape: Callable | None
     reads: str = "inputs"
+    blocks: bool = False
 
 
 def _with_params(result: tuple, *names: str) -> tuple[list, dict]:
@@ -158,6 +173,7 @@ OP_TABLE: dict[str, Op] = {
             "bias",
         ),
         lambda n, s: (n.params["weight"].shape[0],) + s[0][1:],
+        blocks=True,
     ),
     "deconv3d": Op(
         lambda n, x: ops.deconv3d_forward(x[0], n.params["weight"], n.params["bias"]),
@@ -242,15 +258,28 @@ def _reads(node: Node) -> list[int]:
     return node.inputs if reads == "inputs" else [node.nid] if reads == "output" else []
 
 
+def _hold_concat_inputs(nodes: list[Node], nids, last: dict[int, int]) -> None:
+    """Give each input of a concat among ``nids`` at least the concat's
+    ``last`` (the last position that reads it): a concat's value is its
+    inputs' arrays, so none of them may be freed before it."""
+    for nid in sorted(nids, reverse=True):  # an outer concat before an inner one
+        if nodes[nid].op == "channel_concat" and nid in last:
+            for i in nodes[nid].inputs:
+                last[i] = max(last.get(i, -1), last[nid])
+
+
 def _run_then_free(nodes: list[Node], order: list[int], kept: set[int]) -> list[tuple[str, int]]:
     """Run ``order`` in turn, freeing each value not in ``kept`` right after
-    its last consumer there."""
+    its last consumer there, or a concat input's, with its concat."""
     last = {i: j for j, nid in enumerate(order) for i in nodes[nid].inputs}
+    _hold_concat_inputs(nodes, order, last)
+    dies: dict[int, list[int]] = {}
+    for i, j in last.items():
+        dies.setdefault(j, []).append(i)
     actions = []
     for j, nid in enumerate(order):
         actions.append(("run", nid))
-        actions += [("free", i) for i in dict.fromkeys(nodes[nid].inputs)
-                    if last[i] == j and i not in kept]
+        actions += [("free", i) for i in dies.get(j, []) if i not in kept]
     return actions
 
 
@@ -270,7 +299,8 @@ class Schedule:
       never runs an input, and every checkpoint set gives a program that
       runs;
     * ``shapes`` and ``nbytes``: the planned shape and bytes of each needed
-      value;
+      value (a concat's are its blocks', which the account charges to its
+      inputs);
     * ``forward_peak`` and ``step_peak``: the peak of live bytes over
       ``program[:split]``, and over the whole program, held gradients
       included.
@@ -311,6 +341,12 @@ class Schedule:
         # each backward step
         alive = keep.intersection(last) | set(graph.inputs.values()) | {target, graph.loss_id}
         alive.intersection_update(need)
+        # a concat's inputs live as long as it does: retained with it, and
+        # freed after its last read, not before
+        for nid in walk:
+            if nodes[nid].op == "channel_concat" and nid in alive:
+                alive.update(nodes[nid].inputs)
+        _hold_concat_inputs(nodes, walk, last)
 
         program = _run_then_free(nodes, need, alive)
         split = len(program)
@@ -329,6 +365,7 @@ class Schedule:
         # module docstring says (the seed is the target's gradient)
         shapes = value_shapes(graph, need, input_shapes)
         nbytes = {nid: math.prod(s) * graph.dtype.itemsize for nid, s in shapes.items()}
+        own = {nid: 0 if nodes[nid].op == "channel_concat" else b for nid, b in nbytes.items()}
         live = peak = forward_peak = 0
         held = {target}
         for k, (action, nid) in enumerate(program):
@@ -336,18 +373,21 @@ class Schedule:
                 forward_peak = peak
                 live += nbytes[target]
             if action == "run":
-                live += nbytes[nid]
+                live += own[nid]
                 peak = max(peak, live)
             elif action == "free":
-                live -= nbytes[nid]
+                live -= own[nid]
             else:
+                done = nbytes[nid] if nid in held else 0
                 if nid in requires_grad:
                     made = set(nodes[nid].inputs).intersection(requires_grad) - held
                     held |= made
                     live += sum(nbytes[i] for i in made)
                     live += sum(p.nbytes for p in nodes[nid].params.values())
+                if nodes[nid].op == "channel_concat":
+                    live, done = live - done, 0  # its gradient's blocks are its inputs'
                 peak = max(peak, live)
-                live -= nbytes[nid] if nid in held else 0
+                live -= done
         return cls(target, requires_grad, program, split, shapes, nbytes, forward_peak, peak)
 
 
@@ -439,7 +479,7 @@ class Graph:
         for i, v in zip(nids, vals):
             if v is None:
                 raise MissingValue(f"node {node.nid}: node {i} has no stored value")
-        return vals
+        return vals if OP_TABLE[node.op].blocks else [np.asarray(v) for v in vals]
 
     def _execute(self, actions: list[tuple[str, int]], schedule: Schedule, feeds: dict | None,
                  grads: dict | None) -> dict[str, np.ndarray]:
@@ -465,7 +505,8 @@ class Graph:
                     except ShapeMismatch as e:
                         raise ShapeMismatch(f"node {nid} ({node.op}): {e}") from e
                 self._store(node, val, schedule.nbytes[nid])
-                if feeds is not None and val.size and not (
+                # a concat's blocks were checked as its inputs' values
+                if feeds is not None and isinstance(val, np.ndarray) and val.size and not (
                         np.isfinite(val.min()) and np.isfinite(val.max())):
                     raise NonFiniteValue(nid, node.op, f" tag={node.attrs.get('tag', '')}")
                 del val  # no reference here may outlive the value's free
@@ -484,7 +525,7 @@ class Graph:
         gins, gparams = op.backward(node, xs, g, want)
         for i, gi, wanted in zip(node.inputs, gins, want):
             if wanted:
-                grads[i] = grads[i] + gi if i in grads else gi
+                grads[i] = np.add(grads[i], gi) if i in grads else gi  # joins blocks
         for name, gp in gparams.items():
             gradmap[f"{node.nid}.{name}"] = gp
 

@@ -12,6 +12,15 @@ the mean over their valid landmarks only (``MEAN_RULE``). AUC is the
 trapezoidal integral of the PCK curve normalized by the grid span, in
 percent. The default threshold grid is 0..30 mm in 0.5 mm steps and is
 recorded in every report.
+
+Two counts over the six left/right limb pairs of ``anatomy.LANDMARKS`` show
+left/right labelling, which the means cannot tell from a blurry peak. A
+limb landmark is ``mislabelled`` when it lies more than ``MISLABEL_OWN_MM``
+from its own truth and within ``MISLABEL_PARTNER_MM`` of its partner's; a
+pair is collapsed when its two predictions lie within ``COLLAPSE_MM`` of
+each other. A landmark takes part only where both its prediction and its
+truth are present (and, to be mislabelled, its partner's truth); a midline
+landmark never does. The margins are recorded next to the counts.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from volpose.anatomy import NUM_LANDMARKS, SEGMENTS, landmark_names
+from volpose.anatomy import LANDMARKS, NUM_LANDMARKS, SEGMENTS, landmark_names
 from volpose.fileio import write_csv, write_json
 from volpose.registration import Pose
 
@@ -39,6 +48,14 @@ MEAN_RULE = (
 
 GRID_MAX_MM = 30.0
 GRID_STEP_MM = 0.5
+
+# left/right labelling margins (see the module docstring)
+MISLABEL_OWN_MM = 8.0
+MISLABEL_PARTNER_MM = 6.0
+COLLAPSE_MM = 4.0
+
+# 0-based (left, right) landmark indices of each symmetric limb pair
+LIMB_PAIRS = tuple((ld.index - 1, ld.swap_with - 1) for ld in LANDMARKS if ld.side == "left")
 
 
 def threshold_grid(grid_max: float = GRID_MAX_MM, step: float = GRID_STEP_MM) -> np.ndarray:
@@ -91,6 +108,23 @@ def auc(pck_values: np.ndarray, thresholds: np.ndarray) -> float:
     return float(np.trapezoid(np.asarray(pck_values, dtype=np.float64), thresholds) / span * 100.0)
 
 
+def labelling_counts(pred: Pose, gt: Pose) -> tuple[int, int]:
+    """(mislabelled limb landmarks, collapsed limb pairs) of one case."""
+    valid = pred.present & gt.present
+    mislabelled = collapsed = 0
+    for a, b in LIMB_PAIRS:
+        for own, partner in ((a, b), (b, a)):
+            if valid[own] and gt.present[partner]:
+                p = pred.xyz_mm[own]
+                mislabelled += bool(
+                    np.linalg.norm(p - gt.xyz_mm[own]) > MISLABEL_OWN_MM
+                    and np.linalg.norm(p - gt.xyz_mm[partner]) <= MISLABEL_PARTNER_MM
+                )
+        if valid[a] and valid[b]:
+            collapsed += bool(np.linalg.norm(pred.xyz_mm[a] - pred.xyz_mm[b]) <= COLLAPSE_MM)
+    return mislabelled, collapsed
+
+
 def segment_lengths(pose: Pose) -> np.ndarray:
     """The 15 canonical segment lengths in mm; NaN where an endpoint is masked."""
     out = np.zeros(len(SEGMENTS))
@@ -113,6 +147,8 @@ class EvalReport:
     case_ids: list[str]                       # the scored cases
     gt_case_count: int
     missing_case_ids: list[str]               # ground-truth cases without a prediction
+    mislabelled: int                          # limb landmarks, over the scored cases
+    collapsed_pairs: int                      # limb pairs, over the scored cases
     segment_lengths_mm: dict[str, list[float]] = field(default_factory=dict)
     thresholds: np.ndarray = field(default_factory=lambda: DEFAULT_THRESHOLDS.copy())
 
@@ -149,6 +185,7 @@ def build_report(
     )
     seg = {i: segment_lengths(preds[i]).tolist() for i in ids}
     missing_gt = sorted(set(gts) - set(preds))
+    mislabelled, collapsed = np.sum([labelling_counts(preds[i], gts[i]) for i in ids], axis=0)
     return EvalReport(
         per_landmark_mean_mm=per_mean,
         per_landmark_auc=per_auc,
@@ -159,6 +196,8 @@ def build_report(
         case_ids=ids,
         gt_case_count=len(gts),
         missing_case_ids=missing_gt,
+        mislabelled=int(mislabelled),
+        collapsed_pairs=int(collapsed),
         segment_lengths_mm=seg,
         thresholds=thresholds,
     )
@@ -187,6 +226,13 @@ def write_report(report: EvalReport, out_dir: str | Path, stamp: dict | None = N
         "mean_distance_rule": MEAN_RULE,
         "mean_auc_percent": report.mean_auc,
         "coverage": report.coverage,
+        "mislabelled": report.mislabelled,
+        "collapsed_pairs": report.collapsed_pairs,
+        "labelling_margins_mm": {
+            "mislabelled_own_more_than": MISLABEL_OWN_MM,
+            "mislabelled_partner_within": MISLABEL_PARTNER_MM,
+            "collapsed_within": COLLAPSE_MM,
+        },
         "per_landmark_mean_mm": [_mm_or_null(v) for v in report.per_landmark_mean_mm],
         "per_landmark_auc_percent": report.per_landmark_auc,
         "landmark_names": landmark_names(),

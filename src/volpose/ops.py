@@ -31,6 +31,18 @@ order whatever the block width, so their bits do not depend on
 ``CONV_BLOCK``; ``gw`` splits its inner dimension at the block edges, so
 its bits do, wherever a layer has more than two blocks of columns.
 
+conv3d's operand may be a :class:`Blocks`, channel blocks read as one
+operand: ``concat_forward`` returns its inputs so, holding no buffer of its
+own. The padded planes are copied from it block by block (for k = 1 too,
+which then reads whole planes through the same reader instead of x in
+place), so the forward, ``gw`` and ``gx`` read the same bytes, and give
+the same bits, as from the joined array. ``gx`` for such an operand is one
+array per block: the tap GEMMs fill the same block-sized accumulator, whose
+rows go to each block's array, and ``concat_backward`` returns those
+arrays as they are. A gradient that is one array it splits into copies, so
+no input's gradient shares memory with another's or keeps the whole alive.
+``np.asarray`` joins a ``Blocks`` for any other reader.
+
 max_pool3d works on the 8 strided views of x, one per window position: the
 forward is a running maximum over them in window-linear order, and the
 backward hands each window's gradient to the first view that holds its max.
@@ -69,6 +81,39 @@ class ShapeMismatch(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ShapeMismatch(msg)
+
+
+class Blocks:
+    """Channel blocks read as one (C, D, H, W) operand, holding no buffer of
+    its own: a ``channel_concat`` value, and conv3d's ``gx`` for one.
+
+    conv3d reads it block by block; ``np.asarray`` joins it for any other
+    reader. ``x[i]`` is channel i.
+    """
+
+    def __init__(self, parts: list[np.ndarray]):
+        self.parts = list(parts)
+        self.shape = (sum(p.shape[0] for p in self.parts), *self.parts[0].shape[1:])
+        self.dtype = np.result_type(*self.parts)
+        self.ndim = len(self.shape)
+        self.size = int(np.prod(self.shape))
+        self.nbytes = sum(p.nbytes for p in self.parts)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        for c0, p in _parts(self):
+            if c0 <= i < c0 + p.shape[0]:
+                return p[i - c0]
+        raise IndexError(f"channel {i} of {self.shape[0]}")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.concatenate(self.parts, axis=0, dtype=dtype)
+
+
+def _parts(x: np.ndarray | Blocks) -> list[tuple[int, np.ndarray]]:
+    """(first channel, array) of each block of x; an array is one block."""
+    parts = x.parts if isinstance(x, Blocks) else [x]
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts[:-1]])
+    return list(zip(offsets.tolist(), parts))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +161,10 @@ def conv3d_backward(
     gx = None
     if input_grad:
         flipped = weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-        gx = np.empty(x.shape, dtype=grad_out.dtype)
+        if isinstance(x, Blocks):
+            gx = Blocks([np.empty(p.shape, dtype=grad_out.dtype) for p in x.parts])
+        else:
+            gx = np.empty(x.shape, dtype=grad_out.dtype)
         _tap_conv(grad_out, _tap_weights(flipped), gx)
     return gx, gw, gb
 
@@ -182,7 +230,7 @@ def _planes(x: np.ndarray, k: int, width: int):
     """
     c, d, h, w = x.shape
     p = k // 2
-    if p == 0:
+    if p == 0 and not isinstance(x, Blocks):
         flat = x.reshape(c, -1)
         return lambda start: (flat, 0)
     hp, wp = h + 2 * p, w + 2 * p
@@ -195,7 +243,8 @@ def _planes(x: np.ndarray, k: int, width: int):
         nz = min(d + 2 * p, (start + width - 1) // plane + 1) - z0
         a, b = (min(max(z - z0, 0), nz) for z in (p, p + d))  # buffer planes of x
         inner[:, :a] = 0
-        inner[:, a:b] = x[:, z0 + a - p : z0 + b - p]
+        for c0, part in _parts(x):
+            inner[c0 : c0 + part.shape[0], a:b] = part[:, z0 + a - p : z0 + b - p]
         inner[:, b:nz] = 0
         return buf[:, :nz].reshape(c, -1), z0 * plane
 
@@ -254,15 +303,17 @@ def _tap_conv(x: np.ndarray, wk: np.ndarray, out: np.ndarray, bias: np.ndarray |
     halo = offsets[-1]
     planes = _planes(x, k, step + halo + k - 1)
     stack = np.empty((k * cin, step + halo), dtype=x.dtype) if k > 1 else None
+    direct = out.reshape(cout, -1) if k == 1 and not isinstance(out, Blocks) else None
     # flat, so that a short block's (Cout, w) views are contiguous too: numpy
     # buffers an in-place add of strided views
-    acc, tmp = np.empty((2, cout * step), dtype=x.dtype) if k > 1 else (None, None)
+    acc = np.empty(cout * step, dtype=x.dtype) if direct is None else None
+    tmp = np.empty(cout * step, dtype=x.dtype) if k > 1 else None
     for j in range(0, n, step):
         e = min(j + step, n)
         f, base = planes(j)
         s = _stack_block(f, k, j - base, e - j + halo, stack)
-        if k == 1:
-            a = out.reshape(cout, -1)[:, j:e]
+        if direct is not None:
+            a = direct[:, j:e]
         else:
             a = acc[: cout * (e - j)].reshape(cout, -1)
         np.matmul(wk[0], s[:, : e - j], out=a)  # tap pair (0, 0) is at offset 0
@@ -270,7 +321,7 @@ def _tap_conv(x: np.ndarray, wk: np.ndarray, out: np.ndarray, bias: np.ndarray |
             t = tmp[: a.size].reshape(a.shape)
             np.matmul(wt, s[:, off : off + e - j], out=t)
             a += t
-        if k > 1:
+        if direct is None:
             _put(a, j, out, hp, wp)
     if bias is not None:
         # one in-place pass: a broadcast add into each run's strided view
@@ -278,11 +329,11 @@ def _tap_conv(x: np.ndarray, wk: np.ndarray, out: np.ndarray, bias: np.ndarray |
         out += bias[:, None, None, None]
 
 
-def _put(acc: np.ndarray, j: int, out: np.ndarray, hp: int, wp: int) -> None:
+def _put(acc: np.ndarray, j: int, out: np.ndarray | Blocks, hp: int, wp: int) -> None:
     """Write the columns of ``acc``, flat columns j onward of the padded
-    (Hp, Wp) grid, that are voxels into ``out`` (C, D, H, W). Runs of part
-    of a row, of whole rows up to a plane's end and of whole planes each
-    take one copy."""
+    (Hp, Wp) grid, that are voxels into ``out`` (C, D, H, W), each block's
+    rows into that block. Runs of part of a row, of whole rows up to a
+    plane's end and of whole planes each take one copy per block."""
     _, d, h, w = out.shape
     plane = hp * wp
     e = j + acc.shape[1]
@@ -299,7 +350,9 @@ def _put(acc: np.ndarray, j: int, out: np.ndarray, hp: int, wp: int) -> None:
         size = run[0] * run[1] * run[2]
         src = acc[:, g - j : g - j + size].reshape(-1, *run)
         src = src[:, : d - z, : max(h - y, 0), : max(w - x0, 0)]
-        out[:, z : z + src.shape[1], y : y + src.shape[2], x0 : x0 + src.shape[3]] = src
+        for c0, part in _parts(out):
+            part[:, z : z + src.shape[1], y : y + src.shape[2], x0 : x0 + src.shape[3]] = (
+                src[c0 : c0 + part.shape[0]])
         g += size
 
 
@@ -485,12 +538,18 @@ def concat_forward(values: list[np.ndarray]) -> np.ndarray:
             v.shape[1:] == spatial,
             f"channel_concat: spatial extents differ, {v.shape[1:]} vs {spatial}",
         )
-    return np.concatenate(values, axis=0)
+    return Blocks(values)
 
 
-def concat_backward(channel_counts: list[int], grad_out: np.ndarray) -> list[np.ndarray]:
+def concat_backward(channel_counts: list[int], grad_out: np.ndarray | Blocks) -> list[np.ndarray]:
+    """One gradient per input, none sharing memory with another: the blocks
+    of a ``Blocks`` gradient as they are, or copies of an array's slices."""
+    if isinstance(grad_out, Blocks):
+        _require([p.shape[0] for p in grad_out.parts] == list(channel_counts),
+                 f"channel_concat: gradient blocks do not match {channel_counts}")
+        return list(grad_out.parts)
     splits = np.cumsum(channel_counts[:-1])
-    return [np.ascontiguousarray(g) for g in np.split(grad_out, splits, axis=0)]
+    return [g.copy() for g in np.split(grad_out, splits, axis=0)]
 
 
 def add_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:

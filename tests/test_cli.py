@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import volpose
-from volpose import fileio, heatmap, metrics
+from volpose import config, fileio, heatmap, metrics
 from volpose.cli import build_parser, main
 from volpose.fileio import load_pose, load_volume
 from volpose.model import DetectorConfig, TrainConfig
@@ -798,6 +798,32 @@ def test_every_artifact_is_canonical(tmp_path):
         stamp = {"config_version": run["version"], "config_hash": run["hash"]}
         first = path.read_text().splitlines()[0]
         assert first == "# " + json.dumps(stamp, sort_keys=True), path
+
+
+def test_environment_record_stays_outside_the_hash(monkeypatch, tmp_path):
+    # another BLAS build or thread count changes the record, not the hash
+    cfg = config.RunConfig("train", settings={"lr": 1e-3}, inputs={"data": "abc"})
+    docs = []
+    for threads in (1, None):
+        env = {"blas": {"name": "openblas", "version": "0.3.0"}, "blas_threads": threads}
+        monkeypatch.setattr(config, "environment", lambda env=env: env)
+        cfg.save(tmp_path / f"{threads}.json")
+        docs.append(json.loads((tmp_path / f"{threads}.json").read_text()))
+    assert [d["environment"]["blas_threads"] for d in docs] == [1, None]
+    assert docs[0]["hash"] == docs[1]["hash"] == cfg.hash()
+    assert {k: v for k, v in docs[0].items() if k != "environment"} == {
+        k: v for k, v in docs[1].items() if k != "environment"}
+
+
+def test_every_stage_records_its_environment(tmp_path):
+    run_tiny_pipeline(tmp_path)
+    env = config.environment()
+    assert set(env) == {"blas", "blas_threads"} and set(env["blas"]) == {"name", "version"}
+    stages = sorted(p.parent.name for p in tmp_path.rglob("run_config.json"))
+    assert stages == ["data", "eval_plain", "eval_refined", "plain", "refined", "train"]
+    for stage in stages:
+        doc = json.loads((tmp_path / stage / "run_config.json").read_text())
+        assert doc["environment"] == env, stage
 
 
 def test_config_hash_follows_input_content(dataset, model, tmp_path):

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volpose import metrics
+from volpose.anatomy import FLIP_PERMUTATION
 from volpose.metrics import (
     DEFAULT_THRESHOLDS,
     MetricsError,
     auc,
     build_report,
     euclidean,
+    labelling_counts,
     pck_curve,
     segment_lengths,
     write_report,
@@ -271,3 +274,50 @@ def test_report_reproducible_bytes(tmp_path):
         write_report(build_report(preds, gts), tmp_path / sub)
     for name in ("report.json", "distance_table.csv", "auc_table.csv", "pck_curve.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def labelling_fixture():
+    """A truth with every landmark 100 mm from the next on a line, except
+    the knees, 14 mm apart, and a prediction with known swaps and collapses
+    (0-based indices; left/right pairs 4/7, 5/8, 6/9, 10/13, 11/14, 12/15).
+    """
+    xyz = np.array([[100.0 * i, 0.0, 0.0] for i in range(16)])
+    xyz[11], xyz[14] = [0.0, 500.0, 0.0], [14.0, 500.0, 0.0]
+    gt = pose_of(xyz)
+    pred = gt.copy()
+    pred.xyz_mm[0] = pred.xyz_mm[1] = gt.xyz_mm[4]  # midline: never counts
+    pred.xyz_mm[4], pred.xyz_mm[7] = gt.xyz_mm[7], gt.xyz_mm[4]  # shoulders swapped: 2
+    pred.xyz_mm[5] = gt.xyz_mm[8] + [3.0, 0.0, 0.0]  # l_elbow on r_elbow: 1, and collapsed
+    pred.xyz_mm[6] = pred.xyz_mm[9] = (gt.xyz_mm[6] + gt.xyz_mm[9]) / 2  # wrists: collapsed only
+    pred.xyz_mm[10] = gt.xyz_mm[13] + [6.0, 0.0, 0.0]  # l_hip 6 mm from r_hip's truth: 1
+    pred.xyz_mm[11] = [8.0, 500.0, 0.0]  # l_knee 8 mm from its own truth: not more than 8
+    pred.xyz_mm[12], pred.xyz_mm[15] = gt.xyz_mm[15], gt.xyz_mm[12]  # ankles swapped, but
+    pred.present[12] = False  # l_ankle's prediction and
+    gt.present[12] = False  # truth are masked: neither counts
+    return pred, gt
+
+
+def test_labelling_counts_on_a_hand_fixture(tmp_path):
+    pred, gt = labelling_fixture()
+    assert labelling_counts(pred, gt) == (4, 2)
+    assert labelling_counts(gt, gt) == (0, 0)
+    # every pair swapped: each limb landmark sits on its partner's truth
+    mirrored = pose_of(gt.xyz_mm[list(FLIP_PERMUTATION)])
+    assert labelling_counts(mirrored, pose_of(gt.xyz_mm)) == (12, 0)
+    # midline and masked landmarks never count, wherever they are predicted
+    for i in (0, 1, 2, 3, 12, 15):
+        moved = pred.copy()
+        moved.xyz_mm[i] = gt.xyz_mm[7] + [0.5, 0.0, 0.0]
+        assert labelling_counts(moved, gt) == (4, 2), i
+
+    report = build_report({"a": pred, "b": gt.copy()}, {"a": gt, "b": gt})
+    assert (report.mislabelled, report.collapsed_pairs) == (4, 2)
+    write_report(report, tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert (doc["mislabelled"], doc["collapsed_pairs"]) == (4, 2)
+    assert doc["labelling_margins_mm"] == {
+        "mislabelled_own_more_than": metrics.MISLABEL_OWN_MM,
+        "mislabelled_partner_within": metrics.MISLABEL_PARTNER_MM,
+        "collapsed_within": metrics.COLLAPSE_MM,
+    } == {"mislabelled_own_more_than": 8.0, "mislabelled_partner_within": 6.0,
+          "collapsed_within": 4.0}

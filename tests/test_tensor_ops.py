@@ -700,6 +700,41 @@ def test_concat_requires_equal_spatial_extents():
     assert ops.concat_forward([a, c]).shape == (5, 4, 4, 4)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("counts, extents", [
+    ([3, 5], (20, 22, 24)),  # more than two column blocks
+    ([2, 1, 4], (6, 7, 5)),
+])
+def test_conv3d_on_channel_blocks_is_byte_equal_to_the_joined_operand(counts, extents, k, dtype):
+    # a concat's value is its inputs' arrays; conv3d copies them block by
+    # block into its padded planes, so its forward, gw and gx read the same
+    # bytes as from the joined array, and gx comes back one array per block
+    rng = np.random.default_rng(sum(counts) + k)
+    parts = [rng.normal(size=(c, *extents)).astype(dtype) for c in counts]
+    x = ops.concat_forward(parts)
+    joined = np.concatenate(parts)
+    assert x.shape == joined.shape and x.dtype == joined.dtype and x.size == joined.size
+    assert x.nbytes == joined.nbytes and x[0].tobytes() == joined[0].tobytes()
+    assert np.asarray(x).tobytes() == joined.tobytes()
+    cout = 4
+    w = rng.normal(size=(cout, sum(counts), k, k, k)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    g = rng.normal(size=(cout, *extents)).astype(dtype)
+    assert ops.conv3d_forward(x, w, b).tobytes() == ops.conv3d_forward(joined, w, b).tobytes()
+    gx, gw, gb = ops.conv3d_backward(x, w, g)
+    want = ops.conv3d_backward(joined, w, g)
+    assert gw.tobytes() == want[1].tobytes() and gb.tobytes() == want[2].tobytes()
+    blocks = ops.concat_backward(counts, gx)
+    assert [a.shape for a in blocks] == [a.shape for a in parts]
+    assert np.concatenate(blocks).tobytes() == want[0].tobytes()
+    # neither the blocks nor the slices of a joined gradient share memory
+    for grads in (blocks, ops.concat_backward(counts, want[0])):
+        assert all(a.flags.c_contiguous for a in grads)
+        assert not any(np.shares_memory(a, c) for i, a in enumerate(grads) for c in grads[i + 1:])
+        assert not any(np.shares_memory(a, want[0]) for a in grads)
+
+
 def test_add_shape_mismatch_rejected():
     with pytest.raises(ShapeMismatch):
         ops.add_forward(np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 3)))
