@@ -40,8 +40,10 @@ LANDMARKS: tuple[LandmarkDef, ...] = (
 
 NUM_LANDMARKS = 16
 
-# 1-based landmark indices used to fit rigid alignments: the midline chain
-# plus proximal limb joints, which localize most reliably.
+# 1-based landmark indices used to fit rigid alignments: the four midline
+# landmarks, both shoulders and both hips, plus l_wrist (7) and r_elbow (9).
+# The last two make it not closed under FLIP_PERMUTATION: their mirror
+# partners r_wrist (10) and l_elbow (6) are not in it.
 REGISTRATION_SUBSET: tuple[int, ...] = (1, 2, 3, 4, 5, 7, 8, 9, 11, 14)
 
 # The skeleton tree: 15 edges over the 16 landmarks (1-based pairs).

@@ -124,7 +124,7 @@ def cmd_phantom_gen(args) -> int:
     cfg = RunConfig(
         "phantom-gen",
         {
-            "spec": spec.to_dict(),
+            "spec": asdict(spec),
             "n_train": args.n_train,
             "n_test": args.n_test,
             "seed": args.seed,
@@ -212,8 +212,8 @@ def cmd_train(args) -> int:
     run_cfg = RunConfig(
         "train",
         {
-            "detector": det_cfg.to_dict(),
-            "train": train_cfg.to_dict(),
+            "detector": asdict(det_cfg),
+            "train": asdict(train_cfg),
             "gcp": args.gcp,
             # k is a setting of the every_k policy only; no other run reads it
             **({"every_k": args.every_k} if args.gcp == "every_k" else {}),
@@ -242,8 +242,8 @@ def cmd_train(args) -> int:
             out / "model",
             graph,
             extras={
-                "detector_config.json": det_cfg.to_dict(),
-                "train_config.json": {**train_cfg.to_dict(), **run_cfg.stamp()},
+                "detector_config.json": asdict(det_cfg),
+                "train_config.json": {**asdict(train_cfg), **run_cfg.stamp()},
             },
             stamp=run_cfg.stamp(),
         )
@@ -307,7 +307,7 @@ def cmd_infer(args) -> int:
         {
             "window": args.window,
             "confidence_floor": args.floor,
-            "detector": det_cfg.to_dict(),
+            "detector": asdict(det_cfg),
         },
         inputs=inputs,
         paths=paths,
@@ -358,9 +358,9 @@ def cmd_refine(args) -> int:
     run_cfg = RunConfig(
         "refine",
         {
-            "refine": refine_cfg.to_dict(),
+            "refine": asdict(refine_cfg),
             "snapshot_each_iter": args.snapshot_each_iter,
-            "detector": det_cfg.to_dict(),
+            "detector": asdict(det_cfg),
         },
         inputs={**inputs, "library": digest_files([args.library])},
         paths={**paths, "library": str(args.library)},
@@ -396,12 +396,34 @@ def cmd_refine(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _collect_poses(directory: Path) -> dict[str, tuple[Pose, dict]]:
-    out = {}
-    for path in _pose_files(directory):
-        case_id = path.name[: -len("_pose.json")]
-        out[case_id] = fileio.load_pose(path)
-    return out
+def _collect_poses(paths: list[Path]) -> dict[str, tuple[Pose, dict]]:
+    return {path.name[: -len("_pose.json")]: fileio.load_pose(path) for path in paths}
+
+
+def _ground_truth(pred_dir: Path, gt_dir: Path) -> tuple[list[Path], dict]:
+    """The ground-truth pose files to score against, and the dataset and
+    split they come from ({} for a plain directory).
+
+    Predictions whose ``run_config.json`` names a dataset and a split are
+    scored against that split's cases when ``gt_dir`` sits next to a
+    dataset manifest (a dataset's ``cases`` directory); that dataset must be
+    theirs. Any other predictions, or a ``gt_dir`` with no manifest next to
+    it, are scored against every pose file in ``gt_dir``."""
+    source = {}
+    if (pred_dir / "run_config.json").exists():
+        with fileio.reading(pred_dir / "run_config.json") as doc:
+            if "data" in doc["inputs"] and "split" in doc["inputs"]:
+                source = {"data": doc["inputs"]["data"], "split": doc["inputs"]["split"]}
+    data_dir = gt_dir.parent
+    if not source or not (data_dir / "manifest.json").exists():
+        return _pose_files(gt_dir), {}
+    found = _dataset_id(data_dir)
+    if found != source["data"]:
+        raise UsageError(
+            f"predictions in {pred_dir} come from dataset {source['data']}, but the "
+            f"ground truth in {gt_dir} is dataset {found}"
+        )
+    return [case["pose"] for case in _load_manifest_cases(data_dir, source["split"])], source
 
 
 def cmd_eval(args) -> int:
@@ -415,8 +437,9 @@ def cmd_eval(args) -> int:
         raise UsageError(f"prediction directory not found: {pred_dir}")
     if not gt_dir.is_dir():
         raise UsageError(f"ground-truth directory not found: {gt_dir}")
-    preds = _collect_poses(pred_dir)
-    gts = _collect_poses(gt_dir)
+    gt_paths, source = _ground_truth(pred_dir, gt_dir)
+    pred_paths = _pose_files(pred_dir)
+    preds, gts = _collect_poses(pred_paths), _collect_poses(gt_paths)
     common = sorted(set(preds) & set(gts))
     if not common:
         raise UsageError("no case ids shared between prediction and ground-truth dirs")
@@ -424,10 +447,8 @@ def cmd_eval(args) -> int:
     run_cfg = RunConfig(
         "eval",
         {"grid_max": args.grid_max, "grid_step": args.grid_step},
-        inputs={
-            "pred": digest_files(_pose_files(pred_dir)),
-            "gt": digest_files(_pose_files(gt_dir)),
-        },
+        # the manifest enters by the dataset's content id
+        inputs={"pred": digest_files(pred_paths), "gt": digest_files(gt_paths), **source},
         paths={"pred": str(pred_dir), "gt": str(gt_dir)},
     )
     # spacing agreement guard, where both sides carry metadata
@@ -442,7 +463,8 @@ def cmd_eval(args) -> int:
         thresholds,
     )
     with fileio.writing(args.out) as out:
-        write_report(report, out, stamp=run_cfg.stamp())
+        write_report(report, out, stamp=run_cfg.stamp(),
+                     ground_truth={"rule": "split" if source else "directory", **source})
         run_cfg.save(out / "run_config.json")
     log.info(
         "evaluated %d of %d ground-truth cases: mean %.3f mm, AUC %.2f%%, coverage %.3f",

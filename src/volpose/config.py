@@ -80,32 +80,27 @@ class RunConfig:
     settings: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)    # input name -> content id
     paths: dict = field(default_factory=dict)     # input name -> path, not hashed
-    version: int = CONFIG_VERSION
 
-    def canonical_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "command": self.command,
-                "settings": self.settings,
-                "inputs": self.inputs,
-            },
-            sort_keys=True,
-        )
-
-    def hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
-
-    def stamp(self) -> dict:
-        """The stamp embedded into every artifact."""
-        return {"config_version": self.version, "config_hash": self.hash()}
-
-    def save(self, path: str | Path) -> None:
-        doc = {
-            "version": self.version,
+    def canonical(self) -> dict:
+        """What the hash covers: the version, the command, its settings and inputs."""
+        return {
+            "version": CONFIG_VERSION,
             "command": self.command,
             "settings": self.settings,
             "inputs": self.inputs,
+        }
+
+    def hash(self) -> str:
+        text = json.dumps(self.canonical(), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def stamp(self) -> dict:
+        """The stamp embedded into every artifact."""
+        return {"config_version": CONFIG_VERSION, "config_hash": self.hash()}
+
+    def save(self, path: str | Path) -> None:
+        doc = {
+            **self.canonical(),
             "paths": self.paths,
             "environment": environment(),
             "hash": self.hash(),

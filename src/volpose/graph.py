@@ -41,11 +41,11 @@ input no earlier than the concat. A kept concat keeps its inputs.
     ``checkpoint_set`` and the direct inputs of any ``channel_concat``. A
     plain forward is a discarding one with every node checkpointed. The
     concat rule is a cost rule, not a correctness one: any checkpoint set
-    runs, but a freed skip input is recomputed in the backward, next to the
-    decoder's live values. On the reference detector at 32^3 under
-    ``block_boundary``, dropping the rule takes the forward peak from 7.27 to
-    5.89 MB but the step peak from 9.36 to 11.13 MB, and recomputes 40 values
-    instead of 34;
+    runs, the empty set included, but a freed skip input is recomputed in
+    the backward, next to the decoder's live values. On the reference
+    detector at 32^3 under ``block_boundary``, dropping the rule takes the
+    forward peak from 7.27 to 5.89 MB but the step peak from 9.36 to
+    11.13 MB, and recomputes 40 values instead of 34;
   * before each grad, the backward runs the freed values its step reads,
     and the freed values those read in turn, in forward order from live
     values. It keeps the live values and the recomputed values that a step
@@ -466,6 +466,13 @@ class Graph:
 
     # -- execution ---------------------------------------------------------------
 
+    def release(self) -> None:
+        """Drop every node value and the last forward's schedule, so that no
+        backward can follow."""
+        self.schedule = None
+        for n in self.nodes:
+            n.value = None
+
     def _store(self, node: Node, value: np.ndarray, nbytes: int) -> None:
         if value.nbytes != nbytes:
             raise ShapeMismatch(
@@ -543,20 +550,17 @@ class Graph:
         the node count and the loss node all match, and walks its forward,
         ``program[:split]``: it runs the target and its ancestors and frees
         each value the program does not retain (see the module docstring)
-        right after its last forward consumer. The loss value is identical
-        either way. ``update_stats`` is accepted for old callers and ignored.
-        The walk's planned forward peak goes to ``meter.peak``, or raises
+        right after its last forward consumer. A discarding forward runs on
+        any checkpoint set, the empty one included. The loss value is
+        identical either way. ``update_stats`` is accepted for old callers
+        and ignored. The walk starts from a released graph (:meth:`release`).
+        Its planned forward peak goes to ``meter.peak``, or raises
         :class:`MemoryCapExceeded` before any kernel runs.
         """
         target = self.loss_id if to_node is None else to_node
         if target is None:
             raise GraphError("graph has no loss node and no to_node was given")
-        if discard and not self.checkpoint_set:
-            raise GraphError("discarding forward requires a non-empty checkpoint_set")
-
-        self.schedule = None
-        for n in self.nodes:
-            n.value = None
+        self.release()
         shapes = {k: np.shape(v) for k, v in feeds.items()}
         # what Schedule.build reads; a forward like the last one reuses its schedule
         key = (target, discard, frozenset(self.checkpoint_set), tuple(sorted(shapes.items())),

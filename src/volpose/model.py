@@ -62,9 +62,6 @@ class DetectorConfig:
         if not 0 < self.sigma_vox < np.inf:
             raise GraphError(f"sigma_vox must be positive and finite, got {self.sigma_vox}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TrainConfig:
@@ -81,9 +78,6 @@ class TrainConfig:
             raise GraphError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 1:
             raise GraphError(f"epochs must be >= 1, got {self.epochs}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -286,24 +280,20 @@ def predict(graph: Graph, net_in: np.ndarray) -> np.ndarray:
     """The heatmap head for the network input ``net_in``, from a forward
     that no backward follows.
 
-    The forward discards, with the head as its only checkpoint, so it frees
-    each value after its last forward consumer, except what a discarding
-    forward always retains (the input and the skip inputs of each concat).
-    The head has the plain forward's bits. Every value is released from the
-    graph before the head is returned, so no backward can follow, and the
-    graph's checkpoint set is left as it was found.
+    The forward discards on the graph's own checkpoint set. With an empty
+    set, that of every graph infer and refine load, it frees each value
+    after its last forward consumer, except what a discarding forward always
+    retains (the input, the head and the skip inputs of each concat). The
+    head has the plain forward's bits. The graph is released
+    (``Graph.release``) before the head is returned, so no backward can
+    follow.
     """
     out = output_node(graph)
-    checkpoints = graph.checkpoint_set
-    graph.checkpoint_set = {out}
     try:
         graph.forward({"volume": net_in}, discard=True, to_node=out)
         return graph.value(out)
     finally:
-        graph.checkpoint_set = checkpoints
-        graph.schedule = None
-        for node in graph.nodes:
-            node.value = None
+        graph.release()
 
 
 def infer(graph: Graph, volume: np.ndarray, spacing, cfg: DetectorConfig) -> tuple[np.ndarray, NetFrame]:
@@ -399,7 +389,7 @@ def train(
             save_model(
                 Path(out_dir) / f"epoch_{epoch:03d}",
                 graph,
-                extras={"detector_config.json": detector_cfg.to_dict()},
+                extras={"detector_config.json": asdict(detector_cfg)},
                 stamp=stamp,
             )
     return result

@@ -110,11 +110,6 @@ class PhantomSpec:
                 f"and {self.noise_additive}"
             )
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["shape"] = list(self.shape)
-        return d
-
 
 @dataclass
 class PhantomCase:
@@ -439,9 +434,7 @@ def augment(case: PhantomCase, op: str) -> PhantomCase:
         xyz[:, c0] = mirrored
     else:
         raise PhantomError(f"unknown augmentation op '{op}' (choose from {AUGMENT_OPS})")
-    prov = dict(case.provenance)
-    prov["augmented"] = list(prov.get("augmented", [])) + [op]
-    return PhantomCase(vol2, Pose(xyz, present), s, prov)
+    return PhantomCase(vol2, Pose(xyz, present), s, dict(case.provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +485,7 @@ def make_dataset(
                 )
         manifest = {
             "version": fileio.MANIFEST_FORMAT_VERSION,
-            "phantom_spec": spec.to_dict(),
+            "phantom_spec": asdict(spec),
             "base_seed": seed,
             "n_train": n_train,
             "n_test": n_test,

@@ -22,7 +22,7 @@ step runs, is followed by no backward: it retains only the head
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -62,9 +62,6 @@ class RefineConfig:
         if self.k_support < 1:
             raise GraphError(f"k_support must be >= 1, got {self.k_support}")
         check_decode(self.window, self.confidence_floor)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -635,6 +635,52 @@ def test_eval_counts_every_ground_truth_case(dataset, tmp_path):
     assert report["mean_distance_rule"] == metrics.MEAN_RULE
 
 
+def test_eval_scores_the_split_its_predictions_came_from(dataset, model, tmp_path):
+    # test-split predictions scored against the dataset's cases: the train
+    # cases are no ground truth of theirs, so none is missing
+    pred, out = tmp_path / "pred", tmp_path / "eval"
+    assert main(["infer", "--model", str(model), "--data", str(dataset), "--split", "test",
+                 "--out", str(pred), "--floor", "0.0"]) == 0
+    assert main(["eval", "--pred", str(pred), "--gt", str(dataset / "cases"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["case_ids"] == ["test_0000", "test_0001"]
+    assert report["gt_case_count"] == 2 and report["missing_case_ids"] == []
+    data_id = json.loads((pred / "run_config.json").read_text())["inputs"]["data"]
+    assert report["ground_truth"] == {"rule": "split", "data": data_id, "split": "test"}
+    inputs = json.loads((out / "run_config.json").read_text())["inputs"]
+    assert inputs["data"] == data_id and inputs["split"] == "test"
+    assert inputs["gt"] == config.digest_files(
+        dataset / "cases" / f"{cid}_pose.json" for cid in report["case_ids"])
+
+
+def test_eval_of_predictions_from_explicit_volumes_scores_the_directory(dataset, model,
+                                                                          tmp_path):
+    pred, out = tmp_path / "pred", tmp_path / "eval"
+    assert main(["infer", "--model", str(model), "--floor", "0.0", "--out", str(pred),
+                 "--volumes", str(dataset / "cases" / "test_0000.raw")]) == 0
+    assert main(["eval", "--pred", str(pred), "--gt", str(dataset / "cases"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["case_ids"] == ["test_0000"] and report["gt_case_count"] == 5
+    assert report["ground_truth"] == {"rule": "directory"}
+
+
+def test_eval_of_another_datasets_predictions_exits_2(dataset, model, tmp_path, capsys):
+    other, pred, out = tmp_path / "other", tmp_path / "pred", tmp_path / "eval"
+    assert main(GEN_ARGS + ["--seed", "12", "--out", str(other)]) == 0
+    assert main(["infer", "--model", str(model), "--data", str(dataset), "--split", "test",
+                 "--out", str(pred), "--floor", "0.0"]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--pred", str(pred), "--gt", str(other / "cases"), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    pred_id = json.loads((pred / "run_config.json").read_text())["inputs"]["data"]
+    other_id = config.digest_files([other / "manifest.json"])
+    assert pred_id != other_id and pred_id in err and other_id in err
+
+
 def test_eval_reports_reproducible(dataset, tmp_path):
     gt_dir = dataset / "cases"
     outs = [tmp_path / "e1", tmp_path / "e2"]

@@ -4,13 +4,14 @@ import json
 import re
 import tracemalloc
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from volpose import heatmap, ops
 from volpose.fileio import FileFormatError
-from volpose.graph import Graph, GraphError, MissingValue, select_checkpoints
+from volpose.graph import Graph, GraphError, MissingValue, Schedule, select_checkpoints
 from volpose.optim import Adam
 from volpose.model import (
     DetectorConfig,
@@ -73,6 +74,18 @@ def test_predict_keeps_no_values_and_gives_the_plain_head(checkpoints):
     assert all(node.value is None for node in g.nodes)
     with pytest.raises(MissingValue):
         g.backward_plain(np.ones_like(head))
+
+
+def test_predict_plans_the_head_only_forward_peak():
+    # infer's memory: on a loaded model's empty checkpoint set, predict plans
+    # the forward peak of a discarding forward that checkpoints only the head
+    g = build_detector(DetectorConfig(), seed=0)
+    net_in = np.random.default_rng(5).normal(size=(1, 32, 32, 32)).astype(np.float32)
+    assert g.checkpoint_set == set()
+    predict(g, net_in)
+    g.set_checkpoints({output_node(g)})
+    head_only = Schedule.build(g, output_node(g), True, {"volume": net_in.shape})
+    assert g.meter.peak == head_only.forward_peak == 4_653_056
 
 
 def test_depth3_has_three_concats():
@@ -390,7 +403,7 @@ def test_model_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(20)
     vol = rng.normal(size=(8, 8, 8)).astype(np.float32)
     before, _ = infer(g, vol, 1.0, cfg)
-    save_model(tmp_path / "model", g, extras={"detector_config.json": cfg.to_dict()})
+    save_model(tmp_path / "model", g, extras={"detector_config.json": asdict(cfg)})
     g2 = load_model(tmp_path / "model")
     after, _ = infer(g2, vol, 1.0, cfg)
     np.testing.assert_array_equal(before, after)

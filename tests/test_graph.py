@@ -74,10 +74,21 @@ def test_forward_discard_matches_plain_loss():
     assert plain == discarded
 
 
-def test_forward_requires_checkpoints_for_discard():
+def test_discarding_step_without_checkpoints_recomputes_the_plain_bits():
+    # an empty checkpoint set is a checkpoint set: the forward keeps only the
+    # inputs, the target and the loss, and the backward recomputes the rest
     g, feeds = tiny_conv_graph()
-    with pytest.raises(GraphError, match="non-empty checkpoint_set"):
-        g.forward(feeds, discard=True)
+    plain_loss = g.forward(feeds)
+    plain = g.backward_plain()
+    assert g.checkpoint_set == set()
+    loss = g.forward(feeds, discard=True)
+    schedule = g.schedule
+    grads = g.backward_checkpointed()
+    assert [a for a, _ in schedule.program[schedule.split:]].count("run") > 0
+    assert loss == plain_loss
+    assert grads.keys() == plain.keys()
+    for key in plain:
+        assert grads[key].tobytes() == plain[key].tobytes()
 
 
 def test_discard_frees_non_checkpoint_values():

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ def write_artifacts(root):
     save_library(root / "library.json", PoseLibrary(["a"], [pose], ["train"]))
     cfg = DetectorConfig(depth=1, base_channels=2, input_scale=1.0)
     save_model(root / "model", build_detector(cfg, seed=0),
-               extras={"detector_config.json": cfg.to_dict()})
+               extras={"detector_config.json": asdict(cfg)})
     cases = [{"id": "train_0000", "split": "train", "volume": "case", "pose": "case_pose.json"}]
     write_json(root / "manifest.json", {"version": 1, "cases": cases})
     return {
