@@ -400,20 +400,32 @@ def _collect_poses(paths: list[Path]) -> dict[str, tuple[Pose, dict]]:
     return {path.name[: -len("_pose.json")]: fileio.load_pose(path) for path in paths}
 
 
-def _ground_truth(pred_dir: Path, gt_dir: Path) -> tuple[list[Path], dict]:
+def _made_by(pred_dir: Path) -> tuple[dict, dict]:
+    """What the prediction directory's ``run_config.json`` says made its
+    poses: the dataset and split they come from ({} unless it names both),
+    and the model content id and the decode rule (window, confidence floor,
+    under refine's own settings for refine), None where it names none."""
+    source, made = {}, {"model": None, "window": None, "confidence_floor": None}
+    if (pred_dir / "run_config.json").exists():
+        with fileio.reading(pred_dir / "run_config.json") as doc:
+            inputs = doc["inputs"]
+            if "data" in inputs and "split" in inputs:
+                source = {"data": inputs["data"], "split": inputs["split"]}
+            decode = doc["settings"].get("refine", doc["settings"])
+            made = {"model": inputs.get("model"), "window": decode.get("window"),
+                    "confidence_floor": decode.get("confidence_floor")}
+    return source, made
+
+
+def _ground_truth(source: dict, pred_dir: Path, gt_dir: Path) -> tuple[list[Path], dict]:
     """The ground-truth pose files to score against, and the dataset and
     split they come from ({} for a plain directory).
 
-    Predictions whose ``run_config.json`` names a dataset and a split are
-    scored against that split's cases when ``gt_dir`` sits next to a
-    dataset manifest (a dataset's ``cases`` directory); that dataset must be
-    theirs. Any other predictions, or a ``gt_dir`` with no manifest next to
-    it, are scored against every pose file in ``gt_dir``."""
-    source = {}
-    if (pred_dir / "run_config.json").exists():
-        with fileio.reading(pred_dir / "run_config.json") as doc:
-            if "data" in doc["inputs"] and "split" in doc["inputs"]:
-                source = {"data": doc["inputs"]["data"], "split": doc["inputs"]["split"]}
+    Predictions from a dataset and a split (``source``) are scored against
+    that split's cases when ``gt_dir`` sits next to a dataset manifest (a
+    dataset's ``cases`` directory); that dataset must be theirs. Any other
+    predictions, or a ``gt_dir`` with no manifest next to it, are scored
+    against every pose file in ``gt_dir``."""
     data_dir = gt_dir.parent
     if not source or not (data_dir / "manifest.json").exists():
         return _pose_files(gt_dir), {}
@@ -437,7 +449,8 @@ def cmd_eval(args) -> int:
         raise UsageError(f"prediction directory not found: {pred_dir}")
     if not gt_dir.is_dir():
         raise UsageError(f"ground-truth directory not found: {gt_dir}")
-    gt_paths, source = _ground_truth(pred_dir, gt_dir)
+    source, predictions = _made_by(pred_dir)
+    gt_paths, source = _ground_truth(source, pred_dir, gt_dir)
     pred_paths = _pose_files(pred_dir)
     preds, gts = _collect_poses(pred_paths), _collect_poses(gt_paths)
     common = sorted(set(preds) & set(gts))
@@ -463,8 +476,10 @@ def cmd_eval(args) -> int:
         thresholds,
     )
     with fileio.writing(args.out) as out:
-        write_report(report, out, stamp=run_cfg.stamp(),
-                     ground_truth={"rule": "split" if source else "directory", **source})
+        write_report(report, out, stamp=run_cfg.stamp(), sources={
+            "ground_truth": {"rule": "split" if source else "directory", **source},
+            "predictions": predictions,
+        })
         run_cfg.save(out / "run_config.json")
     log.info(
         "evaluated %d of %d ground-truth cases: mean %.3f mm, AUC %.2f%%, coverage %.3f",

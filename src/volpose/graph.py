@@ -33,9 +33,9 @@ input no earlier than the concat. A kept concat keeps its inputs.
   * the forward runs the target and its ancestors, keeping the retained
     values. A plain forward retains every value some backward step reads,
     and the inputs, the target and the loss. On the reference detector that
-    frees every batch-norm output (a ReLU masks by its own output); a
-    deconv output, which no backward step reads, stays as its concat's
-    first block;
+    frees every batch-norm output (a ReLU masks by its own output) and the
+    head (the loss reads its residual); a deconv output, which no backward
+    step reads, stays as its concat's first block;
   * a discarding forward retains the inputs, the target and the loss, and,
     of the values some backward step reads, the members of
     ``checkpoint_set`` and the direct inputs of any ``channel_concat``. A
@@ -52,14 +52,30 @@ input no earlier than the concat. A kept concat keeps its inputs.
     from here on reads. After the grad, it frees each live value that no
     later step reads.
 
+An l2_loss value is an ``ops.Loss``: the 0-d loss, and the residual
+pred - target it was taken from, which its backward reads instead of its
+inputs. So the prediction dies with the loss's run, and the residual with
+its grad.
+
+One rule reuses buffers: an ``inplace`` op's kernel writes its result into
+the buffer of a value that the program frees right after that action, the
+first such value that is not a feed (the caller's array) or a concat (its
+inputs' arrays) and whose buffer has the result's shape. The schedule
+decides it (``Schedule.reuse``), never the kernel: a kernel called outside
+the graph writes no input. l2_loss is the one such op. In a training step
+its residual takes the head's buffer, and the head's gradient takes the
+residual's, so the loss allocates no full-size array in either direction.
+
 The account counts node values and the gradients the backward holds (not
-parameters, not kernel workspace): an activation gradient from the step
-that makes it to the step that consumes it, a parameter gradient from its
-step to the end of the walk. A concat's value counts 0 bytes, its inputs'
-having been counted. conv3d gives the gradient of a concat one array per
-block, and the concat's grad hands those on to its inputs, so that step
-adds no bytes; a concat gradient that is one array (from another reader)
-is split into copies, a transient the account leaves out. A kernel's
+parameters, not kernel workspace): a value by the buffer it holds, an
+activation gradient from the step that makes it to the step that consumes
+it, a parameter gradient from its step to the end of the walk. A result
+that takes a freed value's buffer counts 0 bytes, and so does that free. A
+concat's value counts 0 bytes, its inputs' having been counted. conv3d
+gives the gradient of a concat one array per block, and the concat's grad
+hands those on to its inputs, so that step adds no bytes; a concat
+gradient that is one array (from another reader) is split into copies, a
+transient the account leaves out. A kernel's
 workspace stays outside it, and is small: a conv3d call holds one column
 block's padded planes, stack and accumulator (``ops.CONV_BLOCK``), about
 2 MB for the reference detector's widest 32^3 layer, growing with a plane
@@ -138,9 +154,15 @@ class Op:
     ``reads`` declares what the backward reads, and so what ``xs`` holds
     there: ``"inputs"``, the input values; ``"output"``, the op's own value;
     ``"shapes"``, no value, only the planned input shapes. The schedule keeps
-    a value only while some backward step reads it. ``blocks`` says the
-    kernels read a concat's value (an ``ops.Blocks``) as it is; any other
-    op's kernels get it joined by ``np.asarray``.
+    a value only while some backward step reads it. ``raw`` says the kernels
+    read values as they are, a concat's ``ops.Blocks`` or an l2_loss's
+    ``ops.Loss``; any other op's kernels get them by ``np.asarray``.
+    ``holds(node, shapes)`` is the shape of the buffer a value holds, where
+    that is not the value's shape (an l2_loss value holds its residual).
+    ``inplace`` says the kernels take ``out=``, the buffer of a value the
+    schedule frees at that action, and write their result into it: the
+    forward's buffer, the backward's first input gradient (see the module
+    docstring).
     Kernels are looked up on ``ops`` at call time, so a rebound
     ``volpose.ops`` attribute sees every call.
     """
@@ -149,7 +171,9 @@ class Op:
     backward: Callable | None
     shape: Callable | None
     reads: str = "inputs"
-    blocks: bool = False
+    raw: bool = False
+    holds: Callable | None = None
+    inplace: bool = False
 
 
 def _with_params(result: tuple, *names: str) -> tuple[list, dict]:
@@ -173,7 +197,7 @@ OP_TABLE: dict[str, Op] = {
             "bias",
         ),
         lambda n, s: (n.params["weight"].shape[0],) + s[0][1:],
-        blocks=True,
+        raw=True,
     ),
     "deconv3d": Op(
         lambda n, x: ops.deconv3d_forward(x[0], n.params["weight"], n.params["bias"]),
@@ -213,13 +237,18 @@ OP_TABLE: dict[str, Op] = {
         _same_shape,
         reads="shapes",
     ),
+    # the backward reads the residual, so the prediction dies with the forward
     "l2_loss": Op(
-        lambda n, x: ops.l2_loss_forward(x[0], x[1]),
-        lambda n, x, g, want: (
-            list(ops.l2_loss_backward(x[0], x[1], g, target_grad=want[1])),
+        lambda n, x, out=None: ops.Loss(x[0], x[1], out=out),
+        lambda n, y, g, want, out=None: (
+            list(ops.l2_loss_backward(y[0].residual, None, g, target_grad=want[1], out=out)),
             {},
         ),
         lambda n, s: (),
+        reads="output",
+        raw=True,
+        holds=_same_shape,
+        inplace=True,
     ),
 }
 
@@ -250,6 +279,11 @@ def _upstream(nodes: list[Node], roots, stop: set[int]) -> list[int]:
             seen.add(nid)
             stack += [i for i in nodes[nid].inputs if i not in stop]
     return sorted(seen)
+
+
+def _buffer(value: np.ndarray | ops.Loss) -> np.ndarray:
+    """The array a value holds: an l2_loss value's residual, or the value."""
+    return value.residual if isinstance(value, ops.Loss) else value
 
 
 def _reads(node: Node) -> list[int]:
@@ -298,9 +332,13 @@ class Schedule:
       Inputs stay live until their last consumer's grad, so a recompute
       never runs an input, and every checkpoint set gives a program that
       runs;
-    * ``shapes`` and ``nbytes``: the planned shape and bytes of each needed
-      value (a concat's are its blocks', which the account charges to its
-      inputs);
+    * ``shapes`` and ``nbytes``: the planned shape of each needed value,
+      and the bytes of the buffer it holds (a concat's are its blocks',
+      which the account charges to its inputs; an l2_loss's, its
+      residual's);
+    * ``reuse``: for each run or grad whose kernel writes its result into
+      the buffer of a value the program frees right after it, that value
+      (see the module docstring);
     * ``forward_peak`` and ``step_peak``: the peak of live bytes over
       ``program[:split]``, and over the whole program, held gradients
       included.
@@ -312,6 +350,7 @@ class Schedule:
     split: int
     shapes: dict[int, tuple]
     nbytes: dict[int, int]
+    reuse: dict[int, int]
     forward_peak: int
     step_peak: int
 
@@ -362,33 +401,65 @@ class Schedule:
             program += [("grad", nid)] + [("free", i) for i in freed]
 
         # the account: live bytes along the program, and a gradient as the
-        # module docstring says (the seed is the target's gradient)
+        # module docstring says (the seed is the target's gradient). A value
+        # weighs its buffer; a gradient, its value's shape
         shapes = value_shapes(graph, need, input_shapes)
-        nbytes = {nid: math.prod(s) * graph.dtype.itemsize for nid, s in shapes.items()}
+        size = lambda shape: math.prod(shape) * graph.dtype.itemsize  # noqa: E731
+        buffers = dict(shapes)
+        for nid in need:
+            holds = OP_TABLE[nodes[nid].op].holds
+            if holds:
+                buffers[nid] = holds(nodes[nid], [shapes[i] for i in nodes[nid].inputs])
+        nbytes = {nid: size(b) for nid, b in buffers.items()}
         own = {nid: 0 if nodes[nid].op == "channel_concat" else b for nid, b in nbytes.items()}
+        frees: dict[int, list[int]] = {}  # the positions of the frees right after each action
+        for k, (action, _) in enumerate(program):
+            if action != "free":
+                at = k
+            else:
+                frees.setdefault(at, []).append(k)
+
+        def donor(k: int, shape: tuple) -> int | None:
+            """The position of the first free right after action k whose
+            value's buffer a ``shape`` result may take: no feed, no concat."""
+            return next((j for j in frees.get(k, []) if buffers[program[j][1]] == shape
+                         and nodes[program[j][1]].op not in ("input", "channel_concat")), None)
+
+        reuse: dict[int, int] = {}
+        taken: set[int] = set()  # the frees whose value's buffer a result took
         live = peak = forward_peak = 0
         held = {target}
         for k, (action, nid) in enumerate(program):
+            node, op = nodes[nid], OP_TABLE[nodes[nid].op]
             if k == split:
                 forward_peak = peak
-                live += nbytes[target]
+                live += size(shapes[target])
+            if action == "free":
+                live -= 0 if k in taken else own[nid]
+                continue
+            done, result = 0, None  # result: the shape an inplace kernel writes
             if action == "run":
                 live += own[nid]
-                peak = max(peak, live)
-            elif action == "free":
-                live -= own[nid]
+                result = buffers[nid]
             else:
-                done = nbytes[nid] if nid in held else 0
+                done = size(shapes[nid]) if nid in held else 0
                 if nid in requires_grad:
-                    made = set(nodes[nid].inputs).intersection(requires_grad) - held
+                    made = set(node.inputs).intersection(requires_grad) - held
                     held |= made
-                    live += sum(nbytes[i] for i in made)
-                    live += sum(p.nbytes for p in nodes[nid].params.values())
-                if nodes[nid].op == "channel_concat":
+                    live += sum(size(shapes[i]) for i in made)
+                    live += sum(p.nbytes for p in node.params.values())
+                    result = shapes[node.inputs[0]] if node.inputs[0] in made else None
+                if node.op == "channel_concat":
                     live, done = live - done, 0  # its gradient's blocks are its inputs'
-                peak = max(peak, live)
-                live -= done
-        return cls(target, requires_grad, program, split, shapes, nbytes, forward_peak, peak)
+            j = donor(k, result) if op.inplace and result is not None else None
+            if j is not None:  # the result is written into the freed value's buffer
+                reuse[k] = program[j][1]
+                taken.add(j)
+                live -= own[program[j][1]]
+            peak = max(peak, live)
+            live -= done
+        return cls(target, requires_grad, program, split, shapes, nbytes, reuse, forward_peak,
+                   peak)
 
 
 class Graph:
@@ -486,40 +557,49 @@ class Graph:
         for i, v in zip(nids, vals):
             if v is None:
                 raise MissingValue(f"node {node.nid}: node {i} has no stored value")
-        return vals if OP_TABLE[node.op].blocks else [np.asarray(v) for v in vals]
+        return vals if OP_TABLE[node.op].raw else [np.asarray(v) for v in vals]
 
-    def _execute(self, actions: list[tuple[str, int]], schedule: Schedule, feeds: dict | None,
+    def _execute(self, schedule: Schedule, start: int, stop: int, feeds: dict | None,
                  grads: dict | None) -> dict[str, np.ndarray]:
-        """Walk ``actions``, a slice of ``schedule.program``, and return the
-        parameter gradients its grads give. A run stores its feed or its
-        op's forward through ``_store``, which checks the planned bytes. Only
-        the forward, the walk given ``feeds``, checks values for non-finite
-        entries: a recompute gives the forward's bits.
+        """Walk ``schedule.program[start:stop]`` and return the parameter
+        gradients its grads give. A run stores its feed or its op's forward
+        through ``_store``, which checks the planned bytes. A run or grad in
+        ``schedule.reuse`` hands its kernel the buffer of the value that the
+        action frees, as ``out``. Only the forward, the walk given ``feeds``,
+        checks values for non-finite entries: a recompute gives the forward's
+        bits.
         """
         gradmap: dict[str, np.ndarray] = {}
-        for action, nid in actions:
+        for k in range(start, stop):
+            action, nid = schedule.program[k]
             node = self.nodes[nid]
+            kw = {}
+            if k in schedule.reuse:
+                kw["out"] = _buffer(self.nodes[schedule.reuse[k]].value)
             if action == "free":
                 node.value = None
             elif action == "grad":
-                self._backward_step(node, schedule, grads, gradmap)
+                self._backward_step(node, schedule, grads, gradmap, kw)
             else:
                 if node.op == "input":
                     val = np.ascontiguousarray(feeds[node.attrs["name"]], dtype=self.dtype)
                 else:
                     try:
-                        val = OP_TABLE[node.op].forward(node, self._values(node, node.inputs))
+                        val = OP_TABLE[node.op].forward(node, self._values(node, node.inputs), **kw)
                     except ShapeMismatch as e:
                         raise ShapeMismatch(f"node {nid} ({node.op}): {e}") from e
                 self._store(node, val, schedule.nbytes[nid])
-                # a concat's blocks were checked as its inputs' values
-                if feeds is not None and isinstance(val, np.ndarray) and val.size and not (
-                        np.isfinite(val.min()) and np.isfinite(val.max())):
+                # a concat's blocks were checked as its inputs' values; a
+                # loss is checked as its 0-d value
+                arr = None if isinstance(val, ops.Blocks) else np.asarray(val)
+                if feeds is not None and arr is not None and arr.size and not (
+                        np.isfinite(arr.min()) and np.isfinite(arr.max())):
                     raise NonFiniteValue(nid, node.op, f" tag={node.attrs.get('tag', '')}")
-                del val  # no reference here may outlive the value's free
+                del val, arr  # no reference here may outlive the value's free
         return gradmap
 
-    def _backward_step(self, node: Node, schedule: Schedule, grads: dict, gradmap: dict) -> None:
+    def _backward_step(self, node: Node, schedule: Schedule, grads: dict, gradmap: dict,
+                       kw: dict) -> None:
         g = grads.pop(node.nid, None)
         if g is None:
             return
@@ -529,7 +609,7 @@ class Graph:
         else:
             xs = self._values(node, _reads(node))
         want = [i in schedule.requires_grad for i in node.inputs]
-        gins, gparams = op.backward(node, xs, g, want)
+        gins, gparams = op.backward(node, xs, g, want, **kw)
         for i, gi, wanted in zip(node.inputs, gins, want):
             if wanted:
                 grads[i] = np.add(grads[i], gi) if i in grads else gi  # joins blocks
@@ -569,7 +649,7 @@ class Graph:
             self._built = key, Schedule.build(self, target, discard, shapes)
         schedule = self._built[1]
         self.meter.plan(schedule.forward_peak, "forward")
-        self._execute(schedule.program[:schedule.split], schedule, feeds, None)
+        self._execute(schedule, 0, schedule.split, feeds, None)
         self.schedule = schedule
         out = self.nodes[target].value
         return float(out) if out.ndim == 0 else out
@@ -600,7 +680,7 @@ class Graph:
             raise ShapeMismatch(f"backward: grad_out shape {seed.shape} is not node "
                                 f"{schedule.target}'s {self.nodes[schedule.target].value.shape}")
         self.meter.plan(schedule.step_peak, "step")
-        gradmap = self._execute(schedule.program[schedule.split:], schedule, None,
+        gradmap = self._execute(schedule, schedule.split, len(schedule.program), None,
                                 {schedule.target: seed})
         self.schedule = None
         return gradmap

@@ -208,11 +208,12 @@ def _mm_or_null(v: float) -> float | None:
 
 
 def write_report(report: EvalReport, out_dir: str | Path, stamp: dict | None = None,
-                 ground_truth: dict | None = None) -> None:
+                 sources: dict | None = None) -> None:
     """Emit report.json plus the landmark-table and PCK-curve CSVs.
 
-    ``ground_truth``, where given, says in report.json which cases the
-    report was scored against (the rule and its source).
+    ``sources``, where given, goes into report.json as it is: eval says
+    there which cases the report was scored against (``ground_truth``) and
+    what made the poses it scored (``predictions``).
 
     Table CSVs carry one column per landmark (L1..L16) plus a mean column;
     the PCK CSV has one row per threshold for plotting. A mean distance
@@ -246,8 +247,7 @@ def write_report(report: EvalReport, out_dir: str | Path, stamp: dict | None = N
             for cid, lengths in report.segment_lengths_mm.items()
         },
     }
-    if ground_truth is not None:
-        doc["ground_truth"] = ground_truth
+    doc.update(sources or {})
     write_json(out_dir / "report.json", doc, stamp)
 
     header = [f"L{j}" for j in range(1, NUM_LANDMARKS + 1)] + ["mean"]

@@ -382,6 +382,7 @@ def train(
             except GraphError as e:
                 raise GraphError(f"epoch {epoch} step {step}: {e}") from e
             adam.step(grads)
+            del grads  # else they stay bound through the next step's forward
             result.loss_curve.append((epoch, step, float(loss)))
             epoch_losses.append(loss)
         result.epoch_means.append(float(np.mean(epoch_losses)))

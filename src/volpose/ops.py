@@ -29,7 +29,10 @@ over the blocks in order. These fixed orders are what keep conv3d and its
 backward deterministic. A column of the forward or ``gx`` keeps its (a, b)
 order whatever the block width, so their bits do not depend on
 ``CONV_BLOCK``; ``gw`` splits its inner dimension at the block edges, so
-its bits do, wherever a layer has more than two blocks of columns.
+its bits do, wherever a layer has more than two blocks of columns. Each of
+its GEMMs has an inner length that is a multiple of ``GW_PAD``: a block's
+whole multiple of it, then the rest of its columns zero-padded to it, so
+that its bits do not depend on the BLAS thread count.
 
 conv3d's operand may be a :class:`Blocks`, channel blocks read as one
 operand: ``concat_forward`` returns its inputs so, holding no buffer of its
@@ -66,10 +69,14 @@ Conventions baked in here:
   * batch_norm normalizes each channel over its spatial extent (batch size
     is always 1), biased variance from the centred input (never
     E[x^2] - E[x]^2), epsilon ``BN_EPS``.
-  * l2_loss is the mean squared error over all elements.
+  * l2_loss is the mean squared error over all elements. Its graph value,
+    a :class:`Loss`, keeps the residual pred - target that its backward
+    reads.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -112,8 +119,7 @@ class Blocks:
 def _parts(x: np.ndarray | Blocks) -> list[tuple[int, np.ndarray]]:
     """(first channel, array) of each block of x; an array is one block."""
     parts = x.parts if isinstance(x, Blocks) else [x]
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts[:-1]])
-    return list(zip(offsets.tolist(), parts))
+    return list(zip(accumulate((p.shape[0] for p in parts[:-1]), initial=0), parts))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +132,11 @@ def _parts(x: np.ndarray | Blocks) -> list[tuple[int, np.ndarray]]:
 # L2. The stack, the padded planes it is built from (7 at 32^3, 0.5 MB for
 # 16 channels) and a CONV_BLOCK-column accumulator are a call's workspace
 CONV_BLOCK = 4096
+
+# the inner length of the weight gradient's GEMMs is a multiple of this: at
+# 5148, a 16^3 layer's, OpenBLAS sums the inner dimension otherwise at 2
+# threads than at 1, so gw's bits followed the BLAS thread count
+GW_PAD = 128
 
 def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     _require(x.ndim == 4, f"conv3d: input must be (C,D,H,W), got {x.shape}")
@@ -171,7 +182,9 @@ def conv3d_backward(
 
 def _weight_grad(x: np.ndarray, grad_out: np.ndarray, k: int) -> np.ndarray:
     """(Cout, Cin, k, k, k) weight gradient: per column block, the stack of
-    ``grad_out`` against the k*k tap slices of x's padded planes."""
+    ``grad_out`` against the k*k tap slices of x's padded planes. The inner
+    length of every GEMM is a multiple of ``GW_PAD``: a block's columns are
+    its whole multiple of it, and the rest, zero-padded to ``GW_PAD``."""
     cout, cin = grad_out.shape[0], x.shape[0]
     hp, wp, n, offsets = _grid(x.shape, k)
     # Read from column lo, row block r of the stack is grad_out on the
@@ -186,14 +199,27 @@ def _weight_grad(x: np.ndarray, grad_out: np.ndarray, k: int) -> np.ndarray:
     xplanes = _planes(x, k, step + offsets[-1])
     stack = np.empty((k * cout, step), dtype=grad_out.dtype) if k > 1 else None
     gw = np.empty((k * k, k * cout, cin), dtype=x.dtype)
-    tmp = np.empty_like(gw[0])
+    tmp, rest = np.empty_like(gw[0]), np.empty_like(gw[0])
+    # only the last block is ragged, so the pads' zero tails are written once
+    srest = np.zeros((k * cout, GW_PAD), dtype=grad_out.dtype)
+    xrest = np.zeros((cin, GW_PAD), dtype=x.dtype)
     for j in range(0, m, step):
         e = min(j + step, m)
+        q = (e - j) // GW_PAD * GW_PAD
         f, base = gplanes(lo + j)
         s = _stack_block(f, k, lo + j - base, e - j, stack)
+        srest[:, : e - j - q] = s[:, q:]
         xf, base = xplanes(j)
         for t, off in enumerate(offsets):
-            np.matmul(s, xf[:, off + j - base : off + e - base].T, out=gw[t] if j == 0 else tmp)
+            xt = xf[:, off + j - base : off + e - base]
+            out = gw[t] if j == 0 else tmp
+            if q:
+                np.matmul(s[:, :q], xt[:, :q].T, out=out)
+            if q < e - j:
+                xrest[:, : e - j - q] = xt[:, q:]
+                np.matmul(srest, xrest.T, out=rest if q else out)
+                if q:
+                    out += rest
             if j:
                 gw[t] += tmp
     gw = gw.reshape(k, k, k, cout, cin)[:, :, ::-1].transpose(3, 4, 0, 1, 2)
@@ -557,22 +583,58 @@ def add_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def l2_loss_forward(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+class Loss:
+    """An l2_loss value: the 0-d mean squared error ``loss``, read as the
+    value (``np.asarray``, ``float``), and the ``residual`` pred - target it
+    was taken from, which its backward reads. Its bytes are the residual's.
+    """
+
+    shape: tuple = ()
+    ndim = 0
+
+    def __init__(self, pred: np.ndarray, target: np.ndarray, out: np.ndarray | None = None):
+        """The loss of ``pred`` against ``target``, its residual written into
+        ``out`` (which may be pred's own buffer) or a new array."""
+        self.residual = np.empty(pred.shape, dtype=pred.dtype) if out is None else out
+        self.loss = l2_loss_forward(pred, target, out=self.residual)
+        self.dtype = self.loss.dtype
+        self.nbytes = self.residual.nbytes
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.loss if dtype is None else self.loss.astype(dtype)
+
+    def __float__(self) -> float:
+        return float(self.loss)
+
+
+def l2_loss_forward(pred: np.ndarray, target: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The 0-d mean squared error of ``pred`` against ``target``. The
+    residual pred - target goes into ``out`` when given, else into a
+    temporary."""
     _require(pred.shape == target.shape, f"l2_loss: shapes differ, {pred.shape} vs {target.shape}")
-    diff = (pred - target).ravel()
+    diff = np.subtract(pred, target, out=out).ravel()
     return np.asarray(np.dot(diff, diff) / diff.size, dtype=pred.dtype)
 
 
 def l2_loss_backward(
-    pred: np.ndarray, target: np.ndarray, grad_out: np.ndarray, target_grad: bool = True
+    pred: np.ndarray, target: np.ndarray | None, grad_out: np.ndarray, target_grad: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(gpred, gtarget); gtarget is None when ``target_grad`` is False.
 
     gpred = 2/N * grad_out * (pred - target), scaled in place in the dtype
-    of ``pred - target``, so it holds one temporary of the input's size.
+    of ``pred - target``, in ``out`` when given, else in one temporary of
+    the input's size. With ``target`` None, ``pred`` is the residual
+    pred - target itself (a :class:`Loss`'s), and ``out`` may be it.
     """
-    _require(pred.shape == target.shape, f"l2_loss: target must be {pred.shape}, got {target.shape}")
+    if target is not None:
+        _require(pred.shape == target.shape,
+                 f"l2_loss: target must be {pred.shape}, got {target.shape}")
     _require(np.shape(grad_out) == (), f"l2_loss: grad_out must be (), got {np.shape(grad_out)}")
-    g = np.subtract(pred, target)
-    g *= (2.0 / pred.size) * grad_out
+    scale = (2.0 / pred.size) * grad_out
+    if target is None:
+        g = np.multiply(pred, scale, out=out)
+    else:
+        g = np.subtract(pred, target, out=out)
+        g *= scale
     return g, (-g if target_grad else None)

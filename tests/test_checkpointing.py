@@ -190,8 +190,9 @@ def test_adding_checkpoints_never_increases_recompute_count():
 
 def test_discarded_value_read_across_a_checkpoint_is_recomputed():
     # a -> b -> c with an extra edge a -> add(c): with only b kept, a is
-    # discarded and read on both sides of b. The loss step recomputes the add
-    # and all it reads, a included, in forward order.
+    # discarded and read on both sides of b. The loss step reads its own
+    # residual; the pool's step, which reads the add, recomputes it and all
+    # it reads, a included, in forward order.
     g = Graph(np.float64)
     x = g.add_input("x")
     t = g.add_input("target")
@@ -201,11 +202,12 @@ def test_discarded_value_read_across_a_checkpoint_is_recomputed():
     b = g.add("relu", [a])
     c = g.add("relu", [b])
     s = g.add("add", [c, a])
-    loss = g.add("l2_loss", [s, t])
+    p = g.add("max_pool3d", [s])
+    loss = g.add("l2_loss", [p, t])
     g.set_loss(loss)
     feeds = {
         "x": np.linspace(-1, 1, 8).reshape(1, 2, 2, 2),
-        "target": np.zeros((1, 2, 2, 2)),
+        "target": np.zeros((1, 1, 1, 1)),
     }
     g.forward(feeds)
     plain = g.backward_plain()
@@ -214,8 +216,8 @@ def test_discarded_value_read_across_a_checkpoint_is_recomputed():
     g.forward(feeds, discard=True)
     schedule = g.schedule
     backward = [act for act in schedule.program[schedule.split:] if act[0] != "free"]
-    # the first backward step, up to its grad
-    assert backward[:4] == [("run", a), ("run", c), ("run", s), ("grad", loss)]
+    # the first two backward steps, up to the pool's grad
+    assert backward[:5] == [("grad", loss), ("run", a), ("run", c), ("run", s), ("grad", p)]
     grads_equal_bitwise(plain, g.backward_checkpointed())
 
 
@@ -272,13 +274,18 @@ def test_a_free_releases_the_value(monkeypatch, discard):
         store(node, value, nbytes)
 
     def check(node, *args):
-        held = [n.nid for n, ref in stored if ref() is not None and n.value is not ref()]
+        held = [n.nid for n, ref in stored if ref() is not None and n.value is not ref()
+                and n.nid not in reused]
         assert not held, f"freed values still held: {held}"
         step(node, *args)
 
     monkeypatch.setattr(g, "_store", record)
     monkeypatch.setattr(g, "_backward_step", check)
     g.forward(feeds, discard=discard)
+    # a value whose buffer a kernel's result took lives on as that result:
+    # the head, as the loss's residual and then as its own gradient
+    reused = set(g.schedule.reuse.values())
+    assert reused == {g.loss_id, g.nodes[g.loss_id].inputs[0]}
     g.backward_checkpointed()
     # every node but the two inputs ran in the forward; the discarding
     # backward ran recomputes too

@@ -666,6 +666,41 @@ def test_eval_of_predictions_from_explicit_volumes_scores_the_directory(dataset,
     assert report["ground_truth"] == {"rule": "directory"}
 
 
+def eval_predictions(pred: Path, gt: Path, out: Path) -> dict:
+    """report.json's ``predictions`` of an eval of ``pred`` against ``gt``."""
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())["predictions"]
+
+
+def test_eval_report_names_the_model_behind_the_predictions(dataset, model, refined0, tmp_path):
+    model_id = json.loads((refined0 / "run_config.json").read_text())["inputs"]["model"]
+    assert model_id == config.digest_files(
+        model / name for name in ("graph.json", "manifest.json", "params.bin"))
+    assert eval_predictions(refined0, dataset / "cases", tmp_path / "e1")["model"] == model_id
+    # poses with no run config behind them name no model
+    cases = dataset / "cases"
+    assert eval_predictions(cases, cases, tmp_path / "e2")["model"] is None
+
+
+def test_eval_report_names_the_decode_window(dataset, model, refined0, tmp_path):
+    pred = tmp_path / "pred"
+    assert main(["infer", "--model", str(model), "--data", str(dataset), "--split", "test",
+                 "--out", str(pred), "--window", "7"]) == 0
+    assert eval_predictions(pred, dataset / "cases", tmp_path / "e1")["window"] == 7
+    # refine decodes by its own settings
+    refined = eval_predictions(refined0, dataset / "cases", tmp_path / "e2")
+    assert refined["window"] == heatmap.WINDOW
+
+
+def test_eval_report_names_the_confidence_floor(dataset, model, refined0, tmp_path):
+    pred = tmp_path / "pred"
+    assert main(["infer", "--model", str(model), "--data", str(dataset), "--split", "test",
+                 "--out", str(pred), "--floor", "0.25"]) == 0
+    assert eval_predictions(pred, dataset / "cases", tmp_path / "e1")["confidence_floor"] == 0.25
+    refined = eval_predictions(refined0, dataset / "cases", tmp_path / "e2")
+    assert refined["confidence_floor"] == 0.0
+
+
 def test_eval_of_another_datasets_predictions_exits_2(dataset, model, tmp_path, capsys):
     other, pred, out = tmp_path / "other", tmp_path / "pred", tmp_path / "eval"
     assert main(GEN_ARGS + ["--seed", "12", "--out", str(other)]) == 0

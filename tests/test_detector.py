@@ -1,10 +1,14 @@
 """Detector graph construction, preprocessing, training, and inference."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,104 @@ def test_predict_plans_the_head_only_forward_peak():
     g.set_checkpoints({output_node(g)})
     head_only = Schedule.build(g, output_node(g), True, {"volume": net_in.shape})
     assert g.meter.peak == head_only.forward_peak == 4_653_056
+
+
+def loss_step_feeds(seed=6, shape=(16, 16, 16)):
+    """Read-only feeds of one training step of ``small_cfg(depth=2)``, and their copies."""
+    rng = np.random.default_rng(seed)
+    feeds = {"volume": rng.normal(size=(1, *shape)).astype(np.float32),
+             "target": rng.uniform(size=(16, *shape)).astype(np.float32)}
+    copies = {name: v.copy() for name, v in feeds.items()}
+    for v in feeds.values():
+        v.setflags(write=False)  # a write into a feed raises
+    return feeds, copies
+
+
+@pytest.mark.parametrize("policy", [None, "block_boundary"])
+def test_loss_residual_and_head_gradient_take_the_heads_buffer(monkeypatch, policy):
+    # the head dies with the loss's forward, so the residual takes its
+    # buffer; the residual dies with the loss's grad, so the head's gradient
+    # takes it in turn. No feed is written
+    g = build_detector(small_cfg(depth=2), seed=2)
+    if policy:
+        g.set_checkpoints(select_checkpoints(g, policy))
+    feeds, copies = loss_step_feeds()
+    seen = {}
+    forward, backward = ops.l2_loss_forward, ops.l2_loss_backward
+
+    def forward_spy(pred, target, out=None):
+        seen["head"], seen["residual"] = pred, out
+        return forward(pred, target, out=out)
+
+    def backward_spy(*args, **kwargs):
+        result = backward(*args, **kwargs)
+        seen["gradient"] = result[0]
+        return result
+
+    monkeypatch.setattr(ops, "l2_loss_forward", forward_spy)
+    monkeypatch.setattr(ops, "l2_loss_backward", backward_spy)
+    g.forward(feeds, discard=policy is not None)
+    head = output_node(g)
+    assert g.nodes[head].value is None
+    assert seen["residual"] is seen["head"]
+    assert g.value(g.loss_id).residual is seen["head"]
+    g.backward_checkpointed()
+    assert np.shares_memory(seen["gradient"], seen["head"])
+    shapes = {name: v.shape for name, v in feeds.items()}
+    schedule = Schedule.build(g, g.loss_id, policy is not None, shapes)
+    assert set(schedule.reuse.values()) == {head, g.loss_id}
+    for name, v in feeds.items():
+        assert v.tobytes() == copies[name].tobytes()
+
+
+@pytest.mark.parametrize("policy", [None, "block_boundary"])
+def test_reuse_leaves_the_loss_and_gradients_bitwise(monkeypatch, policy):
+    # the same step on a schedule that reuses no buffer gives the same bits
+    g = build_detector(small_cfg(depth=2), seed=2)
+    if policy:
+        g.set_checkpoints(select_checkpoints(g, policy))
+    feeds, _ = loss_step_feeds()
+    loss = g.forward(feeds, discard=policy is not None)
+    grads = g.backward_checkpointed()
+    build = Schedule.build.__func__
+    monkeypatch.setattr(Schedule, "build", classmethod(
+        lambda cls, *args: replace(build(cls, *args), reuse={})))
+    fresh = g.clone()
+    assert fresh.forward(feeds, discard=policy is not None) == loss
+    want = fresh.backward_checkpointed()
+    assert grads.keys() == want.keys()
+    for key in grads:
+        assert grads[key].tobytes() == want[key].tobytes(), key
+
+
+STEP_HASHES = """
+import hashlib, json
+import numpy as np
+from volpose.model import DetectorConfig, build_detector
+g = build_detector(DetectorConfig(input_scale=1.0), seed=0)
+rng = np.random.default_rng(7)
+g.forward({"volume": rng.normal(size=(1, 32, 32, 32)).astype(np.float32),
+           "target": rng.uniform(size=(16, 32, 32, 32)).astype(np.float32)})
+grads = g.backward_plain()
+print(json.dumps({k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in grads.items()}))
+"""
+
+
+def test_gradient_bits_do_not_depend_on_the_blas_thread_count():
+    # one plain step of the reference detector at 32^3, in a process with
+    # the BLAS at 1 thread and in one at 2: every gradient has the same
+    # bytes. The 16^3 layers' weight gradients, GEMMs of inner length 5148,
+    # differed before their inner length was padded to ops.GW_PAD
+    src = str(Path(ops.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", STEP_HASHES], env=env,
+                             capture_output=True, text=True, check=True)
+        hashes.append(json.loads(run.stdout))
+    assert len(hashes[0]) == 64 and hashes[0].keys() == hashes[1].keys()
+    assert [k for k in hashes[0] if hashes[0][k] != hashes[1][k]] == []
 
 
 def test_depth3_has_three_concats():

@@ -7,13 +7,17 @@ import weakref
 import numpy as np
 import pytest
 
+from volpose import ops
 from volpose.model import (
     DetectorConfig,
     build_detector,
     decode_prediction,
     infer,
+    output_node,
+    predict,
     prepare_volume,
 )
+from volpose.optim import Adam
 import volpose.refine as refine_module
 from volpose.refine import RefineConfig, refine, refine_batch
 from volpose import heatmap
@@ -54,6 +58,22 @@ def test_zero_iterations_equals_plain_inference():
     np.testing.assert_array_equal(res.pose.xyz_mm, plain.xyz_mm)
     assert res.trace == []
     assert not res.declined
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_update_returns_the_head_a_fresh_predict_gives(last):
+    # the proxy loss after the step reads the head without writing it: the
+    # head that refine decodes is the updated detector's prediction
+    rng = np.random.default_rng(3)
+    g = detector()
+    net_in, frame = prepare_volume(volume(rng), 1.0, CFG)
+    g.forward({"volume": net_in}, to_node=output_node(g))
+    proxy = rng.uniform(size=(NUM_LANDMARKS, *frame.net_shape)).astype(np.float32)
+    adam = Adam(g.parameters(), lr=1e-3)
+    _, loss_post, head = refine_module._update(g, adam, net_in, proxy, last)
+    fresh = predict(g, net_in)
+    assert head.tobytes() == fresh.tobytes()
+    assert loss_post == float(ops.l2_loss_forward(fresh, proxy))
 
 
 def test_defaults_match_protocol():

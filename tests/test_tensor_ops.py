@@ -166,14 +166,19 @@ def conv3d_backward_reference(x, weight, grad_out):
     xf = padded_reference(x, k)
     stack = np.empty((k * cout, step), dtype=grad_out.dtype)
     gw = np.empty((k * k, k * cout, cin), dtype=x.dtype)
-    tmp = np.empty_like(gw[0])
     for j in range(0, m, step):
         e = min(j + step, m)
+        # a block's whole multiple of GW_PAD columns, then its rest zero-padded
+        q = (e - j) // ops.GW_PAD * ops.GW_PAD
         s = stack_reference(gf, k, lo + j, stack[:, : e - j])
         for t, off in enumerate(offsets):
-            np.matmul(s, xf[:, off + j : off + e].T, out=gw[t] if j == 0 else tmp)
-            if j:
-                gw[t] += tmp
+            xt = xf[:, off + j : off + e]
+            block = s[:, :q] @ xt[:, :q].T if q else None
+            if q < e - j:
+                pad = ((0, 0), (0, ops.GW_PAD - (e - j - q)))
+                rest = np.pad(s[:, q:], pad) @ np.pad(xt[:, q:], pad).T
+                block = rest if block is None else block + rest
+            gw[t] = block if j == 0 else gw[t] + block
     gw = gw.reshape(k, k, k, cout, cin)[:, :, ::-1].transpose(3, 4, 0, 1, 2)
     flipped = weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
     gx = tap_conv_reference(gf, ops._tap_weights(flipped), grad_out.shape)
